@@ -30,6 +30,7 @@ class NonScalarLoss(ValueError):
 
 
 _grad_enabled = True
+_FLOAT64 = np.dtype(np.float64)
 
 
 @contextlib.contextmanager
@@ -58,7 +59,9 @@ class Tensor:
     __slots__ = ("data", "parents", "vjp", "barrier", "name")
 
     def __init__(self, data, parents=(), vjp=None, barrier=False, name=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         if _grad_enabled:
             self.parents = tuple(parents)
             self.vjp = vjp
@@ -313,15 +316,15 @@ def layer_norm(x, gain, bias) -> Tensor:
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ShapeError("layer_norm", x.shape, gain.shape, bias.shape)
-    mu = x.data.mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) / d  # the bits of .mean(), without its overhead
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + EPS_LAYERNORM)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
     def vjp(g):
-        d = x.shape[-1]
         gy = g * gain.data
         gx = inv * (gy - gy.mean(axis=-1, keepdims=True) - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
         axes = tuple(range(g.ndim - 1))
@@ -343,11 +346,18 @@ def softmax(a) -> Tensor:
     return Tensor(p, (a,), vjp)
 
 
-def masked_softmax(scores, allow: np.ndarray) -> Tensor:
+def masked_softmax(scores, allow: np.ndarray, sum_buffer: np.ndarray | None = None) -> Tensor:
     """Softmax over the last axis restricted to `allow` (bool, same shape).
 
     Disallowed entries come out exactly 0.0. Every row must keep at least one
     allowed entry.
+
+    `sum_buffer` (shape `scores.shape[:-1] + (W,)` with W at least the score
+    width, zero beyond it) fixes how each denominator is summed: over all W
+    columns, the trailing ones exact zeros. numpy's pairwise sum groups terms
+    by the row width, so a plain sum over T columns rounds differently for
+    different T; over a fixed W a row's probabilities are the same bits
+    whatever number of masked columns follow it.
     """
     scores = as_tensor(scores)
     allow = np.asarray(allow, dtype=bool)
@@ -357,8 +367,15 @@ def masked_softmax(scores, allow: np.ndarray) -> Tensor:
         raise ValueError("masked_softmax: a row has no allowed entries")
     neg = np.where(allow, scores.data, -np.inf)
     z = neg - neg.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    if sum_buffer is None:
+        e = np.exp(z)
+        den = e.sum(axis=-1, keepdims=True)
+    else:
+        if sum_buffer.shape[:-1] != z.shape[:-1] or sum_buffer.shape[-1] < z.shape[-1]:
+            raise ShapeError("masked_softmax", scores.shape, sum_buffer.shape)
+        e = np.exp(z, out=sum_buffer[..., :z.shape[-1]])
+        den = sum_buffer.sum(axis=-1, keepdims=True)
+    p = e / den
 
     def vjp(g):
         return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)

@@ -140,6 +140,8 @@ def read_csv(path) -> list:
 def evaluate(ckpt: Checkpoint, records, k_test: int, run_id: str = "run") -> dict:
     """Greedy decoding at the given latent size; exact match of the last
     boxed answer span against the gold tokens."""
+    if not records:
+        raise ValueError("evaluate: no records to evaluate")
     started = time.monotonic()
     totals, hits = {}, {}
     for rec in records:
@@ -159,7 +161,7 @@ def evaluate(ckpt: Checkpoint, records, k_test: int, run_id: str = "run") -> dic
         "run_id": run_id,
         "stage": ckpt.stage,
         "k_test": k_test,
-        "accuracy": sum(hits.values()) / total if total else 0.0,
+        "accuracy": sum(hits.values()) / total,
         "lookup_accuracy": hits.get("lookup", 0) / totals["lookup"] if totals.get("lookup") else "",
         "count_accuracy": hits.get("count", 0) / totals["count"] if totals.get("count") else "",
         "wall_clock_s": round(time.monotonic() - started, 3),

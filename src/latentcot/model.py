@@ -17,6 +17,7 @@ of the auxiliary image.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass, field
 
@@ -109,30 +110,36 @@ class SequenceLayout:
     """Ordered typed segments plus derived per-position indexes."""
 
     def __init__(self, segments):
-        self.segments = list(segments)
+        self.segments = []
         self.roles = []
-        self.token_at = []  # vocab id or -1
         self.latent_slots = []  # (segment_index, slot_index, position)
-        starts = []
-        pos = 0
-        for si, seg in enumerate(self.segments):
-            starts.append(pos)
-            n = len(seg)
-            self.roles.extend([seg.role] * n)
-            if seg.role in TEXT_ROLES:
-                self.token_at.extend(seg.tokens)
-            else:
-                self.token_at.extend([-1] * n)
-            if seg.role is SegmentRole.LATENT:
-                for k in range(n):
-                    self.latent_slots.append((si, k, pos + k))
-            pos += n
-        self.seg_starts = starts
-        self.length = pos
-        self.token_at = np.asarray(self.token_at, dtype=np.int64)
+        self.seg_starts = []
+        self.length = 0
+        token_at = []  # vocab id or -1
+        for seg in segments:
+            token_at += self._index(seg)
+        self.token_at = np.asarray(token_at, dtype=np.int64)
         self.latent_mask = np.zeros(self.length, dtype=bool)
         for _, _, p in self.latent_slots:
             self.latent_mask[p] = True
+
+    def _index(self, seg: Segment) -> list:
+        """Record `seg` as the last segment; returns its per-position token ids."""
+        si, pos, n = len(self.segments), self.length, len(seg)
+        self.segments.append(seg)
+        self.seg_starts.append(pos)
+        self.roles.extend([seg.role] * n)
+        if seg.role is SegmentRole.LATENT:
+            self.latent_slots.extend((si, k, pos + k) for k in range(n))
+        self.length = pos + n
+        return list(seg.tokens) if seg.role in TEXT_ROLES else [-1] * n
+
+    def append(self, seg: Segment):
+        """Extend the layout in place by one segment, without a rebuild."""
+        tokens = self._index(seg)
+        self.token_at = np.concatenate([self.token_at, np.asarray(tokens, dtype=np.int64)])
+        self.latent_mask = np.concatenate(
+            [self.latent_mask, np.full(len(tokens), seg.role is SegmentRole.LATENT)])
 
     def positions(self, role: SegmentRole) -> list:
         return [i for i, r in enumerate(self.roles) if r is role]
@@ -157,9 +164,6 @@ class SequenceLayout:
     def set_latent(self, si: int, slot: int, value):
         self.segments[si].latents[slot] = value
 
-    def rebuilt(self) -> "SequenceLayout":
-        return SequenceLayout(self.segments)
-
 
 @dataclass
 class AttentionMaskSpec:
@@ -169,7 +173,7 @@ class AttentionMaskSpec:
 
 def build_attention_mask(layout: SequenceLayout, mode: MaskMode) -> AttentionMaskSpec:
     T = layout.length
-    allow = np.tril(np.ones((T, T), dtype=bool))
+    allow = np.tri(T, dtype=bool)
     if mode is MaskMode.AUX_GATED:
         for si, seg in enumerate(layout.segments):
             if seg.role is not SegmentRole.AUX_IMAGE or len(seg) == 0:
@@ -248,16 +252,23 @@ def params_allclose(a: dict, b: dict) -> bool:
 # forward
 # ---------------------------------------------------------------------------
 
-def embed_layout(layout: SequenceLayout, params: dict, config: ModelConfig) -> ad.Tensor:
-    """One d-vector per position: token lookup, patch projection, or the
-    latent slot's content vector verbatim; learned positions added to all."""
+def embed_layout(layout: SequenceLayout, params: dict, config: ModelConfig,
+                 start: int = 0) -> ad.Tensor:
+    """One d-vector per position from `start` on: token lookup, patch
+    projection, or the latent slot's content vector verbatim; learned
+    positions added to all. An image segment that `start` cuts is projected
+    whole and then sliced, so its rows keep the bits of a full pass."""
     d = config.hidden_dim
     blocks = []
-    for seg in layout.segments:
-        if len(seg) == 0:
+    first = max(bisect.bisect_right(layout.seg_starts, start) - 1, 0)
+    for si in range(first, len(layout.segments)):
+        seg = layout.segments[si]
+        a, b = layout.segment_range(si)
+        if b <= max(a, start):
             continue
+        skip = max(start - a, 0)
         if seg.role in TEXT_ROLES:
-            ids = np.asarray(seg.tokens, dtype=np.int64)
+            ids = np.asarray(seg.tokens[skip:], dtype=np.int64)
             if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
                 raise LayoutError(f"unknown token id in segment: {seg.tokens}")
             blocks.append(ad.gather_rows(params["tok_emb"], ids))
@@ -265,9 +276,10 @@ def embed_layout(layout: SequenceLayout, params: dict, config: ModelConfig) -> a
             if seg.feats.shape[1] != config.patch_features:
                 raise LayoutError(
                     f"patch grid feature size {seg.feats.shape[1]} != {config.patch_features}")
-            blocks.append(ad.matmul(ad.constant(seg.feats), params["patch_proj"]))
+            proj = ad.matmul(ad.constant(seg.feats), params["patch_proj"])
+            blocks.append(ad.gather_rows(proj, np.arange(skip, b - a)) if skip else proj)
         else:
-            for v in seg.latents:
+            for v in seg.latents[skip:]:
                 if v is None:
                     blocks.append(ad.constant(np.zeros((1, d))))
                 elif isinstance(v, ad.Tensor):
@@ -280,7 +292,7 @@ def embed_layout(layout: SequenceLayout, params: dict, config: ModelConfig) -> a
     T = layout.length
     if T > config.max_positions:
         raise LayoutError(f"layout length {T} exceeds max_positions {config.max_positions}")
-    pos = ad.gather_rows(params["pos_emb"], np.arange(T))
+    pos = ad.gather_rows(params["pos_emb"], np.arange(start, T))
     return ad.add(x, pos)
 
 
@@ -295,39 +307,79 @@ def _select_rows(a: ad.Tensor, b: ad.Tensor, row_mask: np.ndarray) -> ad.Tensor:
     return ad.Tensor(out, (a, b), vjp)
 
 
+class ForwardCache:
+    """What a no-grad `forward` keeps of the rows it has run, for one growing
+    sequence: each layer's attention keys and values, and the post-final-norm
+    states. Buffers span `max_positions` rows; the first `length` are valid."""
+
+    def __init__(self, config: ModelConfig):
+        shape = (config.layer_count, config.max_positions, config.hidden_dim)
+        self.length = 0
+        self.keys = np.empty(shape)
+        self.values = np.empty(shape)
+        self.final = np.empty(shape[1:])
+
+
 def forward(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
-            config: ModelConfig):
+            config: ModelConfig, cache: ForwardCache | None = None):
     """Pre-norm transformer pass.
 
     Returns (logits (T, V), stack), where stack[0] is the input embedding,
     stack[l] the residual after block l, and stack[L] the post-final-norm
     state (the vector that gets fed back during latent decoding).
+
+    The pass is prefix-invariant: rows of a pass over a prefix equal the
+    same rows of a longer pass, bit for bit (softmax denominators are summed
+    over a fixed `max_positions` width). That makes a cached pass exact.
+
+    With a `cache` (no-grad only) the layout must extend the sequence the
+    cache holds. The pass runs only the rows the cache lacks, attending to
+    the cached keys and values, and stores the new rows; its stack holds
+    just those rows. Logits still come from one matmul over all T final
+    rows, as in a full pass: OpenBLAS rounds a row of the narrow output
+    projection by its place in the row blocking. A single new row runs
+    beside the row before it, since a one-row matmul (gemv) rounds
+    differently.
     """
     T = layout.length
     if mask.allow.shape != (T, T):
         raise LayoutError(f"mask shape {mask.allow.shape} does not match layout length {T}")
+    start = 0
+    if cache is not None:
+        if ad.grad_enabled():
+            raise ValueError("a cached forward builds no graph; run it under ad.no_grad()")
+        if T <= cache.length:
+            raise LayoutError(f"layout length {T} does not extend the {cache.length} cached rows")
+        start = max(min(cache.length, T - 2), 0)
     H = config.head_count
     dh = config.hidden_dim // H
     scale = 1.0 / np.sqrt(dh)
-    has_latents = bool(layout.latent_slots)
-    allow = np.broadcast_to(mask.allow, (H, T, T))
+    latent_rows = layout.latent_mask[start:]
+    has_latents = bool(latent_rows.any())
+    allow = np.broadcast_to(mask.allow[start:], (H, T - start, T))
 
-    x0 = embed_layout(layout, params, config)
+    x0 = embed_layout(layout, params, config, start)
+    sum_buffer = np.zeros((H, T - start, config.max_positions))
     stack = [x0]
     resid = x0
     for l in range(config.layer_count):
         p = f"block{l}."
         q_in = ad.layer_norm(resid, params[p + "ln1_g"], params[p + "ln1_b"])
         if has_latents:
-            kv_stream = _select_rows(resid, x0, layout.latent_mask)
+            kv_stream = _select_rows(resid, x0, latent_rows)
             kv_in = ad.layer_norm(kv_stream, params[p + "ln1_g"], params[p + "ln1_b"])
         else:
             kv_in = q_in
         q = _to_heads(ad.matmul(q_in, params[p + "wq"]), H, dh)
-        k = _to_heads(ad.matmul(kv_in, params[p + "wk"]), H, dh)
-        v = _to_heads(ad.matmul(kv_in, params[p + "wv"]), H, dh)
+        k = ad.matmul(kv_in, params[p + "wk"])
+        v = ad.matmul(kv_in, params[p + "wv"])
+        if cache is not None:
+            cache.keys[l, start:T] = k.data
+            cache.values[l, start:T] = v.data
+            k, v = ad.constant(cache.keys[l, :T]), ad.constant(cache.values[l, :T])
+        k, v = _to_heads(k, H, dh), _to_heads(v, H, dh)
         scores = ad.scale(ad.matmul(q, ad.swap_last(k)), scale)
-        probs = ad.masked_softmax(scores, allow)
+        probs = ad.masked_softmax(scores, allow, sum_buffer)
         attn = _from_heads(ad.matmul(probs, v))
         resid = ad.add(resid, ad.matmul(attn, params[p + "wo"]))
         h = ad.layer_norm(resid, params[p + "ln2_g"], params[p + "ln2_b"])
@@ -337,6 +389,10 @@ def forward(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
             stack.append(resid)
     final = ad.layer_norm(resid, params["lnf_g"], params["lnf_b"])
     stack.append(final)
+    if cache is not None:
+        cache.final[start:T] = final.data
+        cache.length = T
+        final = ad.constant(cache.final[:T])
     logits = ad.matmul(final, params["w_out"])
     return logits, stack
 
@@ -464,26 +520,30 @@ def decode_with_latents(prompt: SequenceLayout, k_latent: int, params: dict,
     steps, each feeding the previous position's layer-L state back in as the
     next input embedding; the latent-end token is then force-inserted, never
     sampled. Returns (full layout, Trajectory).
+
+    The first pass runs the prompt into a `ForwardCache`; every later pass
+    runs only the positions appended since, and gives the bits a full pass
+    over the prefix would.
     """
     if k_latent < 0:
         raise ValueError("k_latent must be >= 0")
-    segments = list(prompt.segments)
+    layout = SequenceLayout(prompt.segments)
     traj = Trajectory(prompt_len=prompt.length)
-    causal = MaskMode.CAUSAL
+    cache = ForwardCache(config)
 
     def run():
-        layout = SequenceLayout(segments)
+        mask = build_attention_mask(layout, MaskMode.CAUSAL)
         with ad.no_grad():
-            logits, stack = forward(layout, build_attention_mask(layout, causal), params, config)
-        return logits.data, stack[-1].data
+            logits, stack = forward(layout, mask, params, config, cache)
+        return logits.data[-1], stack[-1].data[-1]
 
     def append_token(tok):
-        segments.append(text_segment(SegmentRole.PLAIN_TEXT, [tok]))
+        layout.append(text_segment(SegmentRole.PLAIN_TEXT, [tok]))
 
     emitted = 0
     while emitted < max_new:
         logits, _ = run()
-        tok, logp = sample_token(logits[-1], temperature, rng)
+        tok, logp = sample_token(logits, temperature, rng)
         append_token(tok)
         traj.steps.append(TextStep(tok, logp))
         emitted += 1
@@ -495,8 +555,8 @@ def decode_with_latents(prompt: SequenceLayout, k_latent: int, params: dict,
                     traj.truncated = True
                     break
                 _, final = run()
-                vec = final[-1].copy()
-                segments.append(latent_segment(1, [vec]))
+                vec = final.copy()
+                layout.append(latent_segment(1, [vec]))
                 traj.steps.append(LatentStep(vec))
                 emitted += 1
             if traj.truncated:
@@ -506,7 +566,7 @@ def decode_with_latents(prompt: SequenceLayout, k_latent: int, params: dict,
             emitted += 1
     else:
         traj.truncated = True
-    return SequenceLayout(segments), traj
+    return layout, traj
 
 
 # ---------------------------------------------------------------------------
@@ -538,19 +598,57 @@ def save_checkpoint(ckpt: Checkpoint, path):
         f.write(blob)
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file that does not hold what `save_checkpoint` writes."""
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint, checking its header keys, stage label and blob
+    length before any parameter is read; errors name the file and field."""
+
+    def bad(field: str, why: str) -> CheckpointError:
+        return CheckpointError(f"{path}: checkpoint field '{field}': {why}")
+
     with open(path, "rb") as f:
         raw = f.read()
-    head, _, blob = raw.partition(b"\n---\n")
-    meta = dict(line.split("=", 1) for line in head.decode().splitlines())
-    config = ModelConfig.from_manifest({k: meta[k] for k in ModelConfig().to_manifest()})
+    head, sep, blob = raw.partition(b"\n---\n")
+    if not sep:
+        raise bad("header", "no '---' line ends the header")
+    try:
+        lines = head.decode().splitlines()
+    except UnicodeDecodeError:
+        raise bad("header", "not UTF-8 text") from None
+    meta = {}
+    for line in lines:
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise bad("header", f"line {line!r} is not key=value")
+        meta[key] = value
+    keys = [*ModelConfig().to_manifest(), "stage", "step", "seed"]
+    for key in sorted(set(keys) ^ set(meta)):
+        raise bad(key, "missing" if key in keys else "unknown key")
+    if meta["stage"] not in STAGE_LABELS:
+        raise bad("stage", f"{meta['stage']!r} is not one of {', '.join(STAGE_LABELS)}")
+    ints = {}
+    for key in keys:
+        if key != "stage":
+            try:
+                ints[key] = int(meta[key])
+            except ValueError:
+                raise bad(key, f"{meta[key]!r} is not an integer") from None
+    try:
+        config = ModelConfig.from_manifest({k: ints[k] for k in ModelConfig().to_manifest()})
+    except (ValueError, ZeroDivisionError) as e:
+        raise bad("config", str(e)) from None
+    shapes = param_shapes(config)
+    expected = 8 * sum(int(np.prod(shape)) for shape in shapes.values())
+    if len(blob) != expected:
+        raise bad("blob", f"{len(blob)} bytes, expected {expected} for this config")
     params = {}
     offset = 0
-    for name, shape in param_shapes(config).items():
+    for name, shape in shapes.items():
         n = int(np.prod(shape))
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
         params[name] = ad.parameter(name, arr.copy())
         offset += n * 8
-    if offset != len(blob):
-        raise ValueError(f"checkpoint blob length mismatch: {len(blob)} bytes, expected {offset}")
-    return Checkpoint(config, meta["stage"], int(meta["step"]), int(meta["seed"]), params)
+    return Checkpoint(config, meta["stage"], ints["step"], ints["seed"], params)

@@ -331,7 +331,9 @@ def train_rl(sft_params: dict, records, config: RlConfig, algo: Algo,
     for _ in range(epochs):
         for idx in rng.permutation(len(records)):
             rec = records[int(idx)]
-            old = PolicySnapshot(PolicyRole.OLD, copy_params(params))
+            # the group is rolled out before opt.step updates params in place,
+            # so the live params are the old policy; no copy is needed
+            old = PolicySnapshot(PolicyRole.OLD, params)
             group = compute_advantages(
                 rollout_group(rec.sample, old, config, mconfig, rng))
             retained = filter_by_accuracy([group], config.accuracy_threshold)

@@ -7,7 +7,7 @@ from latentcot import vocab
 from latentcot.cli import (append_metrics, emit_report, evaluate,
                            load_config_file, main, read_csv, read_manifest,
                            render_sweep_svg, write_csv)
-from latentcot.model import load_checkpoint
+from latentcot.model import Checkpoint, ModelConfig, init_params, load_checkpoint
 from latentcot.tasks import read_dataset
 
 TINY_MODEL = ["--layers", "2", "--hidden-dim", "16", "--heads", "2"]
@@ -92,6 +92,13 @@ def test_eval_reruns_reproduce_metrics(tmp_path):
     b = evaluate(ckpt, records, 2)
     a.pop("wall_clock_s"), b.pop("wall_clock_s")
     assert a == b
+
+
+def test_evaluate_rejects_an_empty_record_list():
+    config = ModelConfig(layer_count=1, hidden_dim=8, head_count=2)
+    ckpt = Checkpoint(config, "sft", 0, 0, init_params(config, np.random.default_rng(0)))
+    with pytest.raises(ValueError, match="no records"):
+        evaluate(ckpt, [], 0)
 
 
 def test_manifest_rerun_reproduces_metric_rows(tmp_path):

@@ -3,10 +3,11 @@ import pytest
 
 from latentcot import autodiff as ad
 from latentcot import vocab
-from latentcot.model import (AttentionMaskSpec, Checkpoint, LayoutError,
-                             MaskMode, ModelConfig, SegmentRole,
+from latentcot.model import (AttentionMaskSpec, Checkpoint, CheckpointError,
+                             LayoutError, MaskMode, ModelConfig, SegmentRole,
                              SequenceLayout, build_attention_mask,
-                             copy_params, decode_with_latents, embed_layout,
+                             ForwardCache, LatentStep, TextStep, copy_params,
+                             decode_with_latents, embed_layout,
                              fill_latents, forward, image_segment,
                              init_params, latent_segment, load_checkpoint,
                              param_shapes, sample_token, save_checkpoint,
@@ -59,6 +60,20 @@ def random_layout(rng, require_aux=False):
     segments.append(text_segment(SegmentRole.ANSWER,
                                  rng.integers(0, vocab.VOCAB_SIZE, size=2).tolist()))
     return SequenceLayout(segments)
+
+
+def test_appending_segments_equals_building_the_layout():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        built = random_layout(rng, require_aux=True)
+        grown = SequenceLayout(built.segments[:1])
+        for seg in built.segments[1:]:
+            grown.append(seg)
+        for name in ("segments", "roles", "latent_slots", "seg_starts", "length"):
+            assert getattr(grown, name) == getattr(built, name), name
+        for name in ("token_at", "latent_mask"):
+            a, b = getattr(grown, name), getattr(built, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_mask_matches_brute_force_on_100_layouts():
@@ -124,6 +139,20 @@ def test_embed_layout_lengths():
     assert embed_layout(seven, params, CFG).shape == (7, CFG.hidden_dim)
 
 
+def test_embed_layout_from_a_start_row_matches_the_full_embedding():
+    rng = np.random.default_rng(14)
+    params = init_params(CFG, rng)
+    layout = SequenceLayout([
+        text_segment(SegmentRole.QUESTION_TEXT, [1, 2, 3]),
+        image_segment(SegmentRole.QUESTION_IMAGE, rng.normal(size=(4, CFG.patch_features))),
+        latent_segment(2, list(rng.normal(size=(2, CFG.hidden_dim)))),
+        text_segment(SegmentRole.PLAIN_TEXT, [4, 5]),
+    ])
+    full = embed_layout(layout, params, CFG)
+    for start in range(layout.length):
+        assert np.array_equal(embed_layout(layout, params, CFG, start).data, full.data[start:])
+
+
 def test_latent_slot_takes_vector_plus_position():
     rng = np.random.default_rng(2)
     params = init_params(CFG, rng)
@@ -173,6 +202,103 @@ def test_mask_length_mismatch_rejected():
     bad = AttentionMaskSpec(MaskMode.CAUSAL, np.tril(np.ones((2, 2), dtype=bool)))
     with pytest.raises(LayoutError, match="mask"):
         forward(layout, bad, params, CFG)
+
+
+def _long_layout(rng, config, length):
+    """Text, then latents, then random text, latent and question-image
+    segments filling `length` positions; every image has two or more patches."""
+    segments, n = [], 0
+    while n < length:
+        left = length - n
+        if len(segments) < 2:
+            kind = len(segments)
+        else:
+            kind = int(rng.integers(0, 3)) if left > 1 else 0
+        if kind == 0:
+            c = min(left, int(rng.integers(1, 6)))
+            segments.append(text_segment(SegmentRole.PLAIN_TEXT,
+                                         rng.integers(0, config.vocab_size, size=c).tolist()))
+        elif kind == 1:
+            c = min(left, int(rng.integers(1, 20)))
+            segments.append(latent_segment(c, list(rng.normal(size=(c, config.hidden_dim)))))
+        else:
+            c = min(left, int(rng.integers(2, 10)))
+            segments.append(image_segment(SegmentRole.QUESTION_IMAGE,
+                                          rng.normal(size=(c, config.patch_features))))
+        n += c
+    return SequenceLayout(segments)
+
+
+def _cut_points(layout):
+    """Prefix lengths from 2 on that keep every image whole. A one-row pass
+    and a one-patch image projection take OpenBLAS's gemv path, whose bits
+    differ from the same row inside a larger matmul, so neither can match."""
+    inside = set()
+    for si, seg in enumerate(layout.segments):
+        if seg.role is SegmentRole.QUESTION_IMAGE:
+            a, b = layout.segment_range(si)
+            inside.update(range(a + 1, b))
+    return [t for t in range(2, layout.length + 1) if t not in inside]
+
+
+@pytest.mark.parametrize("config", [CFG, ModelConfig()], ids=["small", "reference"])
+def test_forward_is_prefix_invariant(config):
+    """Rows of a pass over a prefix equal the same rows of a pass over the
+    whole layout, bit for bit, at every stack level; the cached decode rests
+    on this."""
+    rng = np.random.default_rng(11)
+    params = init_params(config, rng, scale=0.3)
+    with ad.no_grad():
+        for trial in range(5):
+            T = config.max_positions if trial == 0 else int(rng.integers(8, config.max_positions))
+            layout = _long_layout(rng, config, T)
+            _, full = forward(layout, build_attention_mask(layout, MaskMode.CAUSAL), params, config)
+            assert any(layout.latent_mask)
+            cuts = _cut_points(layout)
+            for t in rng.choice(cuts, size=min(12, len(cuts)), replace=False):
+                prefix = _prefix_layout(layout, int(t))
+                _, stack = forward(prefix, build_attention_mask(prefix, MaskMode.CAUSAL),
+                                   params, config)
+                for level, (a, b) in enumerate(zip(stack, full)):
+                    assert np.array_equal(a.data, b.data[:t]), (trial, int(t), level)
+
+
+def test_cached_forward_matches_full_passes():
+    """Growing a ForwardCache a few rows per call, each call gives the logits
+    of a full pass over its prefix, and stack rows equal to a pass over the
+    whole layout."""
+    rng = np.random.default_rng(12)
+    params = init_params(CFG, rng, scale=0.3)
+    layout = _long_layout(rng, CFG, CFG.max_positions)
+    cuts = _cut_points(layout)
+    bounds = sorted(set(rng.choice(cuts, size=30, replace=False).tolist()) | {1 + cuts[0]})
+    bounds = [t for t in bounds if t >= cuts[0]] + [layout.length]
+    cache = ForwardCache(CFG)
+    with ad.no_grad():
+        _, full = forward(layout, build_attention_mask(layout, MaskMode.CAUSAL), params, CFG)
+        for t in sorted(set(bounds)):
+            prefix = _prefix_layout(layout, t)
+            mask = build_attention_mask(prefix, MaskMode.CAUSAL)
+            logits, stack = forward(prefix, mask, params, CFG, cache)
+            ref_logits, _ = forward(prefix, mask, params, CFG)
+            assert np.array_equal(logits.data, ref_logits.data), t
+            start = t - stack[0].shape[0]
+            for a, b in zip(stack, full):
+                assert np.array_equal(a.data, b.data[start:t]), t
+            assert cache.length == t
+
+
+def test_cached_forward_rejects_graphs_and_stale_layouts():
+    params = init_params(CFG, np.random.default_rng(0))
+    layout = SequenceLayout([text_segment(SegmentRole.PLAIN_TEXT, [1, 2, 3])])
+    mask = build_attention_mask(layout, MaskMode.CAUSAL)
+    cache = ForwardCache(CFG)
+    with pytest.raises(ValueError, match="no_grad"):
+        forward(layout, mask, params, CFG, cache)
+    with ad.no_grad():
+        forward(layout, mask, params, CFG, cache)
+        with pytest.raises(LayoutError, match="cached"):
+            forward(layout, mask, params, CFG, cache)
 
 
 def _perturb_token(layout, pos, delta=1):
@@ -361,6 +487,97 @@ def test_decode_deterministic_at_temperature_zero():
             assert sa.token == sb.token
 
 
+LONG = ModelConfig(layer_count=2, hidden_dim=16, head_count=2, max_positions=160)
+
+
+def _talkative_params(latent_bias=0.2):
+    """Random weights that never favour EOS and often open latent runs, so
+    decodes run to max_new through many runs."""
+    params = init_params(LONG, np.random.default_rng(0), scale=0.5)
+    params["lnf_b"].data[:] = 0.5
+    params["w_out"].data[:, vocab.TOKEN_TO_ID[vocab.EOS]] = -1.0
+    params["w_out"].data[:, vocab.TOKEN_TO_ID[vocab.LATENT_START]] += latent_bias
+    return params
+
+
+def _image_prompt():
+    feats = np.random.default_rng(9).normal(size=(4, LONG.patch_features))
+    return SequenceLayout([text_segment(SegmentRole.QUESTION_TEXT, [1, 2, 3]),
+                           image_segment(SegmentRole.QUESTION_IMAGE, feats)])
+
+
+def _decode_and_replay(prompt, k, params, temperature, max_new, seed=1):
+    """Cached decode, then every sampled step replayed from a full forward over
+    its prefix, with a twin generator: the token, its log-probability and each
+    fed-back vector must match bit for bit. Returns (layout, trajectory)."""
+    rng = np.random.default_rng(seed) if temperature else None
+    layout, traj = decode_with_latents(prompt, k, params, LONG, temperature=temperature,
+                                       rng=rng, max_new=max_new)
+    twin = np.random.default_rng(seed) if temperature else None
+    first = len(prompt.segments)
+    assert len(layout.segments) == first + len(traj.steps)
+    assert layout.length == prompt.length + len(traj.steps)
+    for j, step in enumerate(traj.steps):
+        if isinstance(step, TextStep) and step.forced:
+            continue
+        prefix = SequenceLayout(layout.segments[:first + j])
+        with ad.no_grad():
+            logits, stack = forward(prefix, build_attention_mask(prefix, MaskMode.CAUSAL),
+                                    params, LONG)
+        if isinstance(step, LatentStep):
+            assert np.array_equal(stack[-1].data[-1], step.vector), j
+        else:
+            assert sample_token(logits.data[-1], temperature, twin) == (step.token, step.logp), j
+    last = traj.steps[-1]
+    ended = isinstance(last, TextStep) and last.token == vocab.TOKEN_TO_ID[vocab.EOS]
+    assert traj.truncated != ended
+    assert len(traj.steps) <= max_new
+    return layout, traj
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.5])
+def test_cached_decode_replays_an_image_prompt_past_8_and_128(temperature):
+    """numpy's pairwise sums change grouping at 8 and 128 terms; a decode from
+    a prompt with a question image that grows past both still replays."""
+    prompt = _image_prompt()
+    layout, traj = _decode_and_replay(prompt, 5, _talkative_params(), temperature,
+                                      max_new=LONG.max_positions - prompt.length - 1)
+    assert prompt.length < 8 and layout.length > 128
+    assert len(traj.latent_run_lengths()) >= 2
+    if temperature:
+        assert any(s.logp != 0.0 for s in traj.steps if isinstance(s, TextStep))
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.5])
+def test_cached_decode_truncated_inside_a_latent_run_replays(temperature):
+    params = _talkative_params(latent_bias=0.4)
+    prompt = _image_prompt()
+    _, long_traj = decode_with_latents(prompt, 5, params, LONG, temperature=temperature,
+                                       rng=np.random.default_rng(1), max_new=80)
+    steps = long_traj.steps
+    cut = next(i for i in range(40, len(steps) - 1)
+               if isinstance(steps[i], LatentStep) and isinstance(steps[i + 1], LatentStep))
+    _, traj = _decode_and_replay(prompt, 5, params, temperature, max_new=cut + 1)
+    assert traj.truncated and isinstance(traj.steps[-1], LatentStep)
+    assert traj.latent_run_lengths()[-1] < 5
+    for a, b in zip(traj.steps, steps):
+        assert type(a) is type(b)
+        if isinstance(a, LatentStep):
+            assert np.array_equal(a.vector, b.vector)
+        else:
+            assert (a.token, a.logp, a.forced) == (b.token, b.logp, b.forced)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.5])
+def test_cached_decode_from_a_one_token_prompt_replays(temperature):
+    """The prompt pass is a single row (the gemv path, like its replay); the
+    first cached step then reruns that row beside the new one."""
+    prompt = SequenceLayout([text_segment(SegmentRole.QUESTION_TEXT,
+                                          [vocab.TOKEN_TO_ID[vocab.BOS]])])
+    _, traj = _decode_and_replay(prompt, 3, _talkative_params(), temperature, max_new=40)
+    assert traj.latent_run_lengths()
+
+
 def test_fill_latents_sources():
     rng = np.random.default_rng(8)
     params = init_params(CFG, rng)
@@ -414,6 +631,37 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.config == CFG
     for name in param_shapes(CFG):
         assert np.array_equal(back.params[name].data, params[name].data)
+
+
+def _saved_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(Checkpoint(CFG, "sft", 5, 1, init_params(CFG, np.random.default_rng(0))), path)
+    head, _, blob = path.read_bytes().partition(b"\n---\n")
+    return path, head.decode(), blob
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda h, b: (h.replace("stage=sft", "stage=stage9"), b), "stage"),
+    (lambda h, b: (h.replace("\nseed=1", ""), b), "seed"),
+    (lambda h, b: (h + "\nextra=1", b), "extra"),
+    (lambda h, b: (h.replace("step=5", "step=five"), b), "step"),
+    (lambda h, b: (h.replace("hidden_dim=16", "hidden_dim=32"), b), "blob"),
+    (lambda h, b: (h, b[:-8]), "blob"),
+    (lambda h, b: (h, b + b"\0" * 8), "blob"),
+])
+def test_load_checkpoint_names_the_file_and_the_bad_field(tmp_path, edit, field):
+    path, head, blob = _saved_checkpoint(tmp_path)
+    head, blob = edit(head, blob)
+    path.write_bytes(head.encode() + b"\n---\n" + blob)
+    with pytest.raises(CheckpointError, match=f"{path.name}.*'{field}'"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_a_file_without_a_header(tmp_path):
+    path = tmp_path / "raw.ckpt"
+    path.write_bytes(b"\0" * 64)
+    with pytest.raises(CheckpointError, match="raw.ckpt.*'header'"):
+        load_checkpoint(path)
 
 
 def test_vocabulary_has_each_special_exactly_once():
