@@ -30,7 +30,6 @@ class NonScalarLoss(ValueError):
 
 
 _grad_enabled = True
-_FLOAT64 = np.dtype(np.float64)
 
 
 @contextlib.contextmanager
@@ -59,9 +58,7 @@ class Tensor:
     __slots__ = ("data", "parents", "vjp", "barrier", "name")
 
     def __init__(self, data, parents=(), vjp=None, barrier=False, name=None):
-        if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
-            data = np.asarray(data, dtype=np.float64)
-        self.data = data
+        self.data = np.asarray(data, dtype=np.float64)
         if _grad_enabled:
             self.parents = tuple(parents)
             self.vjp = vjp
@@ -316,15 +313,15 @@ def layer_norm(x, gain, bias) -> Tensor:
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ShapeError("layer_norm", x.shape, gain.shape, bias.shape)
-    d = x.shape[-1]
-    mu = x.data.sum(axis=-1, keepdims=True) / d  # the bits of .mean(), without its overhead
+    mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + EPS_LAYERNORM)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
     def vjp(g):
+        d = x.shape[-1]
         gy = g * gain.data
         gx = inv * (gy - gy.mean(axis=-1, keepdims=True) - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
         axes = tuple(range(g.ndim - 1))
@@ -355,9 +352,10 @@ def masked_softmax(scores, allow: np.ndarray, sum_buffer: np.ndarray | None = No
     `sum_buffer` (shape `scores.shape[:-1] + (W,)` with W at least the score
     width, zero beyond it) fixes how each denominator is summed: over all W
     columns, the trailing ones exact zeros. numpy's pairwise sum groups terms
-    by the row width, so a plain sum over T columns rounds differently for
+    by the row width, so a sum over T columns rounds differently for
     different T; over a fixed W a row's probabilities are the same bits
-    whatever number of masked columns follow it.
+    whatever number of masked columns follow it. Without a buffer W is the
+    score width, and the rounding depends on it.
     """
     scores = as_tensor(scores)
     allow = np.asarray(allow, dtype=bool)
@@ -368,14 +366,11 @@ def masked_softmax(scores, allow: np.ndarray, sum_buffer: np.ndarray | None = No
     neg = np.where(allow, scores.data, -np.inf)
     z = neg - neg.max(axis=-1, keepdims=True)
     if sum_buffer is None:
-        e = np.exp(z)
-        den = e.sum(axis=-1, keepdims=True)
-    else:
-        if sum_buffer.shape[:-1] != z.shape[:-1] or sum_buffer.shape[-1] < z.shape[-1]:
-            raise ShapeError("masked_softmax", scores.shape, sum_buffer.shape)
-        e = np.exp(z, out=sum_buffer[..., :z.shape[-1]])
-        den = sum_buffer.sum(axis=-1, keepdims=True)
-    p = e / den
+        sum_buffer = np.zeros(z.shape)
+    if sum_buffer.shape[:-1] != z.shape[:-1] or sum_buffer.shape[-1] < z.shape[-1]:
+        raise ShapeError("masked_softmax", scores.shape, sum_buffer.shape)
+    e = np.exp(z, out=sum_buffer[..., :z.shape[-1]])
+    p = e / sum_buffer.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)

@@ -173,7 +173,7 @@ class AttentionMaskSpec:
 
 def build_attention_mask(layout: SequenceLayout, mode: MaskMode) -> AttentionMaskSpec:
     T = layout.length
-    allow = np.tri(T, dtype=bool)
+    allow = np.tril(np.ones((T, T), dtype=bool))
     if mode is MaskMode.AUX_GATED:
         for si, seg in enumerate(layout.segments):
             if seg.role is not SegmentRole.AUX_IMAGE or len(seg) == 0:
@@ -623,10 +623,13 @@ def load_checkpoint(path) -> Checkpoint:
         key, eq, value = line.partition("=")
         if not eq:
             raise bad("header", f"line {line!r} is not key=value")
+        if key in meta:
+            raise bad(key, "repeated")
         meta[key] = value
     keys = [*ModelConfig().to_manifest(), "stage", "step", "seed"]
-    for key in sorted(set(keys) ^ set(meta)):
-        raise bad(key, "missing" if key in keys else "unknown key")
+    odd = sorted(set(keys) ^ set(meta))
+    if odd:
+        raise bad(odd[0], "missing" if odd[0] in keys else "unknown key")
     if meta["stage"] not in STAGE_LABELS:
         raise bad("stage", f"{meta['stage']!r} is not one of {', '.join(STAGE_LABELS)}")
     ints = {}

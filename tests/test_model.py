@@ -644,6 +644,7 @@ def _saved_checkpoint(tmp_path):
     (lambda h, b: (h.replace("stage=sft", "stage=stage9"), b), "stage"),
     (lambda h, b: (h.replace("\nseed=1", ""), b), "seed"),
     (lambda h, b: (h + "\nextra=1", b), "extra"),
+    (lambda h, b: (h + "\nseed=2", b), "seed"),
     (lambda h, b: (h.replace("step=5", "step=five"), b), "step"),
     (lambda h, b: (h.replace("hidden_dim=16", "hidden_dim=32"), b), "blob"),
     (lambda h, b: (h, b[:-8]), "blob"),
