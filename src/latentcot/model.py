@@ -161,6 +161,16 @@ class SequenceLayout:
             raise LayoutError("latent segment at sequence start has no source position")
         return start - 1
 
+    def prefix(self, t: int) -> "SequenceLayout":
+        """The first `t` positions; the segment that `t` cuts is shortened."""
+        si = bisect.bisect_right(self.seg_starts, t - 1) - 1
+        seg, n = self.segments[si], t - self.seg_starts[si]
+        if n < len(seg):
+            seg = Segment(seg.role, seg.tokens and seg.tokens[:n],
+                          None if seg.feats is None else seg.feats[:n],
+                          seg.latents and seg.latents[:n])
+        return SequenceLayout(self.segments[:si] + [seg])
+
     def set_latent(self, si: int, slot: int, value):
         self.segments[si].latents[slot] = value
 
@@ -308,16 +318,56 @@ def _select_rows(a: ad.Tensor, b: ad.Tensor, row_mask: np.ndarray) -> ad.Tensor:
 
 
 class ForwardCache:
-    """What a no-grad `forward` keeps of the rows it has run, for one growing
-    sequence: each layer's attention keys and values, and the post-final-norm
-    states. Buffers span `max_positions` rows; the first `length` are valid."""
+    """What `forward` keeps of the rows it has run, for one growing sequence:
+    each layer's attention keys and values, and the post-final-norm states.
+
+    `rows[2l]` and `rows[2l + 1]` hold layer l's keys and values, `rows[2L]`
+    the final states; each spans `max_positions` rows, the first `length`
+    valid. Beside the buffers the cache keeps, per pass, the graph nodes that
+    produced its rows (`owners`) and its `spans`: the first row it ran and the
+    first row it added. A pass that reruns the row before its new one writes
+    that row's bits again (they differ only after a one-row first pass) but
+    leaves its gradient with the pass that first ran it. Under `no_grad` the
+    nodes have no parents and the buffer views are all a pass reads.
+    """
 
     def __init__(self, config: ModelConfig):
-        shape = (config.layer_count, config.max_positions, config.hidden_dim)
+        count = 2 * config.layer_count + 1
         self.length = 0
-        self.keys = np.empty(shape)
-        self.values = np.empty(shape)
-        self.final = np.empty(shape[1:])
+        self.rows = np.empty((count, config.max_positions, config.hidden_dim))
+        self.owners = [[] for _ in range(count)]
+        self.spans = []
+
+    def store(self, i: int, node: ad.Tensor) -> ad.Tensor:
+        """Write this pass's rows of buffer `i` and return rows 0..T-1 of it
+        as one node, whose gradient goes row by row to the owning passes."""
+        first, _ = self.spans[-1]
+        T = first + node.shape[0]
+        self.rows[i, first:T] = node.data
+        owners = self.owners[i]
+        owners.append(node)
+        # a no-grad node drops its vjp, so skip the O(passes) copy there
+        spans = self.spans[:len(owners)] if ad.grad_enabled() else ()
+
+        def vjp(g):
+            grads = []
+            for j, (ran, own) in enumerate(spans):
+                end = spans[j + 1][1] if j + 1 < len(spans) else T
+                if ran == own:
+                    grads.append(g[own:end])
+                else:
+                    pad = np.zeros((end - ran, g.shape[1]))
+                    pad[own - ran:] = g[own:end]
+                    grads.append(pad)
+            return tuple(grads)
+
+        return ad.Tensor(self.rows[i, :T], owners, vjp)
+
+    def final_row(self, pos: int) -> ad.Tensor:
+        """The post-final-norm state at a cached position, as a node of the
+        pass that first ran it."""
+        j = bisect.bisect_right([own for _, own in self.spans], pos) - 1
+        return ad.get_row(self.owners[-1][j], pos - self.spans[j][0])
 
 
 def forward(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
@@ -332,22 +382,20 @@ def forward(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
     same rows of a longer pass, bit for bit (softmax denominators are summed
     over a fixed `max_positions` width). That makes a cached pass exact.
 
-    With a `cache` (no-grad only) the layout must extend the sequence the
-    cache holds. The pass runs only the rows the cache lacks, attending to
-    the cached keys and values, and stores the new rows; its stack holds
-    just those rows. Logits still come from one matmul over all T final
-    rows, as in a full pass: OpenBLAS rounds a row of the narrow output
-    projection by its place in the row blocking. A single new row runs
-    beside the row before it, since a one-row matmul (gemv) rounds
-    differently.
+    With a `cache` the layout must extend the sequence the cache holds. The
+    pass runs only the rows the cache lacks, attending to the cached keys
+    and values, and stores the new rows; its stack holds just those rows.
+    Logits still come from one matmul over all T final rows, as in a full
+    pass: OpenBLAS rounds a row of the narrow output projection by its place
+    in the row blocking. A single new row runs beside the row before it,
+    since a one-row matmul (gemv) rounds differently. With a graph, the
+    cached rows are nodes, so backward reaches the passes that made them.
     """
     T = layout.length
     if mask.allow.shape != (T, T):
         raise LayoutError(f"mask shape {mask.allow.shape} does not match layout length {T}")
     start = 0
     if cache is not None:
-        if ad.grad_enabled():
-            raise ValueError("a cached forward builds no graph; run it under ad.no_grad()")
         if T <= cache.length:
             raise LayoutError(f"layout length {T} does not extend the {cache.length} cached rows")
         start = max(min(cache.length, T - 2), 0)
@@ -359,6 +407,8 @@ def forward(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
     allow = np.broadcast_to(mask.allow[start:], (H, T - start, T))
 
     x0 = embed_layout(layout, params, config, start)
+    if cache is not None:
+        cache.spans.append((start, cache.length))
     sum_buffer = np.zeros((H, T - start, config.max_positions))
     stack = [x0]
     resid = x0
@@ -374,9 +424,7 @@ def forward(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
         k = ad.matmul(kv_in, params[p + "wk"])
         v = ad.matmul(kv_in, params[p + "wv"])
         if cache is not None:
-            cache.keys[l, start:T] = k.data
-            cache.values[l, start:T] = v.data
-            k, v = ad.constant(cache.keys[l, :T]), ad.constant(cache.values[l, :T])
+            k, v = cache.store(2 * l, k), cache.store(2 * l + 1, v)
         k, v = _to_heads(k, H, dh), _to_heads(v, H, dh)
         scores = ad.scale(ad.matmul(q, ad.swap_last(k)), scale)
         probs = ad.masked_softmax(scores, allow, sum_buffer)
@@ -390,9 +438,8 @@ def forward(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
     final = ad.layer_norm(resid, params["lnf_g"], params["lnf_b"])
     stack.append(final)
     if cache is not None:
-        cache.final[start:T] = final.data
+        final = cache.store(2 * config.layer_count, final)
         cache.length = T
-        final = ad.constant(cache.final[:T])
     logits = ad.matmul(final, params["w_out"])
     return logits, stack
 
@@ -421,17 +468,28 @@ def _from_heads(x: ad.Tensor) -> ad.Tensor:
 
 def fill_latents(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
                  config: ModelConfig) -> list:
-    """Bind every latent slot autoregressively: one ordered pass per slot.
+    """Bind every latent slot autoregressively.
 
     Slot 0 of a segment reads the layer-L state at its latent-start marker,
-    slot k the state at slot k-1. Returns the produced vectors (graph nodes)
-    in slot order; the layout's slots are left holding them.
+    slot k the state at slot k-1. One `ForwardCache` serves all slots: each
+    slot runs a cached pass over the layout's prefix up to its source,
+    only the rows the cache lacks, so each row runs once (a one-row step
+    also reruns the row before it) and no row after the last source runs.
+    A graph, if one is being built, carries through the cache. Prefix
+    invariance gives every vector the bits of a full pass, unless a source
+    sits at position 0: that first pass is one row, and takes the gemv
+    path. Returns the produced vectors (graph nodes) in slot order; the
+    layout's slots are left holding them.
     """
+    cache = ForwardCache(config)
     produced = []
     for si, slot, pos in layout.latent_slots:
         src = layout.latent_source(si) if slot == 0 else pos - 1
-        _, stack = forward(layout, mask, params, config)
-        vec = ad.get_row(stack[-1], src)
+        if src >= cache.length:
+            t = src + 1
+            forward(layout.prefix(t), AttentionMaskSpec(mask.mode, mask.allow[:t, :t]),
+                    params, config, cache)
+        vec = cache.final_row(src)
         layout.set_latent(si, slot, vec)
         produced.append(vec)
     return produced

@@ -183,6 +183,10 @@ def measure_obs_accuracy(params: dict, config: ModelConfig, samples) -> tuple:
 # target latent store
 # ---------------------------------------------------------------------------
 
+class LatentStoreError(ValueError):
+    """A target latent store entry that is malformed or does not fit the model."""
+
+
 class TargetLatentStore:
     """Per-sample (layers, slots, hidden) target latent states."""
 
@@ -198,18 +202,47 @@ class TargetLatentStore:
     def put(self, sample_id, arr: np.ndarray):
         self.entries[int(sample_id)] = np.asarray(arr, dtype=np.float64)
 
-    def require(self, sample_ids):
-        missing = [int(i) for i in sample_ids if int(i) not in self.entries]
+    def require(self, shapes: dict):
+        """Check that each sample id in `shapes` has a finite entry of its shape."""
+        missing = [int(i) for i in shapes if int(i) not in self.entries]
         if missing:
             raise KeyError(f"target latent store is missing sample ids {missing}")
+        for sample_id, shape in shapes.items():
+            entry = self.get(sample_id)
+            if entry.shape != shape:
+                raise LatentStoreError(
+                    f"target latent store: sample {sample_id}: entry shape {entry.shape} "
+                    f"does not match (layers, slots, hidden) = {shape}")
+            if not np.isfinite(entry).all():
+                raise LatentStoreError(
+                    f"target latent store: sample {sample_id}: entry holds non-finite values")
 
     def save(self, path):
         np.savez(path, **{str(k): v for k, v in self.entries.items()})
 
     @staticmethod
     def load(path) -> "TargetLatentStore":
+        """Read a store; each key must be an integer sample id and each entry
+        a finite 3-d array. Errors name the file and the sample id."""
+        def bad(key, why):
+            return LatentStoreError(f"{path}: sample {key!r}: {why}")
+
+        entries = {}
         with np.load(path) as data:
-            return TargetLatentStore({int(k): data[k] for k in data.files})
+            for key in data.files:
+                try:
+                    sample_id = int(key)
+                except ValueError:
+                    raise bad(key, "key is not an integer sample id") from None
+                if sample_id in entries:
+                    raise bad(key, "repeated sample id")
+                entry = data[key]
+                if entry.ndim != 3:
+                    raise bad(key, f"entry shape {entry.shape} is not (layers, slots, hidden)")
+                if entry.dtype.kind not in "fiu" or not np.isfinite(entry).all():
+                    raise bad(key, "entry holds non-finite or non-numeric values")
+                entries[sample_id] = entry
+        return TargetLatentStore(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +423,10 @@ def train_stage3(warmup_params: dict, records, store: TargetLatentStore,
     The model restarts from the warm-up weights, not from stage 2."""
     if stage.k_train < 1:
         raise ValueError("stage 3 requires k_train >= 1")
-    store.require([rec.sample_id for rec in records])
+    slots = {rec.sample_id: len(build_student(rec.sample, stage.k_train,
+                                              with_aux=False).layout.latent_slots)
+             for rec in records}
+    store.require({i: (config.layer_count, n, config.hidden_dim) for i, n in slots.items()})
     params = copy_params(warmup_params)
     opt = AdamW(params, stage.learning_rate, stage.weight_decay,
                 stage.adam_beta1, stage.adam_beta2, stage.adam_eps)

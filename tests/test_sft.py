@@ -1,17 +1,22 @@
+import copy
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentcot import autodiff as ad
-from latentcot import vocab
+from latentcot import sft, vocab
 from latentcot.layouts import build_student, build_teacher
 from latentcot.model import (MaskMode, ModelConfig, SegmentRole,
                              SequenceLayout, build_attention_mask,
                              bind_use_sites, copy_params, fill_latents,
-                             forward, init_params, params_allclose,
-                             text_segment)
-from latentcot.sft import (AdamW, LossWeights, StageConfig, TargetLatentStore,
+                             forward, image_segment, init_params,
+                             latent_segment, params_allclose, text_segment)
+from latentcot.sft import (AdamW, LatentStoreError, LossWeights, StageConfig,
+                           TargetLatentStore,
                            TrainingDiverged, align_latent_loss, align_obs_loss,
                            emit_target_latents, latent_only_surrogate,
                            measure_obs_accuracy, ntp_loss,
@@ -272,6 +277,138 @@ def test_surrogate_matches_severed_path_oracle():
 
 
 # ---------------------------------------------------------------------------
+# cached latent fill
+# ---------------------------------------------------------------------------
+
+def _full_pass_fill(layout, mask, params, config):
+    """The fill before the cache: one full forward per slot."""
+    produced = []
+    for si, slot, pos in layout.latent_slots:
+        src = layout.latent_source(si) if slot == 0 else pos - 1
+        _, stack = forward(layout, mask, params, config)
+        vec = ad.get_row(stack[-1], src)
+        layout.set_latent(si, slot, vec)
+        produced.append(vec)
+    return produced
+
+
+def _rel_close(a, b, tol=1e-12):
+    """Per parameter, the largest difference is at most `tol` times the
+    largest reference entry."""
+    for name in b:
+        assert np.abs(a[name] - b[name]).max() <= tol * np.abs(b[name]).max(), name
+
+
+_LAT_START = vocab.TOKEN_TO_ID[vocab.LATENT_START]
+_TOKENS = st.one_of(st.just(_LAT_START), st.integers(0, vocab.VOCAB_SIZE - 1))
+
+
+@st.composite
+def _fill_layouts(draw):
+    """Segments with two or more latent segments, some after an aux image of
+    one or more patches, and random text between that often holds the
+    latent-start marker. The layout opens with <bos> and one more token:
+    built layouts open with question text and image, and a source at
+    position 0 would make the fill's first pass a single row, whose gemv
+    bits differ from the same row in a longer pass."""
+    segments = [text_segment(SegmentRole.QUESTION_TEXT,
+                             [vocab.TOKEN_TO_ID[vocab.BOS]] + draw(st.lists(_TOKENS, min_size=1, max_size=3)))]
+    for with_aux in draw(st.lists(st.booleans(), min_size=2, max_size=4)):
+        text = draw(st.lists(_TOKENS, max_size=3))
+        if text:
+            segments.append(text_segment(SegmentRole.PLAIN_TEXT, text))
+        if with_aux:
+            patches = draw(st.integers(1, 4))
+            feats = np.random.default_rng(draw(st.integers(0, 2**16))).normal(
+                size=(patches, vocab.PATCH_FEATURES))
+            segments.append(image_segment(SegmentRole.AUX_IMAGE, feats))
+        segments.append(latent_segment(draw(st.integers(1, 4))))
+    segments.append(text_segment(SegmentRole.ANSWER, draw(st.lists(_TOKENS, min_size=1, max_size=2))))
+    return segments
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fill_layouts(), st.sampled_from(list(MaskMode)),
+       st.sampled_from([CFG, ModelConfig()]), st.integers(0, 2**16))
+def test_cached_fill_matches_full_pass_fill(segments, mode, config, seed):
+    """The cached fill produces the full-pass fill's vectors bit for bit, and
+    their parameter gradients up to summation order."""
+    rng = np.random.default_rng(seed)
+    params = init_params(config, rng, scale=0.3)
+    results = []
+    for fill in (_full_pass_fill, fill_latents):
+        layout = SequenceLayout(copy.deepcopy(segments))
+        produced = fill(layout, build_attention_mask(layout, mode), params, config)
+        results.append(produced)
+    ref, new = results
+    assert len(ref) == len(new) > 1
+    for a, b in zip(new, ref):
+        assert np.array_equal(a.data, b.data)
+    adjoints = rng.normal(size=(len(ref), config.hidden_dim))
+    grads = [ad.backward(sft.latent_only_surrogate(list(adjoints), produced), params)
+             for produced in results]
+    _rel_close(grads[1], grads[0])
+
+
+@functools.cache
+def _fill_samples():
+    records = tiny_records(n=9)
+    assert [r.sample.family for r in records[7:9]] == ["lookup", "count"]
+    return records[7].sample, records[8].sample
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([0, 1]), st.sampled_from([CFG, ModelConfig()]),
+       st.integers(1, 3), st.integers(0, 2**16))
+def test_cached_fill_keeps_stage_losses(which, config, k, seed):
+    """Stage 2 and 3 give the same losses and site adjoints, bit for bit,
+    with the cached fill as with the full-pass fill; the surrogate's
+    parameter gradients differ only by summation order."""
+    sample = _fill_samples()[which]
+    rng = np.random.default_rng(seed)
+    teacher = init_params(config, rng, scale=0.3)
+    student = init_params(config, rng, scale=0.3)
+    slots = len(build_student(sample, k, with_aux=False).layout.latent_slots)
+    store = TargetLatentStore({0: rng.normal(size=(config.layer_count, slots, config.hidden_dim))})
+
+    def run():
+        out = []
+        for losses in (sft.stage2_sample_losses(sample, teacher, student, config, k),
+                       sft.stage3_sample_losses(sample, 0, store, student, config, k)):
+            ntp, align, surrogate, adjoints = losses
+            out.append((ntp.item(), align.item(), adjoints, ad.backward(surrogate, student)))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sft, "fill_latents", _full_pass_fill)
+        ref = run()
+    for (ntp, align, adjoints, grads), (r_ntp, r_align, r_adj, r_grads) in zip(run(), ref):
+        assert (ntp, align) == (r_ntp, r_align)
+        assert all(np.array_equal(a, b) for a, b in zip(adjoints, r_adj))
+        _rel_close(grads, r_grads)
+
+
+def test_fill_graph_stays_near_one_forward():
+    """The surrogate's graph for a 16-slot count sample holds at most three
+    times the values of one full forward over its layout (the full-pass
+    fill held about twelve times)."""
+    sample = _fill_samples()[1]
+    config = ModelConfig()
+    params = init_params(config, np.random.default_rng(40))
+    built = build_student(sample, 8, with_aux=False)
+    assert len(built.layout.latent_slots) == 16
+    store = TargetLatentStore({0: np.ones((config.layer_count, 16, config.hidden_dim))})
+    _, _, surrogate, _ = sft.stage3_sample_losses(sample, 0, store, params, config, 8)
+    logits, _ = forward(built.layout, build_attention_mask(built.layout, built.mask_mode),
+                        params, config)
+
+    def values(root):
+        return sum(n.data.size for n in ad._topo(root))
+
+    assert values(surrogate) <= 3 * values(logits)
+
+
+# ---------------------------------------------------------------------------
 # loss composition
 # ---------------------------------------------------------------------------
 
@@ -427,3 +564,34 @@ def test_store_save_load_round_trip(tmp_path):
     back = TargetLatentStore.load(path)
     assert set(back.entries) == {0, 7}
     assert np.array_equal(back.get(7), store.get(7))
+
+
+@pytest.mark.parametrize("key, entry, why", [
+    ("3", np.ones((2, 3)), "not \\(layers, slots, hidden\\)"),
+    ("3", np.full((2, 3, 8), np.nan), "non-finite"),
+    ("3", np.array([[["a"]]]), "non-numeric"),
+    ("three", np.ones((2, 3, 8)), "not an integer"),
+    ("03", np.ones((2, 3, 8)), "repeated"),
+], ids=["not-3d", "nan", "text", "key", "repeated"])
+def test_store_load_names_the_file_and_the_bad_sample(tmp_path, key, entry, why):
+    path = tmp_path / "latents.npz"
+    np.savez(path, **{"3" if key == "03" else "4": np.ones((2, 3, 8)), key: entry})
+    with pytest.raises(LatentStoreError, match=why) as err:
+        TargetLatentStore.load(path)
+    assert str(path) in str(err.value) and repr(key) in str(err.value)
+
+
+@pytest.mark.parametrize("bad_entry", ["shape", "nan"])
+def test_stage3_checks_store_entries_before_step_0(bad_entry):
+    records = tiny_records(n=3)
+    warmup = init_params(CFG, np.random.default_rng(39))
+    stage = StageConfig(epochs=1, max_steps=3, k_train=2)
+    store = TargetLatentStore()
+    for rec in records:
+        slots = len(build_student(rec.sample, 2, with_aux=False).layout.latent_slots)
+        store.put(rec.sample_id, np.ones((CFG.layer_count, slots, CFG.hidden_dim)))
+    victim = records[-1].sample_id
+    entry = store.get(victim)
+    store.put(victim, entry[:, 1:] if bad_entry == "shape" else entry * np.nan)
+    with pytest.raises(LatentStoreError, match=f"sample {victim}:"):
+        train_stage3(warmup, records, store, CFG, stage, LossWeights(), seed=0)
