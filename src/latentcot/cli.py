@@ -16,6 +16,7 @@ import csv
 import hashlib
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +430,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="latentcot",
         description="latent-reasoning training lab: data, staged SFT, RL, eval")
+    parser.add_argument("--debug", action="store_true",
+                        help="on an error, print its traceback instead of one line")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate and curate the synthetic corpus")
@@ -496,7 +499,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as e:  # surface a diagnostic, nonzero exit
-        print(f"error: {e}", file=sys.stderr)
+        if args.debug:
+            traceback.print_exc()
+        else:
+            print(f"error: {e}", file=sys.stderr)
         return 1
 
 

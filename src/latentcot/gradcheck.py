@@ -21,7 +21,7 @@ from .model import (LatentStep, MaskMode, ModelConfig, SegmentRole,
                     SequenceLayout, TextStep, Trajectory,
                     build_attention_mask, copy_params, fill_latents, forward,
                     init_params, latent_segment, text_segment)
-from .rl import Algo, PolicySnapshot, RlConfig, compute_advantages, policy_objective, rollout_group
+from .rl import Algo, RlConfig, compute_advantages, policy_objective, rollout_group
 from .sft import (LossWeights, align_latent_loss, align_obs_loss,
                   latent_only_surrogate, ntp_loss, stage2_sample_losses,
                   stage3_sample_losses, emit_target_latents)
@@ -176,8 +176,7 @@ def check_stage_total(kind, config, params, teacher_params, store, sample, k,
 
 def _make_groups(sample, old_params, current_params, config, rl_config, rng,
                  need_latents):
-    group = rollout_group(sample, PolicySnapshot(None, old_params), rl_config,
-                          config, rng)
+    group = rollout_group(sample, old_params, rl_config, config, rng)
     has_latents = any(isinstance(s, LatentStep)
                       for r in group.rollouts for s in r.trajectory.steps)
     if need_latents and not has_latents:

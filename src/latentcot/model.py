@@ -268,42 +268,49 @@ def embed_layout(layout: SequenceLayout, params: dict, config: ModelConfig,
     projection, or the latent slot's content vector verbatim; learned
     positions added to all. An image segment that `start` cuts is projected
     whole and then sliced, so its rows keep the bits of a full pass."""
+    return _embed([(layout, start)], params, config)
+
+
+def _embed(parts: list, params: dict, config: ModelConfig) -> ad.Tensor:
+    """`embed_layout` of each (layout, start) in `parts`, stacked in order
+    with one concatenation and one position lookup."""
     d = config.hidden_dim
-    blocks = []
-    first = max(bisect.bisect_right(layout.seg_starts, start) - 1, 0)
-    for si in range(first, len(layout.segments)):
-        seg = layout.segments[si]
-        a, b = layout.segment_range(si)
-        if b <= max(a, start):
-            continue
-        skip = max(start - a, 0)
-        if seg.role in TEXT_ROLES:
-            ids = np.asarray(seg.tokens[skip:], dtype=np.int64)
-            if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
-                raise LayoutError(f"unknown token id in segment: {seg.tokens}")
-            blocks.append(ad.gather_rows(params["tok_emb"], ids))
-        elif seg.role in IMAGE_ROLES:
-            if seg.feats.shape[1] != config.patch_features:
-                raise LayoutError(
-                    f"patch grid feature size {seg.feats.shape[1]} != {config.patch_features}")
-            proj = ad.matmul(ad.constant(seg.feats), params["patch_proj"])
-            blocks.append(ad.gather_rows(proj, np.arange(skip, b - a)) if skip else proj)
-        else:
-            for v in seg.latents[skip:]:
-                if v is None:
-                    blocks.append(ad.constant(np.zeros((1, d))))
-                elif isinstance(v, ad.Tensor):
-                    blocks.append(ad.reshape(v, (1, d)))
-                else:
-                    blocks.append(ad.constant(np.asarray(v, dtype=np.float64).reshape(1, d)))
+    blocks, positions = [], []
+    for layout, start in parts:
+        if layout.length > config.max_positions:
+            raise LayoutError(f"layout length {layout.length} exceeds max_positions "
+                              f"{config.max_positions}")
+        positions.append(np.arange(start, layout.length))
+        first = max(bisect.bisect_right(layout.seg_starts, start) - 1, 0)
+        for si in range(first, len(layout.segments)):
+            seg = layout.segments[si]
+            a, b = layout.segment_range(si)
+            if b <= max(a, start):
+                continue
+            skip = max(start - a, 0)
+            if seg.role in TEXT_ROLES:
+                ids = np.asarray(seg.tokens[skip:], dtype=np.int64)
+                if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
+                    raise LayoutError(f"unknown token id in segment: {seg.tokens}")
+                blocks.append(ad.gather_rows(params["tok_emb"], ids))
+            elif seg.role in IMAGE_ROLES:
+                if seg.feats.shape[1] != config.patch_features:
+                    raise LayoutError(f"patch grid feature size {seg.feats.shape[1]} "
+                                      f"!= {config.patch_features}")
+                proj = ad.matmul(ad.constant(seg.feats), params["patch_proj"])
+                blocks.append(ad.gather_rows(proj, np.arange(skip, b - a)) if skip else proj)
+            else:
+                for v in seg.latents[skip:]:
+                    if v is None:
+                        blocks.append(ad.constant(np.zeros((1, d))))
+                    elif isinstance(v, ad.Tensor):
+                        blocks.append(ad.reshape(v, (1, d)))
+                    else:
+                        blocks.append(ad.constant(np.asarray(v, dtype=np.float64).reshape(1, d)))
     if not blocks:
         raise LayoutError("empty layout")
-    x = ad.concat_rows(blocks)
-    T = layout.length
-    if T > config.max_positions:
-        raise LayoutError(f"layout length {T} exceeds max_positions {config.max_positions}")
-    pos = ad.gather_rows(params["pos_emb"], np.arange(start, T))
-    return ad.add(x, pos)
+    pos = ad.gather_rows(params["pos_emb"], np.concatenate(positions))
+    return ad.add(ad.concat_rows(blocks), pos)
 
 
 def _select_rows(a: ad.Tensor, b: ad.Tensor, row_mask: np.ndarray) -> ad.Tensor:
@@ -329,12 +336,17 @@ class ForwardCache:
     that row's bits again (they differ only after a one-row first pass) but
     leaves its gradient with the pass that first ran it. Under `no_grad` the
     nodes have no parents and the buffer views are all a pass reads.
+
+    The buffers start zero-filled, and `rows` may be handed in (a view of a
+    group's shared buffer): a group step reads the rows past a sequence's
+    length as padded keys and values of zero probability, and 0 x NaN is NaN.
     """
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, rows: np.ndarray | None = None):
         count = 2 * config.layer_count + 1
         self.length = 0
-        self.rows = np.empty((count, config.max_positions, config.hidden_dim))
+        self.rows = np.zeros((count, config.max_positions, config.hidden_dim)) \
+            if rows is None else rows
         self.owners = [[] for _ in range(count)]
         self.spans = []
 
@@ -385,31 +397,52 @@ def forward(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
     With a `cache` the layout must extend the sequence the cache holds. The
     pass runs only the rows the cache lacks, attending to the cached keys
     and values, and stores the new rows; its stack holds just those rows.
-    Logits still come from one matmul over all T final rows, as in a full
-    pass: OpenBLAS rounds a row of the narrow output projection by its place
-    in the row blocking. A single new row runs beside the row before it,
-    since a one-row matmul (gemv) rounds differently. With a graph, the
-    cached rows are nodes, so backward reaches the passes that made them.
+    `mask.allow` may then hold only the last rows of the (T, T) mask, down
+    to the first row the pass runs. Logits still come from one matmul over
+    all T final rows, as in a full pass: OpenBLAS rounds a row of the narrow
+    output projection by its place in the row blocking. A single new row
+    runs beside the row before it, since a one-row matmul (gemv) rounds
+    differently. With a graph, the cached rows are nodes, so backward
+    reaches the passes that made them.
     """
     T = layout.length
-    if mask.allow.shape != (T, T):
-        raise LayoutError(f"mask shape {mask.allow.shape} does not match layout length {T}")
     start = 0
     if cache is not None:
         if T <= cache.length:
             raise LayoutError(f"layout length {T} does not extend the {cache.length} cached rows")
         start = max(min(cache.length, T - 2), 0)
-    H = config.head_count
-    dh = config.hidden_dim // H
-    scale = 1.0 / np.sqrt(dh)
-    latent_rows = layout.latent_mask[start:]
-    has_latents = bool(latent_rows.any())
-    allow = np.broadcast_to(mask.allow[start:], (H, T - start, T))
-
+    R = T - start
+    if mask.allow.shape[1:] != (T,) or not R <= mask.allow.shape[0] <= T:
+        raise LayoutError(f"mask shape {mask.allow.shape} does not match layout length {T} "
+                          f"with {R} rows to run")
+    allow = np.broadcast_to(mask.allow[-R:], (1, config.head_count, R, T))
     x0 = embed_layout(layout, params, config, start)
     if cache is not None:
         cache.spans.append((start, cache.length))
-    sum_buffer = np.zeros((H, T - start, config.max_positions))
+    stack = _blocks(x0, layout.latent_mask[start:], allow, params, config,
+                    (lambda i, node: node) if cache is None else cache.store)
+    final = stack[-1]
+    if cache is not None:
+        final = cache.store(2 * config.layer_count, final)
+        cache.length = T
+    logits = ad.matmul(final, params["w_out"])
+    return logits, stack
+
+
+def _blocks(x0: ad.Tensor, latent_rows: np.ndarray, allow: np.ndarray, params: dict,
+            config: ModelConfig, attend) -> list:
+    """The transformer blocks and final norm, over the rows of G sequences
+    stacked as one (G*R, d) input `x0`, R rows each. `allow` (G, H, R, T)
+    says which of its sequence's T key positions each row sees.
+    `attend(i, node)` takes the new rows' keys (i = 2l) or values (i = 2l+1)
+    of layer l and returns the (G*T, d) or (G, T, d) rows they attend over.
+    Every op but attention is row-wise, so a row gets the same bits in any
+    stack. Returns the stack: x0, each block's residual but the last, and
+    the post-final-norm rows."""
+    G, H, R, T = allow.shape
+    scale = 1.0 / np.sqrt(config.hidden_dim // H)
+    has_latents = bool(latent_rows.any())
+    sum_buffer = np.zeros((G, H, R, config.max_positions))
     stack = [x0]
     resid = x0
     for l in range(config.layer_count):
@@ -420,12 +453,9 @@ def forward(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
             kv_in = ad.layer_norm(kv_stream, params[p + "ln1_g"], params[p + "ln1_b"])
         else:
             kv_in = q_in
-        q = _to_heads(ad.matmul(q_in, params[p + "wq"]), H, dh)
-        k = ad.matmul(kv_in, params[p + "wk"])
-        v = ad.matmul(kv_in, params[p + "wv"])
-        if cache is not None:
-            k, v = cache.store(2 * l, k), cache.store(2 * l + 1, v)
-        k, v = _to_heads(k, H, dh), _to_heads(v, H, dh)
+        q = _to_heads(ad.matmul(q_in, params[p + "wq"]), G, H)
+        k = _to_heads(attend(2 * l, ad.matmul(kv_in, params[p + "wk"])), G, H)
+        v = _to_heads(attend(2 * l + 1, ad.matmul(kv_in, params[p + "wv"])), G, H)
         scores = ad.scale(ad.matmul(q, ad.swap_last(k)), scale)
         probs = ad.masked_softmax(scores, allow, sum_buffer)
         attn = _from_heads(ad.matmul(probs, v))
@@ -435,31 +465,28 @@ def forward(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
         resid = ad.add(resid, ad.add(ad.matmul(h, params[p + "w2"]), params[p + "b2"]))
         if l < config.layer_count - 1:
             stack.append(resid)
-    final = ad.layer_norm(resid, params["lnf_g"], params["lnf_b"])
-    stack.append(final)
-    if cache is not None:
-        final = cache.store(2 * config.layer_count, final)
-        cache.length = T
-    logits = ad.matmul(final, params["w_out"])
-    return logits, stack
+    stack.append(ad.layer_norm(resid, params["lnf_g"], params["lnf_b"]))
+    return stack
 
 
-def _to_heads(x: ad.Tensor, H: int, dh: int) -> ad.Tensor:
-    T = x.shape[0]
+def _to_heads(x: ad.Tensor, G: int, H: int) -> ad.Tensor:
+    """(G*T, d) or (G, T, d) rows -> (G, H, T, d/H) heads."""
+    shape = x.shape
 
     def vjp(g):
-        return (g.transpose(1, 0, 2).reshape(T, H * dh),)
+        return (g.transpose(0, 2, 1, 3).reshape(shape),)
 
-    return ad.Tensor(x.data.reshape(T, H, dh).transpose(1, 0, 2), (x,), vjp)
+    return ad.Tensor(x.data.reshape(G, -1, H, shape[-1] // H).transpose(0, 2, 1, 3), (x,), vjp)
 
 
 def _from_heads(x: ad.Tensor) -> ad.Tensor:
-    H, T, dh = x.shape
+    """(G, H, R, dh) heads -> (G*R, H*dh) rows."""
+    G, H, R, dh = x.shape
 
     def vjp(g):
-        return (g.reshape(T, H, dh).transpose(1, 0, 2),)
+        return (g.reshape(G, R, H, dh).transpose(0, 2, 1, 3),)
 
-    return ad.Tensor(x.data.transpose(1, 0, 2).reshape(T, H * dh), (x,), vjp)
+    return ad.Tensor(x.data.transpose(0, 2, 1, 3).reshape(G * R, H * dh), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -577,54 +604,131 @@ def decode_with_latents(prompt: SequenceLayout, k_latent: int, params: dict,
     Sampling a latent-start token opens a run of exactly `k_latent` latent
     steps, each feeding the previous position's layer-L state back in as the
     next input embedding; the latent-end token is then force-inserted, never
-    sampled. Returns (full layout, Trajectory).
+    sampled, while the `max_new` budget lasts. Returns (full layout,
+    Trajectory); the trajectory is truncated unless it ended with EOS.
 
     The first pass runs the prompt into a `ForwardCache`; every later pass
     runs only the positions appended since, and gives the bits a full pass
-    over the prefix would.
+    over the prefix would. This is `decode_group` with one generator.
+    """
+    return decode_group(prompt, k_latent, params, config, [rng], temperature, max_new)[0]
+
+
+def decode_group(prompt: SequenceLayout, k_latent: int, params: dict, config: ModelConfig,
+                 rngs: list, temperature: float = 0.0, max_new: int = 64) -> list:
+    """Decode one sequence per generator in `rngs` from the same prompt, in
+    lockstep; returns a (layout, Trajectory) per generator, in order.
+
+    Each sequence samples from its own generator only, so it gets the bits
+    of a lone `decode_with_latents` call with that generator. The prompt
+    runs once into a `ForwardCache` whose rows every sequence copies; then
+    each iteration advances every unfinished sequence by one cached step,
+    all of them in one stacked pass (`_step`). Sequences that finish drop
+    out of the stack.
     """
     if k_latent < 0:
         raise ValueError("k_latent must be >= 0")
-    layout = SequenceLayout(prompt.segments)
-    traj = Trajectory(prompt_len=prompt.length)
-    cache = ForwardCache(config)
-
-    def run():
-        mask = build_attention_mask(layout, MaskMode.CAUSAL)
+    G, P = len(rngs), prompt.length
+    rows = np.zeros((G, 2 * config.layer_count + 1, config.max_positions, config.hidden_dim))
+    caches = [ForwardCache(config, rows[g]) for g in range(G)]
+    layouts = [SequenceLayout(prompt.segments) for _ in range(G)]
+    trajs = [Trajectory(prompt_len=P) for _ in range(G)]
+    loops = [_decoding(layouts[g], trajs[g], k_latent, temperature, rngs[g], max_new)
+             for g in range(G)]
+    live = [g for g in range(G) if _resume(loops[g], None)]
+    if live:
         with ad.no_grad():
-            logits, stack = forward(layout, mask, params, config, cache)
-        return logits.data[-1], stack[-1].data[-1]
+            logits, stack = forward(prompt, build_attention_mask(prompt, MaskMode.CAUSAL),
+                                    params, config, caches[0])
+        rows[1:, :, :P] = rows[0, :, :P]
+        for cache in caches[1:]:
+            cache.length = P
+        outs = [(logits.data[-1], stack[-1].data[-1])] * len(live)
+    while live:
+        live = [g for g, out in zip(live, outs) if _resume(loops[g], out)]
+        if live:
+            outs = _step(live, layouts, caches, rows, params, config)
+    return list(zip(layouts, trajs))
 
-    def append_token(tok):
-        layout.append(text_segment(SegmentRole.PLAIN_TEXT, [tok]))
 
+def _decoding(layout: SequenceLayout, traj: Trajectory, k_latent: int, temperature: float,
+              rng, max_new: int):
+    """One sequence's decoding loop, as a generator: each `yield` asks for a
+    cached pass over `layout` and is sent that pass's last (logits row,
+    final state)."""
     emitted = 0
     while emitted < max_new:
-        logits, _ = run()
+        logits, _ = yield
         tok, logp = sample_token(logits, temperature, rng)
-        append_token(tok)
+        layout.append(text_segment(SegmentRole.PLAIN_TEXT, [tok]))
         traj.steps.append(TextStep(tok, logp))
         emitted += 1
         if tok == _ID_EOS:
-            break
+            return
         if tok == _ID_LATENT_START:
-            for _ in range(k_latent):
-                if emitted >= max_new:
-                    traj.truncated = True
-                    break
-                _, final = run()
+            for _ in range(min(k_latent, max_new - emitted)):
+                _, final = yield
                 vec = final.copy()
                 layout.append(latent_segment(1, [vec]))
                 traj.steps.append(LatentStep(vec))
                 emitted += 1
-            if traj.truncated:
-                break
-            append_token(_ID_LATENT_END)
-            traj.steps.append(TextStep(_ID_LATENT_END, 0.0, forced=True))
-            emitted += 1
-    else:
-        traj.truncated = True
-    return layout, traj
+            if emitted < max_new:
+                layout.append(text_segment(SegmentRole.PLAIN_TEXT, [_ID_LATENT_END]))
+                traj.steps.append(TextStep(_ID_LATENT_END, 0.0, forced=True))
+                emitted += 1
+    traj.truncated = True
+
+
+def _resume(loop, out) -> bool:
+    """Send a pass's output to a decoding loop; False once the loop is done."""
+    try:
+        loop.send(out)
+        return True
+    except StopIteration:
+        return False
+
+
+def _step(live: list, layouts: list, caches: list, rows: np.ndarray, params: dict,
+          config: ModelConfig) -> list:
+    """One cached step of the `live` sequences: each runs its last two rows
+    (after the prompt every step has a new row and reruns the one before
+    it). A lone sequence steps through `forward`. Several run as one stacked
+    pass, each attending over its own keys and values in `rows[g]`, with
+    zero rows padding it to the longest sequence; those columns get
+    probability exactly 0. Logits come from one matmul per sequence over its
+    own final rows, as in `forward`. Returns each sequence's last (logits
+    row, final state)."""
+    ends = np.array([layouts[g].length for g in live])
+    T = int(ends.max())
+    pos = (ends[:, None] - np.array([2, 1])).ravel()  # the two rows of each sequence
+    allow = np.arange(T) <= pos[:, None]
+    if len(live) == 1:
+        g = live[0]
+        with ad.no_grad():
+            logits, stack = forward(layouts[g], AttentionMaskSpec(MaskMode.CAUSAL, allow),
+                                    params, config, caches[g])
+        return [(logits.data[-1], stack[-1].data[-1])]
+    G = len(live)
+    allow = np.broadcast_to(allow.reshape(G, 1, 2, T), (G, config.head_count, 2, T))
+    latent_rows = np.concatenate([layouts[g].latent_mask[-2:] for g in live])
+    seq = np.repeat(live, 2)
+    block = slice(None) if G == len(rows) else np.asarray(live)
+
+    def attend(i, node):
+        rows[seq, i, pos] = node.data
+        return ad.constant(rows[block, i, :T])
+
+    with ad.no_grad():
+        x0 = _embed([(layouts[g], layouts[g].length - 2) for g in live], params, config)
+        final = _blocks(x0, latent_rows, allow, params, config, attend)[-1].data
+    top = 2 * config.layer_count
+    rows[seq, top, pos] = final
+    outs = []
+    for j, g in enumerate(live):
+        caches[g].length = int(ends[j])
+        logits = rows[g, top, :ends[j]] @ params["w_out"].data
+        outs.append((logits[-1], final[2 * j + 1]))
+    return outs
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from . import vocab
 from .layouts import build_prompt
 from .model import (LatentStep, MaskMode, ModelConfig, SequenceLayout,
                     TextStep, Trajectory, build_attention_mask, copy_params,
-                    decode_with_latents, forward)
+                    decode_group, forward)
 from .sft import AdamW, TrainingDiverged
 
 
@@ -48,18 +48,6 @@ class RlConfig:
             raise ValueError("sigma must be positive")
         if not 0.0 < self.accuracy_threshold <= 1.0:
             raise ValueError("accuracy_threshold must lie in (0, 1]")
-
-
-class PolicyRole(enum.Enum):
-    OLD = "old"
-    CURRENT = "current"
-    REFERENCE = "reference"
-
-
-@dataclass
-class PolicySnapshot:
-    role: PolicyRole
-    params: dict
 
 
 @dataclass
@@ -89,17 +77,18 @@ class RolloutGroup:
 # rollouts and rewards
 # ---------------------------------------------------------------------------
 
-def rollout_group(sample, old_policy: PolicySnapshot, config: RlConfig,
+def rollout_group(sample, old_params: dict, config: RlConfig,
                   mconfig: ModelConfig, rng: np.random.Generator) -> RolloutGroup:
+    """`group_size` rollouts of one prompt under the old policy, decoded in
+    lockstep; each samples from its own child generator of `rng`."""
     prompt = build_prompt(sample)
     max_new = min(config.max_response_length,
                   mconfig.max_positions - prompt.length - 1)
     gold = vocab.encode(sample.gold)
     group = RolloutGroup(gold=gold)
-    for _ in range(config.group_size):
-        layout, traj = decode_with_latents(
-            prompt, config.k_train_rl, old_policy.params, mconfig,
-            temperature=config.temperature, rng=rng, max_new=max_new)
+    for layout, traj in decode_group(prompt, config.k_train_rl, old_params, mconfig,
+                                     rng.spawn(config.group_size), config.temperature,
+                                     max_new):
         roll = Rollout(layout, traj)
         roll.reward, roll.correct = compute_reward(traj, gold, config.format_bonus)
         group.rollouts.append(roll)
@@ -323,7 +312,7 @@ def train_rl(sft_params: dict, records, config: RlConfig, algo: Algo,
              mconfig: ModelConfig, seed: int, epochs: int = 1) -> RlResult:
     """One prompt group per update step; rollouts under the pre-update policy."""
     params = copy_params(sft_params)
-    reference = PolicySnapshot(PolicyRole.REFERENCE, copy_params(sft_params))
+    reference = copy_params(sft_params)
     opt = AdamW(params, config.learning_rate, config.weight_decay)
     rng = np.random.default_rng(seed)
     result = RlResult(params)
@@ -333,9 +322,8 @@ def train_rl(sft_params: dict, records, config: RlConfig, algo: Algo,
             rec = records[int(idx)]
             # the group is rolled out before opt.step updates params in place,
             # so the live params are the old policy; no copy is needed
-            old = PolicySnapshot(PolicyRole.OLD, params)
             group = compute_advantages(
-                rollout_group(rec.sample, old, config, mconfig, rng))
+                rollout_group(rec.sample, params, config, mconfig, rng))
             retained = filter_by_accuracy([group], config.accuracy_threshold)
             row = {"step": step, "sample_id": rec.sample_id,
                    "mean_reward": group.mean_reward(),
@@ -345,7 +333,7 @@ def train_rl(sft_params: dict, records, config: RlConfig, algo: Algo,
                    "latent_grad_norm": 0.0}
             if retained:
                 loss, stats = policy_objective(retained, params,
-                                               reference.params, config, algo, mconfig)
+                                               reference, config, algo, mconfig)
                 if loss is not None:
                     if not np.isfinite(loss.item()):
                         raise TrainingDiverged(f"rl: loss non-finite at step {step}")

@@ -32,7 +32,7 @@ from latentcot.model import (Checkpoint, LatentStep, MaskMode, ModelConfig,
                              fill_latents, forward, image_segment,
                              init_params, latent_segment, text_segment,
                              zero_params)
-from latentcot.rl import (Algo, PolicyRole, PolicySnapshot, RlConfig,
+from latentcot.rl import (Algo, RlConfig,
                           RolloutGroup, Rollout, compute_advantages,
                           filter_by_accuracy, latent_gradient_norm,
                           policy_objective, rollout_group, train_rl,
@@ -242,7 +242,7 @@ def test_criterion_5_vlpo_grpo_relationship():
     rng = np.random.default_rng(5)
     lat_group = None
     for attempt in range(10):
-        g = rollout_group(tagged_lookup(), PolicySnapshot(PolicyRole.OLD, old),
+        g = rollout_group(tagged_lookup(), old,
                           RlConfig(group_size=2, k_train_rl=2, temperature=0.8,
                                    max_response_length=24), SMALL, rng)
         if any(isinstance(s, LatentStep) for r in g.rollouts for s in r.trajectory.steps):

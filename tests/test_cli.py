@@ -147,6 +147,17 @@ def test_missing_checkpoint_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_debug_prints_the_traceback(tmp_path, capsys):
+    run = tmp_path / "run"
+    gen_tiny(run)
+    rc = main(["--debug", "eval", "--run-dir", str(run), "--checkpoint", "nope.ckpt",
+               "--k-test", "0"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("Traceback (most recent call last):")
+    assert "nope.ckpt" in err.splitlines()[-1] and "error:" not in err
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out

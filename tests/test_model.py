@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentcot import autodiff as ad
-from latentcot import vocab
+from latentcot import model, vocab
 from latentcot.model import (AttentionMaskSpec, Checkpoint, CheckpointError,
                              LayoutError, MaskMode, ModelConfig, SegmentRole,
                              SequenceLayout, build_attention_mask,
                              ForwardCache, LatentStep, TextStep, copy_params,
-                             decode_with_latents, embed_layout,
+                             decode_group, decode_with_latents, embed_layout,
                              fill_latents, forward, image_segment,
                              init_params, latent_segment, load_checkpoint,
                              param_shapes, sample_token, save_checkpoint,
@@ -558,6 +560,18 @@ def _decode_and_replay(prompt, k, params, temperature, max_new, seed=1):
     layout, traj = decode_with_latents(prompt, k, params, LONG, temperature=temperature,
                                        rng=rng, max_new=max_new)
     twin = np.random.default_rng(seed) if temperature else None
+    _replay(prompt, layout, traj, params, LONG, temperature, twin)
+    last = traj.steps[-1]
+    ended = isinstance(last, TextStep) and last.token == vocab.TOKEN_TO_ID[vocab.EOS]
+    assert traj.truncated != ended
+    assert len(traj.steps) <= max_new
+    return layout, traj
+
+
+def _replay(prompt, layout, traj, params, config, temperature, twin):
+    """Each sampled step of a decode from `prompt`, replayed from a full
+    forward over its prefix with a twin generator: its token, log-probability
+    and each fed-back vector must match bit for bit."""
     first = len(prompt.segments)
     assert len(layout.segments) == first + len(traj.steps)
     assert layout.length == prompt.length + len(traj.steps)
@@ -567,16 +581,11 @@ def _decode_and_replay(prompt, k, params, temperature, max_new, seed=1):
         prefix = SequenceLayout(layout.segments[:first + j])
         with ad.no_grad():
             logits, stack = forward(prefix, build_attention_mask(prefix, MaskMode.CAUSAL),
-                                    params, LONG)
+                                    params, config)
         if isinstance(step, LatentStep):
             assert np.array_equal(stack[-1].data[-1], step.vector), j
         else:
             assert sample_token(logits.data[-1], temperature, twin) == (step.token, step.logp), j
-    last = traj.steps[-1]
-    ended = isinstance(last, TextStep) and last.token == vocab.TOKEN_TO_ID[vocab.EOS]
-    assert traj.truncated != ended
-    assert len(traj.steps) <= max_new
-    return layout, traj
 
 
 @pytest.mark.parametrize("temperature", [0.0, 0.5])
@@ -620,6 +629,127 @@ def test_cached_decode_from_a_one_token_prompt_replays(temperature):
                                           [vocab.TOKEN_TO_ID[vocab.BOS]])])
     _, traj = _decode_and_replay(prompt, 3, _talkative_params(), temperature, max_new=40)
     assert traj.latent_run_lengths()
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 8])
+def test_decode_never_overruns_max_new(k):
+    """Greedy decoding here opens a latent run at every text step; a budget
+    spent by a run's last latent step (or by its start token) leaves no room
+    for the forced end token, so none is appended and the decode is
+    truncated."""
+    params = _latent_prone_params()
+    prompt = SequenceLayout([text_segment(SegmentRole.QUESTION_TEXT, [1, 2, 3])])
+    for max_new in range(1, 2 * (k + 2) + 2):
+        layout, traj = decode_with_latents(prompt, k, params, CFG, temperature=0.0,
+                                           max_new=max_new)
+        assert len(traj.steps) <= max_new and traj.truncated
+        _replay(prompt, layout, traj, params, CFG, 0.0, None)
+
+
+def _stopping_params(config, seed, scale, eos_bias, latent_bias):
+    """Random weights with shifted EOS and latent-start columns, so sampled
+    decodes open latent runs and stop at different steps."""
+    params = init_params(config, np.random.default_rng(seed), scale=scale)
+    params["lnf_b"].data[:] = 0.5
+    params["w_out"].data[:, vocab.TOKEN_TO_ID[vocab.EOS]] += eos_bias
+    params["w_out"].data[:, vocab.TOKEN_TO_ID[vocab.LATENT_START]] += latent_bias
+    return params
+
+
+def _poison_freed_memory(config, group):
+    """Free NaN-filled blocks the size of a group's cache buffer: a buffer
+    that is not zero-filled would then likely start out holding NaN, which
+    its padded key and value rows would carry into the attention."""
+    for _ in range(2):
+        block = np.full((group, 2 * config.layer_count + 1, config.max_positions,
+                         config.hidden_dim), np.nan)
+        del block
+
+
+def _check_group(prompt, k, params, config, temperature, seed, group, max_new):
+    """decode_group with `group` child generators equals one lone decode per
+    child, bit for bit, down to every logits row sampled from (a last-bit
+    logits difference seldom reaches a token or its log-probability), and
+    each of its rollouts replays against full forward passes. Returns the
+    group's trajectories."""
+    _poison_freed_memory(config, group)
+    rngs = np.random.default_rng(seed).spawn(group)
+    lone_rngs = np.random.default_rng(seed).spawn(group)
+    replay_rngs = np.random.default_rng(seed).spawn(group)
+    seen = {}  # generator id -> the logits rows sampled with it
+
+    def sample(logits, temperature, rng):
+        seen.setdefault(id(rng), []).append(logits.copy())
+        return sample_token(logits, temperature, rng)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "sample_token", sample)
+        decoded = decode_group(prompt, k, params, config, rngs, temperature, max_new)
+        lones = [decode_with_latents(prompt, k, params, config, temperature, rng, max_new)
+                 for rng in lone_rngs]
+    assert len(decoded) == group
+    for (layout, traj), (lone_layout, lone), rng, lone_rng, replay_rng in zip(
+            decoded, lones, rngs, lone_rngs, replay_rngs):
+        assert (traj.truncated, traj.prompt_len) == (lone.truncated, lone.prompt_len)
+        assert len(traj.steps) == len(lone.steps) <= max_new
+        for a, b in zip(traj.steps, lone.steps):
+            assert type(a) is type(b)
+            if isinstance(a, LatentStep):
+                assert np.array_equal(a.vector, b.vector)
+            else:
+                assert (a.token, a.logp, a.forced) == (b.token, b.logp, b.forced)
+        rows, lone_rows = seen.get(id(rng), []), seen.get(id(lone_rng), [])
+        assert len(rows) == len(lone_rows)
+        assert all(np.array_equal(a, b) for a, b in zip(rows, lone_rows))
+        assert layout.length == lone_layout.length
+        _replay(prompt, layout, traj, params, config, temperature, replay_rng)
+    return [traj for _, traj in decoded]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_decode_group_matches_lone_decodes(data):
+    config = data.draw(st.sampled_from([LONG, ModelConfig()]), label="config")
+    question = data.draw(st.lists(st.integers(0, vocab.VOCAB_SIZE - 1), min_size=1,
+                                  max_size=5), label="question")
+    patches = data.draw(st.integers(0, 4), label="image patches")
+    segments = [text_segment(SegmentRole.QUESTION_TEXT, question)]
+    if patches:
+        feats = np.random.default_rng(patches).normal(size=(patches, config.patch_features))
+        segments.append(image_segment(SegmentRole.QUESTION_IMAGE, feats))
+    prompt = SequenceLayout(segments)
+    k = data.draw(st.sampled_from([0, 1, 2, 3, 5, 8]), label="k")
+    temperature = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]), label="temperature")
+    params = _stopping_params(config, data.draw(st.integers(0, 3), label="weights"),
+                              data.draw(st.sampled_from([0.05, 0.5]), label="scale"),
+                              data.draw(st.sampled_from([-1.0, 0.0, 0.02, 0.15]), label="eos"),
+                              data.draw(st.sampled_from([0.0, 0.02, 0.2, 0.4]), label="latent"))
+    max_new = data.draw(st.integers(1, 48), label="max_new")
+    _check_group(prompt, k, params, config, temperature, data.draw(st.integers(0, 2 ** 16)),
+                 data.draw(st.integers(1, 5), label="group"), max_new)
+
+
+def test_group_rollouts_that_stop_apart_match_lone_decodes():
+    """Eight sampled rollouts at the reference shape from a question-image
+    prompt: some end with EOS, some are cut by the budget, at different
+    steps, so sequences drop out of the stacked step one by one."""
+    config = ModelConfig()
+    feats = np.random.default_rng(9).normal(size=(4, config.patch_features))
+    prompt = SequenceLayout([text_segment(SegmentRole.QUESTION_TEXT, [1, 2, 3]),
+                             image_segment(SegmentRole.QUESTION_IMAGE, feats)])
+    params = _stopping_params(config, 0, 0.05, 0.02, 0.02)
+    trajs = _check_group(prompt, 4, params, config, 1.0, 3, 8, max_new=40)
+    ended = [not t.truncated for t in trajs]
+    assert any(ended) and not all(ended)
+    assert len({len(t.steps) for t in trajs}) >= 4
+    assert any(t.latent_run_lengths() for t in trajs)
+
+
+@pytest.mark.parametrize("max_new", [7, 13])
+def test_group_rollouts_cut_inside_latent_runs_match_lone_decodes(max_new):
+    trajs = _check_group(_image_prompt(), 5, _talkative_params(latent_bias=0.4), LONG, 0.5,
+                         2, 4, max_new)
+    assert any(isinstance(t.steps[-1], LatentStep) for t in trajs)
 
 
 def test_fill_latents_sources():
