@@ -414,12 +414,18 @@ def cosine(a, b) -> Tensor:
 
 
 def sq_dist(a, b) -> Tensor:
-    """Squared Euclidean distance of two vectors -> scalar."""
+    """Squared Euclidean distance over the last axis: two vectors give a
+    scalar, two (n, d) matrices the n row distances."""
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError("sq_dist", a.shape, b.shape)
     diff = a.data - b.data
-    return Tensor((diff * diff).sum(), (a, b), lambda g: (g * 2.0 * diff, g * -2.0 * diff))
+
+    def vjp(g):
+        g = np.expand_dims(g, -1)
+        return (g * 2.0 * diff, g * -2.0 * diff)
+
+    return Tensor((diff * diff).sum(axis=-1), (a, b), vjp)
 
 
 def dot(a, b) -> Tensor:
@@ -456,22 +462,26 @@ def masked_mean_nll(logits, targets: np.ndarray, mask: np.ndarray) -> Tensor:
     return Tensor(out, (logits,), vjp)
 
 
-def log_prob_row(logits_row, index: int) -> Tensor:
-    """Log-softmax of a logits vector evaluated at one index -> scalar."""
-    logits_row = as_tensor(logits_row)
-    if logits_row.data.ndim != 1:
-        raise ShapeError("log_prob_row", logits_row.shape)
-    z = logits_row.data - logits_row.data.max()
-    lse = np.log(np.exp(z).sum())
-    out = z[index] - lse
+def log_prob_row(logits, index) -> Tensor:
+    """Log-softmax over the last axis at one index per row: a logits vector
+    and an int give a scalar, (n, V) rows and n indices give (n,)."""
+    logits = as_tensor(logits)
+    idx = np.asarray(index, dtype=np.int64)
+    if logits.data.ndim not in (1, 2) or idx.shape != logits.shape[:-1]:
+        raise ShapeError("log_prob_row", logits.shape, idx.shape)
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1))
+    at = (*np.indices(idx.shape), idx)
+    out = z[at] - lse
 
     def vjp(g):
-        p = np.exp(z - lse)
-        p *= -float(g)
-        p[index] += float(g)
+        g = np.asarray(g)
+        p = np.exp(z - lse[..., None])
+        p *= -g[..., None]
+        p[at] += g
         return (p,)
 
-    return Tensor(out, (logits_row,), vjp)
+    return Tensor(out, (logits,), vjp)
 
 
 def identity(a) -> Tensor:
@@ -517,10 +527,14 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None,
     reached by any gradient path get zeros. With `wrt` returns a list of
     gradients aligned with the given nodes. Both may be combined. Nodes in
     `stop_at` still accumulate gradient but their ancestors are not visited.
+    A node's gradient is dropped once its vjp has run, unless it is a `wrt`
+    node, so the map never holds every intermediate gradient at once.
     """
     if loss.data.shape not in ((), (1,)):
         raise NonScalarLoss(f"backward requires a scalar loss, got shape {loss.data.shape}")
     stop = {id(t) for t in stop_at} if stop_at is not None else None
+    wrt = list(wrt) if wrt is not None else None
+    keep = {id(t) for t in wrt} if wrt is not None else set()
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(_topo(loss, stop)):
         g = grads.get(id(node))
@@ -528,6 +542,8 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None,
             continue
         if stop is not None and id(node) in stop:
             continue
+        if id(node) not in keep:
+            del grads[id(node)]
         parent_grads = node.vjp(g)
         for p, pg in zip(node.parents, parent_grads):
             if pg is None:

@@ -429,6 +429,38 @@ def forward(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
     return logits, stack
 
 
+def forward_group(layouts: list, params: dict, config: ModelConfig):
+    """Causal full passes over G layouts as one stacked pass through the
+    blocks. Each layout's rows are padded with zero rows to the longest
+    length T; layout g holds rows g*T onward. Its rows get the bits of a lone
+    `forward`: padded rows come after its own, so the causal mask hides
+    them, and its logits come from one matmul over its own final rows.
+    Returns (logits (G*T, V), final (G*T, d)); padded logits rows are zero."""
+    G, d = len(layouts), config.hidden_dim
+    T = max(layout.length for layout in layouts)
+    own = [slice(g * T, g * T + layout.length) for g, layout in enumerate(layouts)]
+    parts, latent_rows, real = [], np.zeros(G * T, dtype=bool), np.zeros((G * T, 1))
+    for layout, rows in zip(layouts, own):
+        parts.append(embed_layout(layout, params, config))
+        if layout.length < T:
+            parts.append(ad.constant(np.zeros((T - layout.length, d))))
+        latent_rows[rows] = layout.latent_mask
+        real[rows] = 1.0
+    allow = np.broadcast_to(np.tri(T, dtype=bool), (G, config.head_count, T, T))
+    final = _blocks(ad.concat_rows(parts), latent_rows, allow, params, config,
+                    lambda i, node: node)[-1]
+    w_out = params["w_out"]
+    logits = np.zeros((G * T, config.vocab_size))
+    for rows in own:
+        logits[rows] = final.data[rows] @ w_out.data
+
+    def vjp(g):
+        g = g * real  # padded logits rows are constant zeros
+        return g @ w_out.data.T, final.data.T @ g
+
+    return ad.Tensor(logits, (final, w_out), vjp), final
+
+
 def _blocks(x0: ad.Tensor, latent_rows: np.ndarray, allow: np.ndarray, params: dict,
             config: ModelConfig, attend) -> list:
     """The transformer blocks and final norm, over the rows of G sequences
@@ -641,8 +673,10 @@ def decode_group(prompt: SequenceLayout, k_latent: int, params: dict, config: Mo
             logits, stack = forward(prompt, build_attention_mask(prompt, MaskMode.CAUSAL),
                                     params, config, caches[0])
         rows[1:, :, :P] = rows[0, :, :P]
-        for cache in caches[1:]:
-            cache.length = P
+        for cache in caches:
+            # a one-row pass takes the gemv path, and a full pass over a
+            # longer prefix does not, so the first step reruns that row
+            cache.length = P if P > 1 else 0
         outs = [(logits.data[-1], stack[-1].data[-1])] * len(live)
     while live:
         live = [g for g, out in zip(live, outs) if _resume(loops[g], out)]
@@ -692,22 +726,29 @@ def _step(live: list, layouts: list, caches: list, rows: np.ndarray, params: dic
           config: ModelConfig) -> list:
     """One cached step of the `live` sequences: each runs its last two rows
     (after the prompt every step has a new row and reruns the one before
-    it). A lone sequence steps through `forward`. Several run as one stacked
-    pass, each attending over its own keys and values in `rows[g]`, with
-    zero rows padding it to the longest sequence; those columns get
-    probability exactly 0. Logits come from one matmul per sequence over its
-    own final rows, as in `forward`. Returns each sequence's last (logits
-    row, final state)."""
+    it). A lone sequence steps through `forward`, and so does each sequence
+    on the first step after a one-row prompt, whose cache holds no rows then.
+    Several run as one stacked pass, each attending over its own keys and
+    values in `rows[g]`, with zero rows padding it to the longest sequence;
+    those columns get probability exactly 0. Logits come from one matmul
+    per sequence over its own final rows, as in `forward`. Returns each
+    sequence's last (logits row, final state)."""
+    if len(live) == 1 or not caches[live[0]].length:
+        outs = []
+        for g in live:
+            T = layouts[g].length
+            first = T - 2 if caches[g].length else 0
+            with ad.no_grad():
+                logits, stack = forward(
+                    layouts[g], AttentionMaskSpec(MaskMode.CAUSAL,
+                                                  np.arange(T) <= np.arange(first, T)[:, None]),
+                    params, config, caches[g])
+            outs.append((logits.data[-1], stack[-1].data[-1]))
+        return outs
     ends = np.array([layouts[g].length for g in live])
     T = int(ends.max())
     pos = (ends[:, None] - np.array([2, 1])).ravel()  # the two rows of each sequence
     allow = np.arange(T) <= pos[:, None]
-    if len(live) == 1:
-        g = live[0]
-        with ad.no_grad():
-            logits, stack = forward(layouts[g], AttentionMaskSpec(MaskMode.CAUSAL, allow),
-                                    params, config, caches[g])
-        return [(logits.data[-1], stack[-1].data[-1])]
     G = len(live)
     allow = np.broadcast_to(allow.reshape(G, 1, 2, T), (G, config.head_count, 2, T))
     latent_rows = np.concatenate([layouts[g].latent_mask[-2:] for g in live])

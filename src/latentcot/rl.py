@@ -12,6 +12,7 @@ the only live side.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +20,9 @@ import numpy as np
 from . import autodiff as ad
 from . import vocab
 from .layouts import build_prompt
-from .model import (LatentStep, MaskMode, ModelConfig, SequenceLayout,
-                    TextStep, Trajectory, build_attention_mask, copy_params,
-                    decode_group, forward)
+from .model import (LatentStep, ModelConfig, SequenceLayout, TextStep,
+                    Trajectory, copy_params, decode_group, forward_group)
+from .model import forward  # noqa: F401  (perfbench's tracer test rebinds rl.forward)
 from .sft import AdamW, TrainingDiverged
 
 
@@ -134,71 +135,83 @@ def filter_by_accuracy(groups, threshold: float):
 # ratios
 # ---------------------------------------------------------------------------
 
-def text_ratio(new_logp: ad.Tensor, old_logp: float) -> ad.Tensor:
-    return ad.exp(ad.sub(new_logp, float(old_logp)))
+def text_ratio(new_logp: ad.Tensor, old_logp) -> ad.Tensor:
+    """exp(new - old) per text step; `old_logp` is a float or one per step."""
+    return ad.exp(ad.sub(new_logp, old_logp))
 
 
 def vlpo_latent_ratio(h_old, h_theta, sigma: float) -> ad.Tensor:
-    """exp(-||h_old - h_theta||^2 / (2 sigma^2)); gradient reaches h_theta only."""
+    """exp(-||h_old - h_theta||^2 / (2 sigma^2)) for a vector or per row of
+    (n, d) matrices; gradient reaches h_theta only."""
     h_old = ad.stop_gradient(ad.as_tensor(h_old))
     h_theta = ad.as_tensor(h_theta)
     return ad.exp(ad.scale(ad.sq_dist(h_old, h_theta), -1.0 / (2.0 * sigma * sigma)))
 
 
 @dataclass
-class ScoredStep:
-    kind: str  # "text" | "latent" | "forced"
-    ratio: ad.Tensor | None = None
-    new_logp: ad.Tensor | None = None
-    old_logp: float = 0.0
-    ref_logp: float | None = None
+class GroupScore:
+    """A group's rollouts teacher-forced through a policy. Sampled text steps
+    and latent steps are listed apart, each rollout by rollout in step
+    order; forced steps carry no ratio and appear in neither list."""
+    new_logp: ad.Tensor  # (n_text,) temperature-scaled, under the policy
+    old_logp: np.ndarray  # (n_text,) as sampled
+    text_rollout: np.ndarray  # (n_text,) rollout index of each text step
+    h_theta: ad.Tensor  # (n_latent, d) regenerated latent vectors
+    h_old: np.ndarray  # (n_latent, d) rollout latent vectors
+    latent_rollout: np.ndarray  # (n_latent,) rollout index of each latent step
+    ref_logp: np.ndarray | None = None  # (n_text,) under the reference policy
 
 
-def _temp_logp(logits_row: np.ndarray, token: int, temperature: float) -> float:
-    z = logits_row / temperature if temperature > 0 else logits_row
-    z = z - z.max()
-    return float(z[token] - np.log(np.exp(z).sum()))
+def score_group(params: dict, group: RolloutGroup, config: RlConfig,
+                mconfig: ModelConfig, reference: dict | None = None) -> GroupScore:
+    """Teacher-force a group's rollouts through the current policy.
+
+    One stacked causal pass over the rollouts' full layouts (`forward_group`;
+    latent slots hold the rollout vectors) gives every rollout the rows of a
+    lone full pass, bit for bit. A step at position p reads row p - 1: the
+    logits of a sampled text step, the regenerated vector h_theta of a
+    latent step. Each kind is read through one row gather. With `reference`
+    given, the same pass runs under no_grad for the frozen reference
+    log-probabilities of the KL estimator."""
+    layouts = [roll.layout for roll in group.rollouts]
+    T = max(layout.length for layout in layouts)
+    text_at, tokens, old_logp, text_rollout = [], [], [], []
+    latent_at, h_old, latent_rollout = [], [], []
+    for g, roll in enumerate(group.rollouts):
+        row = g * T + roll.trajectory.prompt_len - 1
+        for step in roll.trajectory.steps:
+            if isinstance(step, LatentStep):
+                latent_at.append(row)
+                h_old.append(step.vector)
+                latent_rollout.append(g)
+            elif not step.forced:
+                text_at.append(row)
+                tokens.append(step.token)
+                old_logp.append(step.logp)
+                text_rollout.append(g)
+            row += 1
+    inv_t = 1.0 / config.temperature if config.temperature > 0 else 1.0
+
+    def logp(logits):
+        return ad.log_prob_row(ad.scale(ad.gather_rows(logits, text_at), inv_t), tokens)
+
+    logits, final = forward_group(layouts, params, mconfig)
+    ref_logp = None
+    if reference is not None:
+        with ad.no_grad():
+            ref_logp = logp(forward_group(layouts, reference, mconfig)[0]).data
+    return GroupScore(logp(logits), np.array(old_logp), np.array(text_rollout, dtype=np.int64),
+                      ad.gather_rows(final, latent_at),
+                      np.array(h_old).reshape(len(latent_at), mconfig.hidden_dim),
+                      np.array(latent_rollout, dtype=np.int64), ref_logp)
 
 
 def score_trajectory(params: dict, rollout: Rollout, config: RlConfig,
-                     mconfig: ModelConfig, reference: dict | None = None) -> list:
-    """Teacher-force the rollout through the current policy.
-
-    One causal pass over the full layout (latent slots hold the rollout
-    vectors) yields per-step new log-probabilities for sampled text steps and
-    the regenerated latent vector h_theta for latent steps. Forced steps
-    contribute no ratio. With `reference` given, each text step also records
-    the frozen reference log-probability for the KL estimator."""
-    layout = rollout.layout
-    mask = build_attention_mask(layout, MaskMode.CAUSAL)
-    logits, stack = forward(layout, mask, params, mconfig)
-    ref_logits = None
-    if reference is not None:
-        with ad.no_grad():
-            ref_out, _ = forward(layout, mask, reference, mconfig)
-        ref_logits = ref_out.data
-    scored = []
-    pos = rollout.trajectory.prompt_len
-    inv_t = 1.0 / config.temperature if config.temperature > 0 else 1.0
-    for step in rollout.trajectory.steps:
-        if isinstance(step, LatentStep):
-            h_theta = ad.get_row(stack[-1], pos - 1)
-            scored.append(ScoredStep("latent",
-                                     ratio=vlpo_latent_ratio(step.vector, h_theta,
-                                                             config.sigma)))
-        elif step.forced:
-            scored.append(ScoredStep("forced"))
-        else:
-            row = ad.scale(ad.get_row(logits, pos - 1), inv_t)
-            new_logp = ad.log_prob_row(row, step.token)
-            ref_logp = None
-            if ref_logits is not None:
-                ref_logp = _temp_logp(ref_logits[pos - 1], step.token, config.temperature)
-            scored.append(ScoredStep("text", ratio=text_ratio(new_logp, step.logp),
-                                     new_logp=new_logp, old_logp=step.logp,
-                                     ref_logp=ref_logp))
-        pos += 1
-    return scored
+                     mconfig: ModelConfig, reference: dict | None = None) -> GroupScore:
+    """`score_group` of a group holding just `rollout` (the name the
+    benchmark's tracer wraps)."""
+    return score_group(params, RolloutGroup(gold=[], rollouts=[rollout]), config,
+                       mconfig, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +223,11 @@ class Algo(enum.Enum):
     VLPO = "vlpo"
 
 
-def _clipped_term(ratio: ad.Tensor, advantage: float, eps: float) -> ad.Tensor:
-    left = ad.scale(ratio, advantage)
-    right = ad.scale(ad.clip(ratio, 1.0 - eps, 1.0 + eps), advantage)
+def _clipped_term(ratio: ad.Tensor, advantage, eps: float) -> ad.Tensor:
+    """min(r A, clip(r, 1 - eps, 1 + eps) A) per step; `advantage` is a float
+    or one per step."""
+    left = ad.mul(ratio, advantage)
+    right = ad.mul(ad.clip(ratio, 1.0 - eps, 1.0 + eps), advantage)
     return ad.minimum2(left, right)
 
 
@@ -223,71 +238,66 @@ def policy_objective(groups, current: dict, reference: dict | None,
     Per trajectory the step terms are averaged over the steps that contribute
     (text only for the plain algorithm, text plus latent for the latent-aware
     one; forced steps never contribute), then averaged over the group and
-    across groups. Returns (loss, stats) or (None, stats) when nothing is
-    retained."""
+    across groups. Each group is scored by `score_group`, and its terms are
+    summed as one weighted vector per step kind: a step of a rollout with n
+    contributing steps in a group of G weighs 1 / (n G). Returns (loss,
+    stats) or (None, stats) when nothing is retained."""
     stats = {"retained_groups": len(groups), "text_ratio_mean": 0.0,
              "latent_ratio_mean": 0.0, "kl": 0.0}
     if not groups:
         return None, stats
     use_ref = bool(config.kl_coeff) and reference is not None
-    group_objs = []
-    latent_terms = []
+    group_objs, latent_objs = [], []
     text_ratios, latent_ratios = [], []
-    kl_nodes = []
+    kl_sums, kl_count = [], 0
     for group in groups:
-        traj_objs = []
-        for roll in group.rollouts:
-            scored = score_trajectory(current, roll, config, mconfig,
-                                      reference if use_ref else None)
-            terms = []
-            lat_local = []
-            for s in scored:
-                if s.kind == "forced":
-                    continue
-                if s.kind == "latent":
-                    if algo is Algo.GRPO:
-                        continue
-                    lat_local.append(_clipped_term(s.ratio, roll.advantage, config.clip_eps))
-                    latent_ratios.append(float(s.ratio.data))
-                    terms.append(lat_local[-1])
-                else:
-                    terms.append(_clipped_term(s.ratio, roll.advantage, config.clip_eps))
-                    text_ratios.append(float(s.ratio.data))
-                    if use_ref:
-                        # k3 estimator of KL(pi_theta || pi_ref), per token
-                        delta = ad.sub(float(s.ref_logp), s.new_logp)
-                        kl_nodes.append(ad.sub(ad.sub(ad.exp(delta), delta), 1.0))
-            if not terms:
-                continue
-            inv = 1.0 / len(terms)
-            traj_objs.append(ad.scale(_sum(terms), inv))
-            if lat_local:
-                latent_terms.append(ad.scale(_sum(lat_local), inv / len(group.rollouts)))
-        if traj_objs:
-            group_objs.append(ad.scale(_sum(traj_objs), 1.0 / len(group.rollouts)))
+        scored = score_group(current, group, config, mconfig,
+                             reference if use_ref else None)
+        G = len(group.rollouts)
+        advantage = np.array([roll.advantage for roll in group.rollouts])
+        with_latents = algo is Algo.VLPO and scored.latent_rollout.size > 0
+        counts = np.bincount(scored.text_rollout, minlength=G)
+        if with_latents:
+            counts = counts + np.bincount(scored.latent_rollout, minlength=G)
+        if not counts.any():
+            continue
+        weight = 1.0 / (np.maximum(counts, 1) * G)
+
+        def weighted(ratio, rollout):
+            return ad.dot(_clipped_term(ratio, advantage[rollout], config.clip_eps),
+                          weight[rollout])
+
+        ratio = text_ratio(scored.new_logp, scored.old_logp)
+        text_ratios.append(ratio.data)
+        obj = weighted(ratio, scored.text_rollout)
+        if with_latents:
+            ratio = vlpo_latent_ratio(scored.h_old, scored.h_theta, config.sigma)
+            latent_ratios.append(ratio.data)
+            latent_objs.append(weighted(ratio, scored.latent_rollout))
+            obj = ad.add(obj, latent_objs[-1])
+        group_objs.append(obj)
+        if use_ref:
+            # k3 estimator of KL(pi_theta || pi_ref), per token
+            delta = ad.sub(scored.ref_logp, scored.new_logp)
+            kl_sums.append(ad.sum_all(ad.sub(ad.sub(ad.exp(delta), delta), 1.0)))
+            kl_count += delta.shape[0]
     if not group_objs:
         return None, stats
-    objective = ad.scale(_sum(group_objs), 1.0 / len(group_objs))
+    objective = ad.scale(functools.reduce(ad.add, group_objs), 1.0 / len(group_objs))
     loss = ad.scale(objective, -1.0)
-    if kl_nodes:
-        kl = ad.scale(_sum(kl_nodes), 1.0 / len(kl_nodes))
+    if kl_count:
+        kl = ad.scale(functools.reduce(ad.add, kl_sums), 1.0 / kl_count)
         stats["kl"] = kl.item()
         loss = ad.add(loss, ad.scale(kl, config.kl_coeff))
-    if text_ratios:
+    text_ratios = np.concatenate(text_ratios)
+    if text_ratios.size:
         stats["text_ratio_mean"] = float(np.mean(text_ratios))
     if latent_ratios:
-        stats["latent_ratio_mean"] = float(np.mean(latent_ratios))
+        stats["latent_ratio_mean"] = float(np.mean(np.concatenate(latent_ratios)))
     latent_part = None
-    if latent_terms:
-        latent_part = ad.scale(_sum(latent_terms), -1.0 / len(group_objs))
+    if latent_objs:
+        latent_part = ad.scale(functools.reduce(ad.add, latent_objs), -1.0 / len(group_objs))
     return loss, {**stats, "latent_part": latent_part}
-
-
-def _sum(nodes):
-    total = nodes[0]
-    for n in nodes[1:]:
-        total = ad.add(total, n)
-    return total
 
 
 def latent_gradient_norm(latent_part, params: dict) -> float:

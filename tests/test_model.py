@@ -745,6 +745,18 @@ def test_group_rollouts_that_stop_apart_match_lone_decodes():
     assert any(t.latent_run_lengths() for t in trajs)
 
 
+def test_one_token_prompt_with_empty_latent_runs_replays():
+    """A one-row prompt runs its first pass as a gemv; with k = 0 the forced
+    end token follows the marker at once, so the next pass adds two rows.
+    It must rerun the prompt row too, or every later row attends to gemv
+    keys and values that no full pass has. (The second rollout here, and
+    its lone decode, opens such a run at its first step.)"""
+    prompt = SequenceLayout([text_segment(SegmentRole.QUESTION_TEXT, [0])])
+    params = _stopping_params(LONG, 0, 0.05, -1.0, 0.2)
+    trajs = _check_group(prompt, 0, params, LONG, 0.5, 3, 2, max_new=4)
+    assert any(s.forced for t in trajs for s in t.steps if isinstance(s, TextStep))
+
+
 @pytest.mark.parametrize("max_new", [7, 13])
 def test_group_rollouts_cut_inside_latent_runs_match_lone_decodes(max_new):
     trajs = _check_group(_image_prompt(), 5, _talkative_params(latent_bias=0.4), LONG, 0.5,

@@ -1,17 +1,26 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentcot import autodiff as ad
 from latentcot import vocab
+from latentcot.gradcheck import _inject_latent_run
 from latentcot.layouts import build_prompt
-from latentcot.model import (LatentStep, ModelConfig, TextStep, Trajectory,
-                             init_params, params_allclose, zero_params)
+from latentcot.model import (LatentStep, MaskMode, ModelConfig, SegmentRole,
+                             SequenceLayout, TextStep, Trajectory,
+                             build_attention_mask, decode_group, forward,
+                             forward_group, image_segment, init_params, params_allclose,
+                             text_segment, zero_params)
 from latentcot.rl import (Algo, RlConfig, Rollout, RolloutGroup,
                           compute_advantages, compute_reward,
                           filter_by_accuracy, latent_gradient_norm,
-                          policy_objective, rollout_group, score_trajectory,
+                          policy_objective, rollout_group, score_group,
                           text_ratio, train_rl, vlpo_latent_ratio)
 from latentcot.tasks import CurationConfig, build_corpus, make_lookup_sample, stage3_tag_observations
+from test_model import LONG, _stopping_params
 
 CFG = ModelConfig(layer_count=2, hidden_dim=16, head_count=2, max_positions=96)
 
@@ -301,36 +310,26 @@ def test_positive_advantage_pulls_latents_closer():
     config = RlConfig(group_size=2, k_train_rl=3, temperature=0.5,
                       max_response_length=24)
     group = rollout_group(lookup_sample(), other, config, CFG, np.random.default_rng(11))
-    roll = next((r for r in group.rollouts
-                 if any(isinstance(s, LatentStep) for s in r.trajectory.steps)), None)
-    if roll is None:
-        pytest.skip("sampled rollouts contained no latent run")
+    # a fixed latent run, so the test never waits on sampling one
+    _inject_latent_run(group.rollouts[0], config.k_train_rl, CFG, other,
+                       np.random.default_rng(11))
+    roll = group.rollouts[0]
     roll.advantage = 1.0
 
     def distance(ps):
-        scored = score_trajectory(ps, roll, config, CFG)
+        scored = score_group(ps, RolloutGroup(group.gold, [roll]), config, CFG)
         return sum(float(ad.sq_dist(ad.constant(s.vector), ad.constant(h.data)).data)
                    for s, h in _latent_pairs(roll, scored)), scored
 
     def _latent_pairs(roll, scored):
-        pairs = []
-        idx = 0
-        for step, s in zip(roll.trajectory.steps, scored):
-            if isinstance(step, LatentStep):
-                pairs.append((step, _h_theta_of(s)))
-        return pairs
-
-    def _h_theta_of(s):
-        # ratio = exp(-d/(2s^2)); recover h_theta from the scored graph parent chain
-        return s.ratio.parents[0].parents[0].parents[1]
+        steps = [s for s in roll.trajectory.steps if isinstance(s, LatentStep)]
+        assert len(steps) == len(scored.latent_rollout)
+        return [(step, ad.get_row(scored.h_theta, i)) for i, step in enumerate(steps)]
 
     d_before, scored = distance(params)
     # ascend the unclipped term sum
-    term = None
-    for s in scored:
-        if s.kind == "latent":
-            t = ad.scale(s.ratio, roll.advantage)
-            term = t if term is None else ad.add(term, t)
+    ratio = vlpo_latent_ratio(scored.h_old, scored.h_theta, config.sigma)
+    term = ad.sum_all(ad.scale(ratio, roll.advantage))
     grads = ad.backward(term, params)
     lr = 1e-2
     for name, tensor in params.items():
@@ -345,14 +344,8 @@ def test_grpo_latent_gradients_zero_vlpo_nonzero():
     config = RlConfig(group_size=2, k_train_rl=2, temperature=0.5,
                       max_response_length=24)
     rng = np.random.default_rng(14)
-    for attempt in range(5):  # search budget for a group with a latent run
-        group = rollout_group(lookup_sample(), params, config, CFG, rng)
-        has_latents = any(isinstance(s, LatentStep)
-                          for r in group.rollouts for s in r.trajectory.steps)
-        if has_latents:
-            break
-    if not has_latents:
-        pytest.skip("sampled rollouts contained no latent run")
+    group = rollout_group(lookup_sample(), params, config, CFG, rng)
+    _inject_latent_run(group.rollouts[0], config.k_train_rl, CFG, params, rng)
     group.rollouts[0].reward, group.rollouts[0].correct = 1.1, True
     group.rollouts[1].reward, group.rollouts[1].correct = 0.1, False
     group = compute_advantages(group)
@@ -384,7 +377,7 @@ def test_forced_steps_carry_no_ratio_term():
                       max_response_length=10)
     group = rollout_group(lookup_sample(), params, config, CFG, np.random.default_rng(0))
     roll = group.rollouts[0]
-    scored = score_trajectory(params, roll, config, CFG)
+    scored = _per_step(score_group(params, group, config, CFG), roll, 0, config)
     kinds = [s.kind for s in scored]
     steps = roll.trajectory.steps
     assert len(kinds) == len(steps)
@@ -444,3 +437,231 @@ def test_train_rl_deterministic():
     b = train_rl(params, records, config, Algo.VLPO, CFG, seed=4)
     assert params_allclose(a.params, b.params)
     assert a.log == b.log
+
+
+# ---------------------------------------------------------------------------
+# group scoring
+# ---------------------------------------------------------------------------
+
+def _per_step(scored, roll, g, config):
+    """Rollout g's entries in a GroupScore, one (kind, ratio) per trajectory
+    step: its text entries must be its sampled text steps in order (their
+    recorded log-probabilities say so), its latent entries its latent steps;
+    forced steps get no entry and no ratio."""
+    text = iter(np.flatnonzero(scored.text_rollout == g))
+    latent = iter(np.flatnonzero(scored.latent_rollout == g))
+    ratios = text_ratio(scored.new_logp, scored.old_logp).data
+    lat_ratios = vlpo_latent_ratio(scored.h_old, scored.h_theta, config.sigma).data
+    out = []
+    for step in roll.trajectory.steps:
+        if isinstance(step, LatentStep):
+            i = next(latent)
+            assert np.array_equal(scored.h_old[i], step.vector)
+            out.append(SimpleNamespace(kind="latent", ratio=lat_ratios[i]))
+        elif step.forced:
+            out.append(SimpleNamespace(kind="forced", ratio=None))
+        else:
+            i = next(text)
+            assert scored.old_logp[i] == step.logp
+            out.append(SimpleNamespace(kind="text", ratio=ratios[i]))
+    assert next(text, None) is None and next(latent, None) is None
+    return out
+
+
+def _reference_objective(groups, current, reference, config, algo, mconfig):
+    """The per-step objective `policy_objective` vectorizes: one full forward
+    per rollout and a chain of scalar nodes per step (the scorer that
+    `score_group` replaced), as an oracle for the stacked pass."""
+    use_ref = bool(config.kl_coeff) and reference is not None
+    inv_t = 1.0 / config.temperature if config.temperature > 0 else 1.0
+    eps = config.clip_eps
+
+    def clipped(ratio, adv):
+        return ad.minimum2(ad.scale(ratio, adv), ad.scale(ad.clip(ratio, 1 - eps, 1 + eps), adv))
+
+    def total(nodes):
+        out = nodes[0]
+        for n in nodes[1:]:
+            out = ad.add(out, n)
+        return out
+
+    group_objs, latent_terms, kl_nodes = [], [], []
+    text_ratios, latent_ratios = [], []
+    for group in groups:
+        traj_objs = []
+        for roll in group.rollouts:
+            mask = build_attention_mask(roll.layout, MaskMode.CAUSAL)
+            logits, stack = forward(roll.layout, mask, current, mconfig)
+            if use_ref:
+                with ad.no_grad():
+                    ref_logits = forward(roll.layout, mask, reference, mconfig)[0].data
+            terms, lat_local = [], []
+            for pos, step in enumerate(roll.trajectory.steps, roll.trajectory.prompt_len):
+                if isinstance(step, LatentStep):
+                    if algo is Algo.GRPO:
+                        continue
+                    ratio = vlpo_latent_ratio(step.vector, ad.get_row(stack[-1], pos - 1),
+                                              config.sigma)
+                    latent_ratios.append(ratio.item())
+                    lat_local.append(clipped(ratio, roll.advantage))
+                    terms.append(lat_local[-1])
+                elif not step.forced:
+                    row = ad.scale(ad.get_row(logits, pos - 1), inv_t)
+                    new_logp = ad.log_prob_row(row, step.token)
+                    ratio = ad.exp(ad.sub(new_logp, step.logp))
+                    text_ratios.append(ratio.item())
+                    terms.append(clipped(ratio, roll.advantage))
+                    if use_ref:
+                        z = ref_logits[pos - 1] / config.temperature
+                        z = z - z.max()
+                        delta = ad.sub(float(z[step.token] - np.log(np.exp(z).sum())),
+                                       new_logp)
+                        kl_nodes.append(ad.sub(ad.sub(ad.exp(delta), delta), 1.0))
+            if not terms:
+                continue
+            inv = 1.0 / len(terms)
+            traj_objs.append(ad.scale(total(terms), inv))
+            if lat_local:
+                latent_terms.append(ad.scale(total(lat_local), inv / len(group.rollouts)))
+        if traj_objs:
+            group_objs.append(ad.scale(total(traj_objs), 1.0 / len(group.rollouts)))
+    loss = ad.scale(total(group_objs), -1.0 / len(group_objs))
+    stats = {"kl": 0.0, "text_ratio_mean": float(np.mean(text_ratios)),
+             "latent_ratio_mean": float(np.mean(latent_ratios)) if latent_ratios else 0.0}
+    if kl_nodes:
+        kl = ad.scale(total(kl_nodes), 1.0 / len(kl_nodes))
+        stats["kl"] = kl.item()
+        loss = ad.add(loss, ad.scale(kl, config.kl_coeff))
+    latent_part = ad.scale(total(latent_terms), -1.0 / len(group_objs)) if latent_terms else None
+    return loss, {**stats, "latent_part": latent_part}
+
+
+def _close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+def _grads_close(a, b, rel=1e-12):
+    return all(np.abs(a[n] - b[n]).max() <= rel * max(np.abs(a[n]).max(), np.abs(b[n]).max())
+               for n in a)
+
+
+def _mixed_groups(config, old, seeds):
+    """Decoded groups from `old` with a latent run forced into rollout 0 and
+    the rewards set so each group is retained; the last group also holds a
+    rollout with no steps, which counts in its size but adds no term."""
+    groups = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        group = rollout_group(lookup_sample(), old, config, CFG, rng)
+        _inject_latent_run(group.rollouts[0], config.k_train_rl, CFG, old, rng)
+        for i, roll in enumerate(group.rollouts):
+            roll.reward, roll.correct = (1.1, True) if i % 2 == 0 else (0.1, False)
+        groups.append(group)
+    prompt = build_prompt(lookup_sample())
+    empty = Rollout(SequenceLayout(list(prompt.segments)), Trajectory([], prompt.length))
+    groups[-1].rollouts.append(empty)
+    return [compute_advantages(g) for g in groups]
+
+
+@pytest.mark.parametrize("algo, kl_coeff", [(Algo.GRPO, 0.0), (Algo.VLPO, 0.0),
+                                            (Algo.VLPO, 0.3), (Algo.GRPO, 0.3)])
+def test_policy_objective_matches_the_per_step_reference(algo, kl_coeff):
+    """Loss, stats, and the gradients of the loss and of the latent part
+    agree with the per-step objective to 1e-12 relative, across two groups
+    of uneven rollouts, off-policy (so ratios clip), with and without the
+    KL term."""
+    old = init_params(CFG, np.random.default_rng(20))
+    current = init_params(CFG, np.random.default_rng(21))
+    reference = init_params(CFG, np.random.default_rng(22))
+    config = RlConfig(group_size=3, k_train_rl=2, temperature=0.7, kl_coeff=kl_coeff,
+                      max_response_length=24)
+    groups = _mixed_groups(config, old, (23, 24))
+    loss, stats = policy_objective(groups, current, reference, config, algo, CFG)
+    ref_loss, ref_stats = _reference_objective(groups, current, reference, config, algo, CFG)
+    assert _close(loss.item(), ref_loss.item())
+    for key in ("text_ratio_mean", "latent_ratio_mean", "kl"):
+        assert _close(stats[key], ref_stats[key])
+    assert (stats["kl"] > 0.0) == (kl_coeff > 0.0)
+    assert stats["latent_ratio_mean"] != 1.0 or algo is Algo.GRPO
+    assert _grads_close(ad.backward(loss, current), ad.backward(ref_loss, current))
+    if algo is Algo.GRPO:
+        assert stats["latent_part"] is None and ref_stats["latent_part"] is None
+    else:
+        assert _grads_close(ad.backward(stats["latent_part"], current),
+                            ad.backward(ref_stats["latent_part"], current))
+
+
+def _check_group_rows(layouts, trajs, params, reference, config, temperature):
+    """score_group's log-probabilities, reference log-probabilities and
+    regenerated latent rows equal those read from a lone full forward over
+    each rollout, bit for bit; so do all of forward_group's logits and final
+    rows (a last-bit logits difference seldom reaches a log-probability)."""
+    group = RolloutGroup(gold=[], rollouts=[Rollout(l, t) for l, t in zip(layouts, trajs)])
+    rl_config = RlConfig(temperature=temperature)
+    scored = score_group(params, group, rl_config, config, reference)
+    stacked_logits, stacked_final = forward_group(layouts, params, config)
+    T = max(layout.length for layout in layouts)
+    inv_t = 1.0 / temperature if temperature > 0 else 1.0
+    logp, ref_logp, h_theta = [], [], []
+    for g, (layout, traj) in enumerate(zip(layouts, trajs)):
+        mask = build_attention_mask(layout, MaskMode.CAUSAL)
+        logits, stack = forward(layout, mask, params, config)
+        ref_logits, _ = forward(layout, mask, reference, config)
+        rows = slice(g * T, g * T + layout.length)
+        assert np.array_equal(stacked_logits.data[rows], logits.data)
+        assert np.array_equal(stacked_final.data[rows], stack[-1].data)
+        for pos, step in enumerate(traj.steps, traj.prompt_len):
+            if isinstance(step, LatentStep):
+                h_theta.append(stack[-1].data[pos - 1])
+            elif not step.forced:
+                for out, lg in ((logp, logits), (ref_logp, ref_logits)):
+                    out.append(ad.log_prob_row(ad.scale(ad.get_row(lg, pos - 1), inv_t),
+                                               step.token).item())
+    assert np.array_equal(scored.new_logp.data, np.array(logp))
+    assert np.array_equal(scored.ref_logp, np.array(ref_logp))
+    assert np.array_equal(scored.h_theta.data, np.array(h_theta).reshape(-1, config.hidden_dim))
+    for g, roll in enumerate(group.rollouts):
+        _per_step(scored, roll, g, rl_config)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_score_group_rows_match_lone_forward_passes(data):
+    config = data.draw(st.sampled_from([LONG, ModelConfig()]), label="config")
+    question = data.draw(st.lists(st.integers(0, vocab.VOCAB_SIZE - 1), min_size=1,
+                                  max_size=5), label="question")
+    patches = data.draw(st.integers(0, 4), label="image patches")
+    segments = [text_segment(SegmentRole.QUESTION_TEXT, question)]
+    if patches:
+        feats = np.random.default_rng(patches).normal(size=(patches, config.patch_features))
+        segments.append(image_segment(SegmentRole.QUESTION_IMAGE, feats))
+    prompt = SequenceLayout(segments)
+    k = data.draw(st.sampled_from([0, 1, 2, 3, 5, 8]), label="k")
+    temperature = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="temperature")
+    weights = data.draw(st.integers(0, 3), label="weights")
+    params = _stopping_params(config, weights, data.draw(st.sampled_from([0.05, 0.5]),
+                                                         label="scale"),
+                              data.draw(st.sampled_from([0.0, 0.02, 0.15]), label="eos"),
+                              data.draw(st.sampled_from([0.0, 0.05, 0.4]), label="latent"))
+    group = data.draw(st.integers(1, 5), label="group")
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    decoded = decode_group(prompt, k, params, config, np.random.default_rng(seed).spawn(group),
+                           temperature, data.draw(st.integers(1, 48), label="max_new"))
+    reference = init_params(config, np.random.default_rng(weights + 10))
+    _check_group_rows(*zip(*decoded), params, reference, config, temperature)
+
+
+def test_score_group_rows_match_lone_passes_at_reference_shape():
+    """Eight rollouts at the reference shape that stop apart (EOS or the
+    budget), with latent runs and forced end tokens."""
+    config = ModelConfig()
+    feats = np.random.default_rng(9).normal(size=(4, config.patch_features))
+    prompt = SequenceLayout([text_segment(SegmentRole.QUESTION_TEXT, [1, 2, 3]),
+                             image_segment(SegmentRole.QUESTION_IMAGE, feats)])
+    params = _stopping_params(config, 0, 0.05, 0.02, 0.02)
+    layouts, trajs = zip(*decode_group(prompt, 4, params, config,
+                                       np.random.default_rng(3).spawn(8), 1.0, 40))
+    assert len({t.truncated for t in trajs}) == 2 and len({len(t.steps) for t in trajs}) >= 4
+    assert any(s.forced for t in trajs for s in t.steps if isinstance(s, TextStep))
+    _check_group_rows(layouts, trajs, params, init_params(config, np.random.default_rng(4)),
+                      config, 1.0)
