@@ -76,28 +76,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
 
-    # operator sugar used throughout the model code
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def item(self) -> float:
         return float(self.data)
 
@@ -231,10 +209,6 @@ def gather_rows(table, ids) -> Tensor:
     return Tensor(table.data[idx], (table,), vjp)
 
 
-def rows(a, idx) -> Tensor:
-    return gather_rows(a, idx)
-
-
 def get_row(a, i: int) -> Tensor:
     a = as_tensor(a)
     i = int(i)
@@ -262,11 +236,6 @@ def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
     return Tensor(out, (a,), lambda g: (g * out,))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def tanh(a) -> Tensor:

@@ -16,17 +16,14 @@ import numpy as np
 
 from . import autodiff as ad
 from . import vocab
-from .layouts import build_prompt, build_student, build_teacher
-from .model import (LatentStep, MaskMode, ModelConfig, SegmentRole,
-                    SequenceLayout, TextStep, Trajectory,
-                    build_attention_mask, copy_params, fill_latents, forward,
-                    init_params, latent_segment, text_segment)
+from .model import (LatentStep, ModelConfig, SegmentRole, SequenceLayout,
+                    TextStep, init_params, latent_segment, text_segment)
 from .rl import Algo, RlConfig, compute_advantages, policy_objective, rollout_group
-from .sft import (LossWeights, align_latent_loss, align_obs_loss,
-                  latent_only_surrogate, ntp_loss, stage2_sample_losses,
-                  stage3_sample_losses, emit_target_latents)
+from .sft import (LossWeights, _latent_stage_loss, _student_pass, _teacher_pass,
+                  align_latent_loss, align_obs_loss, emit_target_latents,
+                  latent_only_surrogate, ntp_loss, stage1_sample_loss,
+                  stage2_sample_losses, stage3_sample_losses)
 from .tasks import make_lookup_sample, stage3_tag_observations
-from .layouts import build_interleaved
 
 
 @dataclass
@@ -71,15 +68,17 @@ def _sample_coords(params: dict, rng: np.random.Generator, budget: int = 64) -> 
     return {n: np.array(v, dtype=np.int64) for n, v in coords.items() if v}
 
 
-def _fd_check(name, loss_node, value_fn, params, coords, eps, tol) -> CheckResult:
+def _fd_check(name, loss_node, build, params, coords, eps, tol) -> CheckResult:
+    """Backward through `loss_node` against central differences of
+    `build(params)`, each evaluated without a graph."""
+    def value(pvals):
+        with ad.no_grad():
+            return build({n: ad.constant(v) for n, v in pvals.items()}).item()
+
     analytic = ad.backward(loss_node, params)
-    numeric = ad.finite_difference(value_fn, {n: t.data for n, t in params.items()},
+    numeric = ad.finite_difference(value, {n: t.data for n, t in params.items()},
                                    eps=eps, coords=coords)
     return CheckResult(name, ad.max_rel_error(analytic, numeric, coords), tol)
-
-
-def _as_live(pvals: dict) -> dict:
-    return {n: ad.constant(v) for n, v in pvals.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -87,63 +86,29 @@ def _as_live(pvals: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def check_ntp(config, params, sample, coords, eps, tol):
-    built = build_interleaved(sample)
-    mask = build_attention_mask(built.layout, MaskMode.CAUSAL)
+    def build(pdict):
+        return stage1_sample_loss(sample, pdict, config)
 
-    def value(pvals):
-        with ad.no_grad():
-            logits, _ = forward(built.layout, mask, _as_live(pvals), config)
-            return ntp_loss(logits, built.layout, built.label_mask).item()
-
-    logits, _ = forward(built.layout, mask, params, config)
-    loss = ntp_loss(logits, built.layout, built.label_mask)
-    return _fd_check("ntp", loss, value, params, coords, eps, tol)
-
-
-def _teacher_consts(sample, teacher_params, config):
-    tb = build_teacher(sample)
-    with ad.no_grad():
-        _, t_stack = forward(tb.layout, build_attention_mask(tb.layout, MaskMode.CAUSAL),
-                             teacher_params, config)
-    return tb, [ad.constant(s.data) for s in t_stack]
-
-
-def _student_forward(sample, k, pdict, config):
-    built = build_student(sample, k, with_aux=True)
-    mask = build_attention_mask(built.layout, built.mask_mode)
-    produced = fill_latents(built.layout, mask, pdict, config)
-    logits, stack = forward(built.layout, mask, pdict, config)
-    return built, produced, logits, stack
+    return _fd_check("ntp", build(params), build, params, coords, eps, tol)
 
 
 def check_align_obs(config, params, teacher_params, sample, k, coords, eps, tol):
-    tb, t_consts = _teacher_consts(sample, teacher_params, config)
+    tb, t_stack = _teacher_pass(sample, teacher_params, config)
 
-    def value(pvals):
-        with ad.no_grad():
-            built, _, _, stack = _student_forward(sample, k, _as_live(pvals), config)
-            return align_obs_loss(t_consts, stack, tb.obs_positions,
-                                  built.obs_positions).item()
+    def build(pdict):
+        built, _, _, _, stack = _student_pass(sample, k, True, pdict, config)
+        return align_obs_loss(t_stack, stack, tb.obs_positions, built.obs_positions)
 
-    built, _, _, stack = _student_forward(sample, k, params, config)
-    loss = align_obs_loss(t_consts, stack, tb.obs_positions, built.obs_positions)
-    return _fd_check("align-obs", loss, value, params, coords, eps, tol)
+    return _fd_check("align-obs", build(params), build, params, coords, eps, tol)
 
 
 def check_align_latent(config, params, store_entry, sample, k, coords, eps, tol):
-    def run(pdict):
-        built = build_student(sample, k, with_aux=False)
-        mask = build_attention_mask(built.layout, built.mask_mode)
-        fill_latents(built.layout, mask, pdict, config)
-        _, stack = forward(built.layout, mask, pdict, config)
+    def build(pdict):
+        built, _, _, _, stack = _student_pass(sample, k, False, pdict, config)
         slots = [p for _, _, p in built.layout.latent_slots]
         return align_latent_loss(store_entry, stack, slots)
 
-    def value(pvals):
-        with ad.no_grad():
-            return run(_as_live(pvals)).item()
-
-    return _fd_check("align-latent", run(params), value, params, coords, eps, tol)
+    return _fd_check("align-latent", build(params), build, params, coords, eps, tol)
 
 
 def check_stage_total(kind, config, params, teacher_params, store, sample, k,
@@ -152,26 +117,19 @@ def check_stage_total(kind, config, params, teacher_params, store, sample, k,
     the base parameters before differencing, matching what backward
     differentiates."""
     if kind == "stage2":
-        loss_ntp, _, surrogate, adjoints = stage2_sample_losses(
-            sample, teacher_params, params, config, k)
+        losses = stage2_sample_losses(sample, teacher_params, params, config, k)
     else:
-        loss_ntp, _, surrogate, adjoints = stage3_sample_losses(
-            sample, 0, store, params, config, k)
-    total = ad.add(loss_ntp, ad.scale(surrogate, weight))
-    frozen = [np.asarray(g).copy() for g in adjoints]
+        losses = stage3_sample_losses(sample, 0, store, params, config, k)
+    total, _, _ = _latent_stage_loss(losses, weight, "align")
+    frozen = [np.asarray(g).copy() for g in losses[3]]
 
-    def value(pvals):
-        with ad.no_grad():
-            live = _as_live(pvals)
-            built = build_student(sample, k, with_aux=(kind == "stage2"))
-            mask = build_attention_mask(built.layout, built.mask_mode)
-            produced = fill_latents(built.layout, mask, live, config)
-            logits, _ = forward(built.layout, mask, live, config)
-            base = ntp_loss(logits, built.layout, built.label_mask).item()
-            dot = sum(float(g @ v.data) for g, v in zip(frozen, produced))
-            return base + weight * dot
+    def build(pdict):
+        built, produced, _, logits, _ = _student_pass(sample, k, kind == "stage2",
+                                                      pdict, config)
+        return ad.add(ntp_loss(logits, built.layout, built.label_mask),
+                      ad.scale(latent_only_surrogate(frozen, produced), weight))
 
-    return _fd_check(f"{kind}-total", total, value, params, coords, eps, tol)
+    return _fd_check(f"{kind}-total", total, build, params, coords, eps, tol)
 
 
 def _make_groups(sample, old_params, current_params, config, rl_config, rng,
@@ -214,11 +172,7 @@ def check_policy(algo, config, params, old_params, sample, coords, eps, tol, see
         loss, _ = policy_objective(groups, pdict, None, rl_config, algo, config)
         return loss
 
-    def value(pvals):
-        with ad.no_grad():
-            return build(_as_live(pvals)).item()
-
-    return _fd_check(algo.value, build(params), value, params, coords, eps, tol)
+    return _fd_check(algo.value, build(params), build, params, coords, eps, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .layouts import BuiltLayout, build_interleaved, build_student, build_teacher
+from .layouts import build_interleaved, build_student, build_teacher
 from .model import (MaskMode, ModelConfig, SequenceLayout, build_attention_mask,
                     bind_use_sites, copy_params, fill_latents, forward)
 
@@ -257,11 +257,6 @@ class TrainResult:
     store: TargetLatentStore | None = None
 
 
-def _check_finite(value: float, step: int, stage: str):
-    if not np.isfinite(value):
-        raise TrainingDiverged(f"{stage}: loss became non-finite at step {step}")
-
-
 def _epoch_order(n: int, epochs: int, max_steps, rng: np.random.Generator):
     count = 0
     for _ in range(epochs):
@@ -280,6 +275,46 @@ def _accumulate(acc: dict | None, grads: dict) -> dict:
     return acc
 
 
+def _train(params: dict, records, stage: StageConfig, seed: int, name: str,
+           sample_loss, after_step=None) -> TrainResult:
+    """The loop all three SFT stages run, training `params` in place.
+
+    `sample_loss(record)` returns (node to differentiate, value checked for
+    finiteness, log fields). AdamW steps on the mean gradient of each
+    `grad_accum` samples; a last partial window steps on the mean of the
+    samples it holds. `after_step(step)` runs once each step is logged.
+    """
+    opt = AdamW(params, stage.learning_rate, stage.weight_decay,
+                stage.adam_beta1, stage.adam_beta2, stage.adam_eps)
+    order = list(_epoch_order(len(records), stage.epochs, stage.max_steps,
+                              np.random.default_rng(seed)))
+    result = TrainResult(params)
+    acc, in_acc = None, 0
+    for step, idx in enumerate(order):
+        loss, checked, fields = sample_loss(records[idx])
+        if not np.isfinite(checked):
+            raise TrainingDiverged(f"{name}: loss became non-finite at step {step}")
+        acc = _accumulate(acc, ad.backward(loss, params))
+        in_acc += 1
+        if in_acc >= stage.grad_accum or step == len(order) - 1:
+            opt.step({k: v / in_acc for k, v in acc.items()})
+            acc, in_acc = None, 0
+        result.log.append({"step": step, **fields})
+        if after_step is not None:
+            after_step(step)
+    return result
+
+
+def _teacher_pass(sample, teacher_params, config):
+    """The frozen teacher over the CoT with its real auxiliary images.
+    Returns (built, per-layer states as constants)."""
+    built = build_teacher(sample)
+    with ad.no_grad():
+        _, stack = forward(built.layout, build_attention_mask(built.layout, MaskMode.CAUSAL),
+                           teacher_params, config)
+    return built, [ad.constant(layer.data) for layer in stack]
+
+
 def _student_pass(sample, k_train, with_aux, params, config):
     """Fill latent slots autoregressively, then run the final pass with
     identity-wrapped slot inputs. Returns (built, produced, sites, logits, stack)."""
@@ -288,49 +323,67 @@ def _student_pass(sample, k_train, with_aux, params, config):
     produced = fill_latents(built.layout, mask, params, config)
     sites = bind_use_sites(built.layout, produced)
     logits, stack = forward(built.layout, mask, params, config)
-    return built, mask, produced, sites, logits, stack
+    return built, produced, sites, logits, stack
+
+
+def _latent_losses(built, produced, sites, logits, loss_align):
+    """The tail stages 2 and 3 share: NTP on the student pass, the alignment
+    adjoints at the latent use sites, and the surrogate built from them."""
+    loss_ntp = ntp_loss(logits, built.layout, built.label_mask)
+    site_grads = ad.backward(loss_align, wrt=sites, stop_at=sites)
+    surrogate = latent_only_surrogate(site_grads, produced)
+    return loss_ntp, loss_align, surrogate, site_grads
+
+
+def _latent_stage_loss(losses, weight: float, align_field: str):
+    """Stage 2/3 sample loss for `_train`: NTP plus the weighted surrogate."""
+    loss_ntp, loss_align, surrogate, _ = losses
+    total = ad.add(loss_ntp, ad.scale(surrogate, weight))
+    return total, loss_ntp.item() + loss_align.item(), {
+        "ntp": loss_ntp.item(), align_field: loss_align.item(), "total": total.item()}
 
 
 # ---------------------------------------------------------------------------
 # stage trainers
 # ---------------------------------------------------------------------------
 
+def stage1_sample_loss(sample, params, config: ModelConfig) -> ad.Tensor:
+    """NTP on the interleaved layout, causal mask, aux images visible."""
+    built = build_interleaved(sample)
+    mask = build_attention_mask(built.layout, MaskMode.CAUSAL)
+    logits, _ = forward(built.layout, mask, params, config)
+    return ntp_loss(logits, built.layout, built.label_mask)
+
+
 def train_stage1(base_params: dict, records, config: ModelConfig, stage: StageConfig,
                  seed: int, diag_samples=None) -> TrainResult:
     """Warm-up: NTP on interleaved layouts, causal mask, aux images visible.
 
-    Logs (step, loss); every eval_interval steps also logs the observation
-    accuracy diagnostic (with aux, without aux) on `diag_samples`.
+    Logs (step, loss); every eval_interval steps and once at the end also
+    logs the observation accuracy diagnostic (with aux, without aux) on
+    `diag_samples`.
     """
     params = copy_params(base_params)
-    opt = AdamW(params, stage.learning_rate, stage.weight_decay,
-                stage.adam_beta1, stage.adam_beta2, stage.adam_eps)
-    rng = np.random.default_rng(seed)
-    result = TrainResult(params)
-    acc, in_acc = None, 0
-    step = 0
-    for idx in _epoch_order(len(records), stage.epochs, stage.max_steps, rng):
-        sample = records[idx].sample
-        built = build_interleaved(sample)
-        mask = build_attention_mask(built.layout, MaskMode.CAUSAL)
-        logits, _ = forward(built.layout, mask, params, config)
-        loss = ntp_loss(logits, built.layout, built.label_mask)
-        _check_finite(loss.item(), step, "stage1")
-        acc = _accumulate(acc, ad.backward(loss, params))
-        in_acc += 1
-        if in_acc >= stage.grad_accum:
-            opt.step({k: v / in_acc for k, v in acc.items()})
-            acc, in_acc = None, 0
-        result.log.append({"step": step, "loss": loss.item()})
-        if diag_samples and step % stage.eval_interval == 0:
-            with_aux, without_aux = measure_obs_accuracy(params, config, diag_samples)
-            result.diagnostics.append({"step": step, "obs_acc_with_aux": with_aux,
-                                       "obs_acc_without_aux": without_aux})
-        step += 1
-    if diag_samples:
+    diagnostics = []
+
+    def sample_loss(rec):
+        loss = stage1_sample_loss(rec.sample, params, config)
+        return loss, loss.item(), {"loss": loss.item()}
+
+    def diagnose(step):
         with_aux, without_aux = measure_obs_accuracy(params, config, diag_samples)
-        result.diagnostics.append({"step": step, "obs_acc_with_aux": with_aux,
-                                   "obs_acc_without_aux": without_aux})
+        diagnostics.append({"step": step, "obs_acc_with_aux": with_aux,
+                            "obs_acc_without_aux": without_aux})
+
+    def after_step(step):
+        if step % stage.eval_interval == 0:
+            diagnose(step)
+
+    result = _train(params, records, stage, seed, "stage1", sample_loss,
+                    after_step if diag_samples else None)
+    if diag_samples:
+        diagnose(len(result.log))
+    result.diagnostics = diagnostics
     return result
 
 
@@ -342,20 +395,12 @@ def stage2_sample_losses(sample, teacher_params, student_params, config: ModelCo
     combines ntp and surrogate. Exposing the adjoints keeps the gradient-path
     oracles honest.
     """
-    teacher_built = build_teacher(sample)
-    with ad.no_grad():
-        t_logits, t_stack = forward(teacher_built.layout,
-                                    build_attention_mask(teacher_built.layout, MaskMode.CAUSAL),
-                                    teacher_params, config)
-    t_stack = [ad.constant(layer.data) for layer in t_stack]
-    built, mask, produced, sites, logits, stack = _student_pass(
+    teacher_built, t_stack = _teacher_pass(sample, teacher_params, config)
+    built, produced, sites, logits, stack = _student_pass(
         sample, k_train, True, student_params, config)
-    loss_ntp = ntp_loss(logits, built.layout, built.label_mask)
     loss_align = align_obs_loss(t_stack, stack, teacher_built.obs_positions,
                                 built.obs_positions)
-    site_grads = ad.backward(loss_align, wrt=sites, stop_at=sites)
-    surrogate = latent_only_surrogate(site_grads, produced)
-    return loss_ntp, loss_align, surrogate, site_grads
+    return _latent_losses(built, produced, sites, logits, loss_align)
 
 
 def train_stage2(warmup_params: dict, records, config: ModelConfig, stage: StageConfig,
@@ -364,26 +409,13 @@ def train_stage2(warmup_params: dict, records, config: ModelConfig, stage: Stage
     if stage.k_train < 1:
         raise ValueError("stage 2 requires k_train >= 1")
     student = copy_params(warmup_params)
-    opt = AdamW(student, stage.learning_rate, stage.weight_decay,
-                stage.adam_beta1, stage.adam_beta2, stage.adam_eps)
-    rng = np.random.default_rng(seed)
-    result = TrainResult(student)
-    acc, in_acc = None, 0
-    step = 0
-    for idx in _epoch_order(len(records), stage.epochs, stage.max_steps, rng):
-        sample = records[idx].sample
-        loss_ntp, loss_align, surrogate, _ = stage2_sample_losses(
-            sample, warmup_params, student, config, stage.k_train)
-        total = ad.add(loss_ntp, ad.scale(surrogate, weights.alpha))
-        _check_finite(loss_ntp.item() + loss_align.item(), step, "stage2")
-        acc = _accumulate(acc, ad.backward(total, student))
-        in_acc += 1
-        if in_acc >= stage.grad_accum:
-            opt.step({k: v / in_acc for k, v in acc.items()})
-            acc, in_acc = None, 0
-        result.log.append({"step": step, "ntp": loss_ntp.item(),
-                           "align_obs": loss_align.item(), "total": total.item()})
-        step += 1
+
+    def sample_loss(rec):
+        return _latent_stage_loss(stage2_sample_losses(
+            rec.sample, warmup_params, student, config, stage.k_train),
+            weights.alpha, "align_obs")
+
+    result = _train(student, records, stage, seed, "stage2", sample_loss)
     result.store = emit_target_latents(student, records, config, stage.k_train)
     return result
 
@@ -395,8 +427,7 @@ def emit_target_latents(params: dict, records, config: ModelConfig,
     store = TargetLatentStore()
     with ad.no_grad():
         for rec in records:
-            built, mask, _, _, _, stack = _student_pass(
-                rec.sample, k_train, True, params, config)
+            built, _, _, _, stack = _student_pass(rec.sample, k_train, True, params, config)
             slots = [p for _, _, p in built.layout.latent_slots]
             entry = np.stack([layer.data[slots] for layer in stack[1:]])
             store.put(rec.sample_id, entry)
@@ -405,14 +436,12 @@ def emit_target_latents(params: dict, records, config: ModelConfig,
 
 def stage3_sample_losses(sample, sample_id, store: TargetLatentStore, params,
                          config: ModelConfig, k_train: int):
-    built, mask, produced, sites, logits, stack = _student_pass(
+    """One stage-3 student pass without aux images; same returns as stage 2."""
+    built, produced, sites, logits, stack = _student_pass(
         sample, k_train, False, params, config)
-    loss_ntp = ntp_loss(logits, built.layout, built.label_mask)
     slots = [p for _, _, p in built.layout.latent_slots]
     loss_align = align_latent_loss(store.get(sample_id), stack, slots)
-    site_grads = ad.backward(loss_align, wrt=sites, stop_at=sites)
-    surrogate = latent_only_surrogate(site_grads, produced)
-    return loss_ntp, loss_align, surrogate, site_grads
+    return _latent_losses(built, produced, sites, logits, loss_align)
 
 
 def train_stage3(warmup_params: dict, records, store: TargetLatentStore,
@@ -428,24 +457,10 @@ def train_stage3(warmup_params: dict, records, store: TargetLatentStore,
              for rec in records}
     store.require({i: (config.layer_count, n, config.hidden_dim) for i, n in slots.items()})
     params = copy_params(warmup_params)
-    opt = AdamW(params, stage.learning_rate, stage.weight_decay,
-                stage.adam_beta1, stage.adam_beta2, stage.adam_eps)
-    rng = np.random.default_rng(seed)
-    result = TrainResult(params)
-    acc, in_acc = None, 0
-    step = 0
-    for idx in _epoch_order(len(records), stage.epochs, stage.max_steps, rng):
-        rec = records[idx]
-        loss_ntp, loss_align, surrogate, _ = stage3_sample_losses(
-            rec.sample, rec.sample_id, store, params, config, stage.k_train)
-        total = ad.add(loss_ntp, ad.scale(surrogate, weights.beta_stage3))
-        _check_finite(loss_ntp.item() + loss_align.item(), step, "stage3")
-        acc = _accumulate(acc, ad.backward(total, params))
-        in_acc += 1
-        if in_acc >= stage.grad_accum:
-            opt.step({k: v / in_acc for k, v in acc.items()})
-            acc, in_acc = None, 0
-        result.log.append({"step": step, "ntp": loss_ntp.item(),
-                           "align_latent": loss_align.item(), "total": total.item()})
-        step += 1
-    return result
+
+    def sample_loss(rec):
+        return _latent_stage_loss(stage3_sample_losses(
+            rec.sample, rec.sample_id, store, params, config, stage.k_train),
+            weights.beta_stage3, "align_latent")
+
+    return _train(params, records, stage, seed, "stage3", sample_loss)

@@ -32,7 +32,7 @@ def test_cosine_zero_vector_guard():
 def test_stop_gradient_properties():
     x = ad.parameter("x", np.array(2.0))
     y = ad.parameter("y", np.array(5.0))
-    out = ad.stop_gradient(x) * y
+    out = ad.mul(ad.stop_gradient(x), y)
     assert out.item() == 10.0
     grads = ad.backward(out, {"x": x, "y": y})
     assert grads["x"] == 0.0
@@ -65,7 +65,7 @@ def test_backward_squared_norm():
 def test_backward_rejects_non_scalar():
     p = ad.parameter("p", np.ones(3))
     with pytest.raises(ad.NonScalarLoss):
-        ad.backward(p * p, {"p": p})
+        ad.backward(ad.mul(p, p), {"p": p})
 
 
 def test_shape_errors_name_op_and_shapes():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from latentcot import autodiff as ad
 from latentcot import sft, vocab
-from latentcot.layouts import build_student, build_teacher
+from latentcot.layouts import build_interleaved, build_student, build_teacher
 from latentcot.model import (MaskMode, ModelConfig, SegmentRole,
                              SequenceLayout, build_attention_mask,
                              bind_use_sites, copy_params, fill_latents,
@@ -490,13 +490,55 @@ def test_stage1_deterministic():
     assert params_allclose(a.params, b.params)
 
 
-def test_stage1_divergence_aborts():
+@pytest.mark.parametrize("name", ["stage1", "stage2", "stage3"])
+def test_divergence_aborts(name):
     records = tiny_records(n=4)
     base = init_params(CFG, np.random.default_rng(32))
+    stage = StageConfig(learning_rate=1e-3, epochs=1, max_steps=2, k_train=2)
+    # built from clean params, so the store check before step 0 passes
+    store = emit_target_latents(base, records, CFG, stage.k_train)
     base["tok_emb"].data[0, 0] = np.nan
-    stage = StageConfig(learning_rate=1e-3, epochs=1, max_steps=2)
-    with pytest.raises(TrainingDiverged):
-        train_stage1(base, records, CFG, stage, seed=0)
+    run = {"stage1": lambda: train_stage1(base, records, CFG, stage, seed=0),
+           "stage2": lambda: train_stage2(base, records, CFG, stage, LossWeights(), seed=0),
+           "stage3": lambda: train_stage3(base, records, store, CFG, stage, LossWeights(),
+                                          seed=0)}[name]
+    with pytest.raises(TrainingDiverged, match=f"^{name}: loss became non-finite at step 0$"):
+        run()
+
+
+@pytest.mark.parametrize("grad_accum, max_steps", [(2, 1), (2, 3), (4, 3), (2, 4)])
+def test_grad_accum_steps_on_a_last_partial_window(grad_accum, max_steps):
+    """AdamW steps once per `grad_accum` samples and once more on the mean
+    of a last partial window, as a hand-written accumulate-then-step loop."""
+    records = tiny_records(n=4)
+    base = init_params(CFG, np.random.default_rng(41))
+    stage = StageConfig(learning_rate=1e-3, epochs=1, max_steps=max_steps,
+                        grad_accum=grad_accum)
+    calls = []
+    original = AdamW.step
+
+    def counted(opt, grads):
+        calls.append(opt.t)
+        original(opt, grads)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AdamW, "step", counted)
+        result = train_stage1(base, records, CFG, stage, seed=5)
+    assert len(calls) == math.ceil(max_steps / grad_accum)
+
+    ref = copy_params(base)
+    opt = AdamW(ref, stage.learning_rate, stage.weight_decay)
+    order = [int(i) for i in np.random.default_rng(5).permutation(len(records))][:max_steps]
+    for start in range(0, max_steps, grad_accum):
+        window = []
+        for idx in order[start:start + grad_accum]:
+            built = build_interleaved(records[idx].sample)
+            mask = build_attention_mask(built.layout, MaskMode.CAUSAL)
+            logits, _ = forward(built.layout, mask, ref, CFG)
+            window.append(ad.backward(ntp_loss(logits, built.layout, built.label_mask), ref))
+        opt.step({k: sum(g[k] for g in window) / len(window) for k in ref})
+    for name in ref:
+        assert np.array_equal(result.params[name].data, ref[name].data), name
 
 
 def test_untrained_obs_accuracy_near_chance():
