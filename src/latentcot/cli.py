@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import sys
 import time
@@ -25,8 +26,8 @@ from . import vocab
 from .gradcheck import run_gradcheck
 from .layouts import build_prompt
 from .model import (Checkpoint, ModelConfig, decode_with_latents, init_params,
-                    load_checkpoint, save_checkpoint, TextStep)
-from .rl import Algo, RlConfig, train_rl
+                    load_checkpoint, save_checkpoint)
+from .rl import Algo, RlConfig, compute_reward, train_rl
 from .sft import (LossWeights, StageConfig, TargetLatentStore, train_stage1,
                   train_stage2, train_stage3)
 from .tasks import CurationConfig, build_corpus, read_dataset, write_dataset
@@ -35,6 +36,8 @@ METRICS_FIELDS = ["run_id", "stage", "k_test", "accuracy", "lookup_accuracy",
                   "count_accuracy", "wall_clock_s"]
 
 DEFAULT_SWEEP = [0, 4, 8, 10, 12, 16]
+
+DIAG_SAMPLES = 48  # eval records the stage-1 observation diagnostic reads
 
 
 # ---------------------------------------------------------------------------
@@ -96,23 +99,26 @@ def load_config_file(path) -> dict:
     return out
 
 
-def _coerce(dataclass_obj, overrides: dict):
-    for key, raw in overrides.items():
-        if not hasattr(dataclass_obj, key):
-            raise ValueError(f"unknown config key: {key}")
-        current = getattr(dataclass_obj, key)
-        if isinstance(current, bool):
-            value = raw in ("1", "true", "True")
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        elif current is None:
-            value = int(raw)
-        else:
-            value = raw
-        setattr(dataclass_obj, key, value)
-    return dataclass_obj
+_PARSERS = {"int": int, "float": float, "int | None": int}
+
+
+def build_config(cls, path=None, defaults=None, **flags):
+    """Construct the dataclass `cls` once from, in rising precedence, its
+    field defaults, `defaults`, the key=value file at `path` and the `flags`
+    that are not None, so its __post_init__ checks every value. A file key
+    that names no field, or a value that does not parse as the field's type,
+    raises naming the file and the key."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    values = dict(defaults or {})
+    for key, raw in (load_config_file(path) if path else {}).items():
+        if key not in types:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        try:
+            values[key] = _PARSERS[types[key]](raw)
+        except ValueError:
+            raise ValueError(f"{path}: {key}: {raw!r} is not a valid {types[key]}") from None
+    values.update((k, v) for k, v in flags.items() if v is not None)
+    return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +157,7 @@ def evaluate(ckpt: Checkpoint, records, k_test: int, run_id: str = "run") -> dic
         max_new = ckpt.config.max_positions - prompt.length - 1
         _, traj = decode_with_latents(prompt, k_test, ckpt.params, ckpt.config,
                                       temperature=0.0, max_new=max_new)
-        tokens = [s.token for s in traj.steps if isinstance(s, TextStep)]
-        content = vocab.extract_boxed(tokens)
-        correct = content == vocab.encode(sample.gold)
+        correct = compute_reward(traj, vocab.encode(sample.gold))[1]
         fam = sample.family
         totals[fam] = totals.get(fam, 0) + 1
         hits[fam] = hits.get(fam, 0) + int(correct)
@@ -273,21 +277,16 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _stage_config(args) -> StageConfig:
-    cfg = StageConfig(epochs=3 if args.stage == 1 else 1)
-    if args.config:
-        _coerce(cfg, load_config_file(args.config))
-    for key in ("learning_rate", "epochs", "max_steps", "k_train", "grad_accum"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
-
-
 def cmd_train_sft(args) -> int:
+    stage_cfg = build_config(StageConfig, args.config,
+                             {"epochs": 3 if args.stage == 1 else 1},
+                             learning_rate=args.learning_rate, epochs=args.epochs,
+                             max_steps=args.max_steps, k_train=args.k_train,
+                             grad_accum=args.grad_accum)
+    weights = LossWeights(alpha=args.alpha, beta_stage3=args.beta)
+    manifest = {**vars(stage_cfg), "seed": args.seed}
     run_dir = ensure_run_dir(args.run_dir)
     records = read_dataset(run_dir / "data" / "train.jsonl")
-    stage_cfg = _stage_config(args)
     ck_dir = run_dir / "checkpoints"
     inputs = {"train.jsonl": run_dir / "data" / "train.jsonl"}
     if args.stage == 1:
@@ -298,7 +297,7 @@ def cmd_train_sft(args) -> int:
         diag = None
         eval_path = run_dir / "data" / "eval.jsonl"
         if eval_path.exists():
-            diag = [r.sample for r in read_dataset(eval_path)[:stage_cfg.eval_samples]]
+            diag = [r.sample for r in read_dataset(eval_path)[:DIAG_SAMPLES]]
             inputs["eval.jsonl"] = eval_path
         result = train_stage1(base, records, mconfig, stage_cfg, args.seed, diag)
         save_checkpoint(Checkpoint(mconfig, "warmup", len(result.log), args.seed,
@@ -314,7 +313,8 @@ def cmd_train_sft(args) -> int:
         warmup = load_checkpoint(ck_dir / "warmup.ckpt")
         inputs["warmup.ckpt"] = ck_dir / "warmup.ckpt"
         result = train_stage2(warmup.params, records, warmup.config, stage_cfg,
-                              LossWeights(alpha=args.alpha), args.seed)
+                              weights, args.seed)
+        manifest["alpha"] = args.alpha
         save_checkpoint(Checkpoint(warmup.config, "stage2", len(result.log), args.seed,
                                    result.params), ck_dir / "stage2.ckpt")
         result.store.save(ck_dir / "latent_store.npz")
@@ -327,31 +327,24 @@ def cmd_train_sft(args) -> int:
         inputs["warmup.ckpt"] = ck_dir / "warmup.ckpt"
         inputs["latent_store.npz"] = ck_dir / "latent_store.npz"
         result = train_stage3(warmup.params, records, store, warmup.config, stage_cfg,
-                              LossWeights(beta_stage3=args.beta), args.seed)
+                              weights, args.seed)
+        manifest["beta"] = args.beta
         save_checkpoint(Checkpoint(warmup.config, "sft", len(result.log), args.seed,
                                    result.params), ck_dir / "sft.ckpt")
         write_csv(run_dir / "logs" / "stage3.csv", result.log,
                   ["step", "ntp", "align_latent", "total"])
         print("stage 3 done")
-    write_manifest(run_dir, f"train-sft-stage{args.stage}",
-                   {**vars(stage_cfg), "seed": args.seed}, inputs)
+    write_manifest(run_dir, f"train-sft-stage{args.stage}", manifest, inputs)
     return 0
 
 
 def cmd_train_rl(args) -> int:
+    rl_cfg = build_config(RlConfig, args.config, learning_rate=args.learning_rate,
+                          k_train_rl=args.k_train_rl, group_size=args.group_size)
     run_dir = ensure_run_dir(args.run_dir)
     records = read_dataset(run_dir / "data" / "rl.jsonl")
     ck_dir = run_dir / "checkpoints"
     sft = load_checkpoint(ck_dir / args.init)
-    rl_cfg = RlConfig()
-    if args.config:
-        _coerce(rl_cfg, load_config_file(args.config))
-    if args.learning_rate is not None:
-        rl_cfg.learning_rate = args.learning_rate
-    if args.k_train_rl is not None:
-        rl_cfg.k_train_rl = args.k_train_rl
-    if args.group_size is not None:
-        rl_cfg.group_size = args.group_size
     algo = Algo(args.algo)
     result = train_rl(sft.params, records, rl_cfg, algo, sft.config, args.seed,
                       epochs=args.epochs)
@@ -364,8 +357,7 @@ def cmd_train_rl(args) -> int:
     rewards = [row["mean_reward"] for row in result.log]
     print(f"{label}: mean reward {np.mean(rewards):.3f} over {len(rewards)} steps")
     write_manifest(run_dir, f"train-rl-{algo.value}",
-                   {**{k: getattr(rl_cfg, k) for k in vars(rl_cfg)},
-                    "seed": args.seed, "epochs": args.epochs, "init": args.init},
+                   {**vars(rl_cfg), "seed": args.seed, "epochs": args.epochs, "init": args.init},
                    {"rl.jsonl": run_dir / "data" / "rl.jsonl",
                     args.init: ck_dir / args.init})
     return 0

@@ -23,7 +23,7 @@ from .sft import (LossWeights, _latent_stage_loss, _student_pass, _teacher_pass,
                   align_latent_loss, align_obs_loss, emit_target_latents,
                   latent_only_surrogate, ntp_loss, stage1_sample_loss,
                   stage2_sample_losses, stage3_sample_losses)
-from .tasks import make_lookup_sample, stage3_tag_observations
+from .tasks import DatasetRecord, make_lookup_sample, stage3_tag_observations
 
 
 @dataclass
@@ -132,19 +132,19 @@ def check_stage_total(kind, config, params, teacher_params, store, sample, k,
     return _fd_check(f"{kind}-total", total, build, params, coords, eps, tol)
 
 
-def _make_groups(sample, old_params, current_params, config, rl_config, rng,
-                 need_latents):
+def _make_groups(sample, old_params, config, rl_config, rng, need_latents):
     group = rollout_group(sample, old_params, rl_config, config, rng)
     has_latents = any(isinstance(s, LatentStep)
                       for r in group.rollouts for s in r.trajectory.steps)
     if need_latents and not has_latents:
-        _inject_latent_run(group.rollouts[0], rl_config.k_train_rl, config, old_params, rng)
+        _inject_latent_run(group.rollouts[0], rl_config.k_train_rl, config, rng)
     group.rollouts[0].reward, group.rollouts[0].correct = 1.1, True
     for roll in group.rollouts[1:]:
         roll.reward, roll.correct = 0.1, False
     return [compute_advantages(group)]
 
-def _inject_latent_run(roll, k, config, old_params, rng):
+
+def _inject_latent_run(roll, k, config, rng):
     """Append a deterministic latent run to a rollout (marker, k vectors,
     forced end); the vectors play the role of recorded old-policy latents."""
     lat_start = vocab.TOKEN_TO_ID[vocab.LATENT_START]
@@ -165,7 +165,7 @@ def check_policy(algo, config, params, old_params, sample, coords, eps, tol, see
     rl_config = RlConfig(group_size=2, k_train_rl=2, temperature=0.7,
                          max_response_length=20, clip_eps=0.2)
     rng = np.random.default_rng(seed)
-    groups = _make_groups(sample, old_params, params, config, rl_config, rng,
+    groups = _make_groups(sample, old_params, config, rl_config, rng,
                           need_latents=algo is Algo.VLPO)
 
     def build(pdict):
@@ -206,5 +206,4 @@ def run_gradcheck(seed: int = 0, eps: float = 1e-5, tol: float = 1e-4,
 
 
 def _records_for(sample):
-    from .tasks import DatasetRecord
     return [DatasetRecord(0, sample, {})]

@@ -37,7 +37,6 @@ class RlConfig:
     accuracy_threshold: float = 0.6
     learning_rate: float = 1e-6
     k_train_rl: int = 10
-    weight_decay: float = 0.01
     format_bonus: float = 0.1
 
     def __post_init__(self):
@@ -323,7 +322,7 @@ def train_rl(sft_params: dict, records, config: RlConfig, algo: Algo,
     """One prompt group per update step; rollouts under the pre-update policy."""
     params = copy_params(sft_params)
     reference = copy_params(sft_params)
-    opt = AdamW(params, config.learning_rate, config.weight_decay)
+    opt = AdamW(params, config.learning_rate)
     rng = np.random.default_rng(seed)
     result = RlResult(params)
     step = 0

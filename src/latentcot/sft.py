@@ -46,16 +46,25 @@ class LossWeights:
 @dataclass
 class StageConfig:
     learning_rate: float = 1e-5
-    weight_decay: float = 0.01
     epochs: int = 1
     max_steps: int | None = None
     grad_accum: int = 1
     k_train: int = 8
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    eval_interval: int = 250
-    eval_samples: int = 48
+
+    def __post_init__(self):
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be > 0")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.grad_accum < 1:
+            raise ValueError("grad_accum must be >= 1")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError("max_steps must be None or >= 1")
+        if self.k_train < 0:
+            raise ValueError("k_train must be >= 0")
+
+
+DIAG_INTERVAL = 250  # stage-1 steps between observation-accuracy diagnostics
 
 
 class AdamW:
@@ -284,8 +293,7 @@ def _train(params: dict, records, stage: StageConfig, seed: int, name: str,
     `grad_accum` samples; a last partial window steps on the mean of the
     samples it holds. `after_step(step)` runs once each step is logged.
     """
-    opt = AdamW(params, stage.learning_rate, stage.weight_decay,
-                stage.adam_beta1, stage.adam_beta2, stage.adam_eps)
+    opt = AdamW(params, stage.learning_rate)
     order = list(_epoch_order(len(records), stage.epochs, stage.max_steps,
                               np.random.default_rng(seed)))
     result = TrainResult(params)
@@ -359,7 +367,7 @@ def train_stage1(base_params: dict, records, config: ModelConfig, stage: StageCo
                  seed: int, diag_samples=None) -> TrainResult:
     """Warm-up: NTP on interleaved layouts, causal mask, aux images visible.
 
-    Logs (step, loss); every eval_interval steps and once at the end also
+    Logs (step, loss); every DIAG_INTERVAL steps and once at the end also
     logs the observation accuracy diagnostic (with aux, without aux) on
     `diag_samples`.
     """
@@ -376,7 +384,7 @@ def train_stage1(base_params: dict, records, config: ModelConfig, stage: StageCo
                             "obs_acc_without_aux": without_aux})
 
     def after_step(step):
-        if step % stage.eval_interval == 0:
+        if step % DIAG_INTERVAL == 0:
             diagnose(step)
 
     result = _train(params, records, stage, seed, "stage1", sample_loss,

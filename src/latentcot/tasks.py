@@ -418,16 +418,18 @@ def strong_judge_answer(sample: ToySample):
     return str(count_symbol(images[-1].grid, sample.count["target"]))
 
 
-def stage1_filter(sample: ToySample, judge=weak_judge_answer) -> bool:
+def _solves(answer, sample: ToySample) -> bool:
+    return answer is not None and [answer] == list(sample.gold)
+
+
+def stage1_filter(sample: ToySample) -> bool:
     """Keep iff the weak judge fails (wrong answer or abstention)."""
-    ans = judge(sample)
-    return ans is None or [ans] != list(sample.gold)
+    return not _solves(weak_judge_answer(sample), sample)
 
 
-def stage2_filter(sample: ToySample, judge=strong_judge_answer) -> bool:
+def stage2_filter(sample: ToySample) -> bool:
     """Keep iff the strong judge answers correctly from the aux images."""
-    ans = judge(sample)
-    return ans is not None and [ans] == list(sample.gold)
+    return _solves(strong_judge_answer(sample), sample)
 
 
 def stage3_tag_observations(sample: ToySample) -> ToySample:
@@ -481,20 +483,12 @@ def strip_observation_tags(tokens: list) -> list:
 # curation pipeline
 # ---------------------------------------------------------------------------
 
-JUDGES = {"pooled-exhaustive": weak_judge_answer, "aux-exact": strong_judge_answer}
-
-
 @dataclass
 class CurationConfig:
     sample_count: int = 5000
     seed: int = 0
-    weak_judge: str = "pooled-exhaustive"
-    strong_judge: str = "aux-exact"
     corrupt_fraction: float = 0.10
     lookup_fraction: float = 0.80
-    lookup_grid: int = 4
-    count_grid: int = 4
-    count_steps: int = 2
 
 
 def generate_raw(cfg: CurationConfig) -> list:
@@ -504,27 +498,25 @@ def generate_raw(cfg: CurationConfig) -> list:
     for child in root.spawn(cfg.sample_count):
         rng = np.random.default_rng(child)
         if rng.random() < cfg.lookup_fraction:
-            s = generate_lookup_task(rng, cfg.lookup_grid)
+            s = generate_lookup_task(rng)
         else:
-            s = generate_count_task(rng, cfg.count_grid, cfg.count_steps)
+            s = generate_count_task(rng)
         if rng.random() < cfg.corrupt_fraction:
             s = corrupt_sample(s, rng)
         out.append(s)
     return out
 
 
-def curate(samples, cfg: CurationConfig):
-    """Run the three filter/tag stages; returns (records, stats)."""
-    weak = JUDGES[cfg.weak_judge]
-    strong = JUDGES[cfg.strong_judge]
+def curate(samples):
+    """Run the three filter/tag stages, judging each sample once per judge;
+    returns (records, stats)."""
     records, stats = [], {"raw": len(samples), "stage1_dropped": 0, "stage2_dropped": 0}
     for s in samples:
-        weak_ans = weak(s)
-        if not stage1_filter(s, weak):
+        weak_ans = weak_judge_answer(s)
+        if _solves(weak_ans, s):
             stats["stage1_dropped"] += 1
             continue
-        strong_ans = strong(s)
-        if not stage2_filter(s, strong):
+        if not _solves(strong_judge_answer(s), s):
             stats["stage2_dropped"] += 1
             continue
         tagged = stage3_tag_observations(s)
@@ -534,7 +526,7 @@ def curate(samples, cfg: CurationConfig):
             provenance={
                 "generator": s.family,
                 "corrupted": s.corrupted,
-                "weak": "abstain" if weak_ans is None else ("correct" if [weak_ans] == list(s.gold) else "wrong"),
+                "weak": "abstain" if weak_ans is None else "wrong",
                 "strong": "correct",
             },
         ))
@@ -543,7 +535,7 @@ def curate(samples, cfg: CurationConfig):
 
 
 def build_corpus(cfg: CurationConfig):
-    return curate(generate_raw(cfg), cfg)
+    return curate(generate_raw(cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -302,7 +302,7 @@ def test_criterion_7_curation_soundness(tmp_path):
     raw = generate_raw(cfg)
     corrupted_count = sum(s.corrupted for s in raw)
     assert corrupted_count > 0
-    records, stats = curate(raw, cfg)
+    records, stats = curate(raw)
     assert stats["curated"] > 0
     for rec in records:
         assert stage1_filter(rec.sample) and stage2_filter(rec.sample)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from latentcot import vocab
-from latentcot.cli import (append_metrics, emit_report, evaluate,
+from latentcot.cli import (append_metrics, build_config, emit_report, evaluate,
                            load_config_file, main, read_csv, read_manifest,
                            render_sweep_svg, write_csv)
-from latentcot.model import Checkpoint, ModelConfig, init_params, load_checkpoint
+from latentcot.model import (Checkpoint, ModelConfig, init_params, load_checkpoint,
+                             save_checkpoint)
+from latentcot.sft import StageConfig
 from latentcot.tasks import read_dataset
 
 TINY_MODEL = ["--layers", "2", "--hidden-dim", "16", "--heads", "2"]
@@ -56,6 +58,10 @@ def test_full_pipeline_artifacts(tmp_path):
     assert commands[:4] == ["gen-data", "train-sft-stage1", "train-sft-stage2",
                             "train-sft-stage3"]
     assert any(k.startswith("input.") for k in sections[1])
+    # each latent stage records the alignment weight it trained with
+    assert sections[2]["alpha"] == "2.0" and "beta" not in sections[2]
+    assert sections[3]["beta"] == "2.0" and "alpha" not in sections[3]
+    assert "alpha" not in sections[1] and "beta" not in sections[1]
 
 
 def test_rl_command_and_latent_norm_log(tmp_path):
@@ -174,6 +180,47 @@ def test_config_file_round_trip(tmp_path):
     bad.write_text("learning_rate\n")
     with pytest.raises(ValueError, match="line 1"):
         load_config_file(bad)
+    # field defaults < command defaults < file < flags that are not None
+    built = build_config(StageConfig, cfg, {"epochs": 3, "k_train": 2},
+                         learning_rate=0.5, max_steps=None)
+    assert built == StageConfig(learning_rate=0.5, epochs=2, max_steps=4, k_train=2)
+
+
+SFT_STAGE1 = ["train-sft", "--stage", "1", "--max-steps", "2", *TINY_MODEL]
+RL_GRPO = ["train-rl", "--algo", "grpo", "--k-train-rl", "2", "--group-size", "2"]
+
+
+@pytest.mark.parametrize("argv, config_text, named", [
+    (SFT_STAGE1 + ["--max-steps", "-1"], None, ["max_steps"]),
+    (SFT_STAGE1 + ["--epochs", "0"], None, ["epochs"]),
+    (SFT_STAGE1 + ["--grad-accum", "0"], None, ["grad_accum"]),
+    (RL_GRPO + ["--group-size", "1"], None, ["group_size"]),
+    (RL_GRPO, "sigma=0", ["sigma"]),
+    (RL_GRPO, "clip_eps=5", ["clip_eps"]),
+    (SFT_STAGE1, "learnig_rate=0.1", ["bad.cfg", "learnig_rate"]),
+    (SFT_STAGE1, "epochs=two", ["bad.cfg", "epochs"]),
+    (RL_GRPO, "group_size=2.5", ["bad.cfg", "group_size"]),
+], ids=["max-steps-flag", "epochs-flag", "grad-accum-flag", "group-size-flag",
+        "sigma-file", "clip-eps-file", "unknown-key-file", "bad-int-file", "bad-rl-int-file"])
+def test_bad_config_values_fail_before_any_checkpoint(tmp_path, capsys, argv,
+                                                      config_text, named):
+    """A value from a flag or a --config file that its dataclass rejects, or
+    a file entry that names no field or does not parse, exits 1 with an
+    error naming the field (and the file), and no checkpoint is written."""
+    run = tmp_path / "run"
+    gen_tiny(run)
+    config = ModelConfig(layer_count=2, hidden_dim=16, head_count=2)
+    save_checkpoint(Checkpoint(config, "sft", 0, 0, init_params(config, np.random.default_rng(0))),
+                    run / "checkpoints" / "sft.ckpt")
+    if config_text is not None:
+        (tmp_path / "bad.cfg").write_text(config_text + "\n")
+        argv = argv + ["--config", str(tmp_path / "bad.cfg")]
+    before = sorted((run / "checkpoints").iterdir())
+    capsys.readouterr()
+    assert main([argv[0], "--run-dir", str(run), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(word in err for word in named), err
+    assert sorted((run / "checkpoints").iterdir()) == before
 
 
 def test_empty_report(tmp_path):

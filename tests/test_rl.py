@@ -311,8 +311,7 @@ def test_positive_advantage_pulls_latents_closer():
                       max_response_length=24)
     group = rollout_group(lookup_sample(), other, config, CFG, np.random.default_rng(11))
     # a fixed latent run, so the test never waits on sampling one
-    _inject_latent_run(group.rollouts[0], config.k_train_rl, CFG, other,
-                       np.random.default_rng(11))
+    _inject_latent_run(group.rollouts[0], config.k_train_rl, CFG, np.random.default_rng(11))
     roll = group.rollouts[0]
     roll.advantage = 1.0
 
@@ -345,7 +344,7 @@ def test_grpo_latent_gradients_zero_vlpo_nonzero():
                       max_response_length=24)
     rng = np.random.default_rng(14)
     group = rollout_group(lookup_sample(), params, config, CFG, rng)
-    _inject_latent_run(group.rollouts[0], config.k_train_rl, CFG, params, rng)
+    _inject_latent_run(group.rollouts[0], config.k_train_rl, CFG, rng)
     group.rollouts[0].reward, group.rollouts[0].correct = 1.1, True
     group.rollouts[1].reward, group.rollouts[1].correct = 0.1, False
     group = compute_advantages(group)
@@ -413,7 +412,7 @@ def test_rollout_latent_runs_have_config_length():
 
 
 def rl_records(n=3):
-    cfg = CurationConfig(sample_count=40, seed=77, lookup_grid=4)
+    cfg = CurationConfig(sample_count=40, seed=77)
     records, _ = build_corpus(cfg)
     return records[:n]
 
@@ -553,7 +552,7 @@ def _mixed_groups(config, old, seeds):
     for seed in seeds:
         rng = np.random.default_rng(seed)
         group = rollout_group(lookup_sample(), old, config, CFG, rng)
-        _inject_latent_run(group.rollouts[0], config.k_train_rl, CFG, old, rng)
+        _inject_latent_run(group.rollouts[0], config.k_train_rl, CFG, rng)
         for i, roll in enumerate(group.rollouts):
             roll.reward, roll.correct = (1.1, True) if i % 2 == 0 else (0.1, False)
         groups.append(group)

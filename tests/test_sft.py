@@ -40,7 +40,7 @@ def lookup_sample():
 
 
 def tiny_records(n=24, seed=21):
-    cfg = CurationConfig(sample_count=n * 3, seed=seed, lookup_grid=4)
+    cfg = CurationConfig(sample_count=n * 3, seed=seed)
     records, _ = build_corpus(cfg)
     return records[:n]
 
@@ -453,7 +453,7 @@ def test_stage2_ntp_invariant_to_aux_with_forced_latents():
 
 def test_stage_config_reference_defaults():
     cfg = StageConfig()
-    assert cfg.learning_rate == 1e-5 and cfg.weight_decay == 0.01
+    assert cfg.learning_rate == 1e-5 and AdamW({}, cfg.learning_rate).wd == 0.01
     assert cfg.k_train == 8
     weights = LossWeights()
     assert weights.alpha == 2.0 and weights.beta_stage3 == 2.0
@@ -472,7 +472,7 @@ def test_adamw_decoupled_decay():
 def test_stage1_loss_decreases_and_diagnostic_moves():
     records = tiny_records()
     base = init_params(CFG, np.random.default_rng(30))
-    stage = StageConfig(learning_rate=3e-3, epochs=3, max_steps=60, eval_interval=1000)
+    stage = StageConfig(learning_rate=3e-3, epochs=3, max_steps=60)
     result = train_stage1(base, records, CFG, stage, seed=1,
                           diag_samples=[r.sample for r in records[:8]])
     first = np.mean([row["loss"] for row in result.log[:8]])
@@ -527,7 +527,7 @@ def test_grad_accum_steps_on_a_last_partial_window(grad_accum, max_steps):
     assert len(calls) == math.ceil(max_steps / grad_accum)
 
     ref = copy_params(base)
-    opt = AdamW(ref, stage.learning_rate, stage.weight_decay)
+    opt = AdamW(ref, stage.learning_rate)
     order = [int(i) for i in np.random.default_rng(5).permutation(len(records))][:max_steps]
     for start in range(0, max_steps, grad_accum):
         window = []

@@ -216,7 +216,7 @@ def test_all_corrupted_samples_excluded():
     cfg = CurationConfig(sample_count=300, seed=12)
     raw = generate_raw(cfg)
     assert any(s.corrupted for s in raw)
-    records, _ = curate(raw, cfg)
+    records, _ = curate(raw)
     assert all(not rec.sample.corrupted for rec in records)
 
 
