@@ -149,14 +149,23 @@ def scale(a, s: float) -> Tensor:
     return Tensor(a.data * s, (a,), lambda g: (g * s,))
 
 
+def matmul_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`a @ b`; a one-row `a` (2-d or batched) runs beside a zero row, as BLAS's
+    gemv path for a lone row rounds differently from gemm."""
+    if a.shape[-2] != 1:
+        return a @ b
+    return (np.concatenate([a, np.zeros_like(a)], axis=-2) @ b)[..., :1, :]
+
+
 def matmul(a, b) -> Tensor:
+    """Matrix product by `matmul_array`'s rule, as is its vjp's `g @ bᵀ`."""
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
         raise ShapeError("matmul", a.shape, b.shape)
-    out = a.data @ b.data
+    out = matmul_array(a.data, b.data)
 
     def vjp(g):
-        return (g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g)
+        return (matmul_array(g, np.swapaxes(b.data, -1, -2)), np.swapaxes(a.data, -1, -2) @ g)
 
     return Tensor(out, (a, b), vjp)
 
@@ -493,17 +502,17 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None,
     """Reverse-mode gradients of a scalar `loss`.
 
     With `params` (name -> leaf tensor) returns {name: grad}; parameters not
-    reached by any gradient path get zeros. With `wrt` returns a list of
-    gradients aligned with the given nodes. Both may be combined. Nodes in
-    `stop_at` still accumulate gradient but their ancestors are not visited.
-    A node's gradient is dropped once its vjp has run, unless it is a `wrt`
-    node, so the map never holds every intermediate gradient at once.
+    reached by any gradient path get zeros. Otherwise returns a list of
+    gradients aligned with the nodes in `wrt`. Nodes in `stop_at` still
+    accumulate gradient but their ancestors are not visited. A node's
+    gradient is dropped once its vjp has run, unless it is a `wrt` node, so
+    the map never holds every intermediate gradient at once.
     """
     if loss.data.shape not in ((), (1,)):
         raise NonScalarLoss(f"backward requires a scalar loss, got shape {loss.data.shape}")
     stop = {id(t) for t in stop_at} if stop_at is not None else None
-    wrt = list(wrt) if wrt is not None else None
-    keep = {id(t) for t in wrt} if wrt is not None else set()
+    wrt = [] if wrt is None else list(wrt)
+    keep = {id(t) for t in wrt}
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(_topo(loss, stop)):
         g = grads.get(id(node))
@@ -520,14 +529,9 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None,
             acc = grads.get(id(p))
             grads[id(p)] = pg if acc is None else acc + pg
 
-    results = []
     if params is not None:
-        results.append({name: grads.get(id(t), np.zeros_like(t.data)) for name, t in params.items()})
-    if wrt is not None:
-        results.append([grads.get(id(t), np.zeros_like(t.data)) for t in wrt])
-    if params is not None and wrt is not None:
-        return tuple(results)
-    return results[0]
+        return {name: grads.get(id(t), np.zeros_like(t.data)) for name, t in params.items()}
+    return [grads.get(id(t), np.zeros_like(t.data)) for t in wrt]
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +568,8 @@ def finite_difference(f: Callable[[dict[str, np.ndarray]], float],
 
 
 def max_rel_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray],
-                  coords: dict[str, np.ndarray] | None = None,
-                  floor: float = 1e-8) -> float:
-    """Worst elementwise |a-n| / max(|a|, |n|, floor) across the compared coords."""
+                  coords: dict[str, np.ndarray] | None = None) -> float:
+    """Worst elementwise |a-n| / max(|a|, |n|, 1e-8) across the compared coords."""
     worst = 0.0
     for name, a in analytic.items():
         n = numeric[name]
@@ -576,6 +579,6 @@ def max_rel_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray
             n = n.reshape(-1)[sel]
         if a.size == 0:
             continue
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
         worst = max(worst, float((np.abs(a - n) / denom).max()))
     return worst

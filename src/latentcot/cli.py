@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import vocab
-from .gradcheck import run_gradcheck
+from .gradcheck import TOLERANCE, run_gradcheck
 from .layouts import build_prompt
 from .model import (Checkpoint, ModelConfig, decode_with_latents, init_params,
                     load_checkpoint, save_checkpoint)
@@ -200,8 +200,8 @@ def emit_report(rows, run_dir, baseline: float | None = None):
     return csv_path, svg_path
 
 
-def render_sweep_svg(rows, baseline: float | None = None,
-                     width: int = 640, height: int = 420) -> str:
+def render_sweep_svg(rows, baseline: float | None = None) -> str:
+    width, height = 640, 420
     left, right, top, bottom = 60, 20, 20, 50
     plot_w, plot_h = width - left - right, height - top - bottom
     ks = sorted({int(r["k_test"]) for r in rows}) if rows else []
@@ -254,18 +254,17 @@ def render_sweep_svg(rows, baseline: float | None = None,
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
+    # every split's config is checked before any file is written
+    splits = [(name, CurationConfig(sample_count=count, seed=seed,
+                                    corrupt_fraction=args.corrupt_fraction,
+                                    lookup_fraction=args.lookup_fraction))
+              for name, count, seed in (("train", args.train_count, args.seed),
+                                        ("eval", args.eval_count, args.seed + 101),
+                                        ("rl", args.rl_count, args.seed + 202))]
     run_dir = ensure_run_dir(args.run_dir)
-    splits = (("train", args.train_count, args.seed),
-              ("eval", args.eval_count, args.seed + 101),
-              ("rl", args.rl_count, args.seed + 202))
-    stats_all = {}
-    for name, count, seed in splits:
-        cfg = CurationConfig(sample_count=count, seed=seed,
-                             corrupt_fraction=args.corrupt_fraction,
-                             lookup_fraction=args.lookup_fraction)
+    for name, cfg in splits:
         records, stats = build_corpus(cfg)
         write_dataset(records, run_dir / "data" / f"{name}.jsonl")
-        stats_all[name] = stats
         print(f"{name}: {stats['curated']} curated of {stats['raw']} raw "
               f"(stage1 dropped {stats['stage1_dropped']}, stage2 dropped {stats['stage2_dropped']})")
     write_manifest(run_dir, "gen-data",
@@ -273,7 +272,7 @@ def cmd_gen_data(args) -> int:
                     "eval_count": args.eval_count, "rl_count": args.rl_count,
                     "corrupt_fraction": args.corrupt_fraction,
                     "lookup_fraction": args.lookup_fraction},
-                   {f"{n}.jsonl": run_dir / "data" / f"{n}.jsonl" for n, _, _ in splits})
+                   {f"{n}.jsonl": run_dir / "data" / f"{n}.jsonl" for n, _ in splits})
     return 0
 
 
@@ -293,13 +292,13 @@ def cmd_train_sft(args) -> int:
         mconfig = ModelConfig(layer_count=args.layers, hidden_dim=args.hidden_dim,
                               head_count=args.heads, max_positions=args.max_positions)
         base = init_params(mconfig, np.random.default_rng(args.seed))
-        save_checkpoint(Checkpoint(mconfig, "base", 0, args.seed, base), ck_dir / "base.ckpt")
         diag = None
         eval_path = run_dir / "data" / "eval.jsonl"
         if eval_path.exists():
             diag = [r.sample for r in read_dataset(eval_path)[:DIAG_SAMPLES]]
             inputs["eval.jsonl"] = eval_path
         result = train_stage1(base, records, mconfig, stage_cfg, args.seed, diag)
+        save_checkpoint(Checkpoint(mconfig, "base", 0, args.seed, base), ck_dir / "base.ckpt")
         save_checkpoint(Checkpoint(mconfig, "warmup", len(result.log), args.seed,
                                    result.params), ck_dir / "warmup.ckpt")
         write_csv(run_dir / "logs" / "stage1.csv", result.log, ["step", "loss"])
@@ -414,7 +413,7 @@ def cmd_gradcheck(args) -> int:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.name:14s} max_rel_err={r.max_rel_error:.3e}  [{status}]")
         worst = max(worst, r.max_rel_error)
-    print(f"worst relative error {worst:.3e} (threshold {results[0].tolerance:.0e})")
+    print(f"worst relative error {worst:.3e} (threshold {TOLERANCE:.0e})")
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -25,16 +25,17 @@ from .sft import (LossWeights, _latent_stage_loss, _student_pass, _teacher_pass,
                   stage2_sample_losses, stage3_sample_losses)
 from .tasks import DatasetRecord, make_lookup_sample, stage3_tag_observations
 
+TOLERANCE = 1e-4  # largest relative error a check passes with
+
 
 @dataclass
 class CheckResult:
     name: str
     max_rel_error: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
+        return self.max_rel_error < TOLERANCE
 
 
 def _tiny_model(seed: int):
@@ -53,12 +54,12 @@ def _tiny_sample():
     return stage3_tag_observations(make_lookup_sample(grid, (1, 1, 2, 2), (2, 1)))
 
 
-def _sample_coords(params: dict, rng: np.random.Generator, budget: int = 64) -> dict:
-    """Spread at most `budget` coordinates across all parameter tensors."""
+def _sample_coords(params: dict, rng: np.random.Generator) -> dict:
+    """Spread at most 64 coordinates across all parameter tensors."""
     names = list(params)
     sizes = np.array([params[n].data.size for n in names])
     flat_total = int(sizes.sum())
-    picks = rng.choice(flat_total, size=min(budget, flat_total), replace=False)
+    picks = rng.choice(flat_total, size=min(64, flat_total), replace=False)
     bounds = np.cumsum(sizes)
     coords: dict = {n: [] for n in names}
     for p in np.sort(picks):
@@ -68,7 +69,7 @@ def _sample_coords(params: dict, rng: np.random.Generator, budget: int = 64) -> 
     return {n: np.array(v, dtype=np.int64) for n, v in coords.items() if v}
 
 
-def _fd_check(name, loss_node, build, params, coords, eps, tol) -> CheckResult:
+def _fd_check(name, loss_node, build, params, coords) -> CheckResult:
     """Backward through `loss_node` against central differences of
     `build(params)`, each evaluated without a graph."""
     def value(pvals):
@@ -77,42 +78,41 @@ def _fd_check(name, loss_node, build, params, coords, eps, tol) -> CheckResult:
 
     analytic = ad.backward(loss_node, params)
     numeric = ad.finite_difference(value, {n: t.data for n, t in params.items()},
-                                   eps=eps, coords=coords)
-    return CheckResult(name, ad.max_rel_error(analytic, numeric, coords), tol)
+                                   eps=1e-5, coords=coords)
+    return CheckResult(name, ad.max_rel_error(analytic, numeric, coords))
 
 
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
 
-def check_ntp(config, params, sample, coords, eps, tol):
+def check_ntp(config, params, sample, coords):
     def build(pdict):
         return stage1_sample_loss(sample, pdict, config)
 
-    return _fd_check("ntp", build(params), build, params, coords, eps, tol)
+    return _fd_check("ntp", build(params), build, params, coords)
 
 
-def check_align_obs(config, params, teacher_params, sample, k, coords, eps, tol):
+def check_align_obs(config, params, teacher_params, sample, k, coords):
     tb, t_stack = _teacher_pass(sample, teacher_params, config)
 
     def build(pdict):
         built, _, _, _, stack = _student_pass(sample, k, True, pdict, config)
         return align_obs_loss(t_stack, stack, tb.obs_positions, built.obs_positions)
 
-    return _fd_check("align-obs", build(params), build, params, coords, eps, tol)
+    return _fd_check("align-obs", build(params), build, params, coords)
 
 
-def check_align_latent(config, params, store_entry, sample, k, coords, eps, tol):
+def check_align_latent(config, params, store_entry, sample, k, coords):
     def build(pdict):
         built, _, _, _, stack = _student_pass(sample, k, False, pdict, config)
         slots = [p for _, _, p in built.layout.latent_slots]
         return align_latent_loss(store_entry, stack, slots)
 
-    return _fd_check("align-latent", build(params), build, params, coords, eps, tol)
+    return _fd_check("align-latent", build(params), build, params, coords)
 
 
-def check_stage_total(kind, config, params, teacher_params, store, sample, k,
-                      weight, coords, eps, tol):
+def check_stage_total(kind, config, params, teacher_params, store, sample, k, weight, coords):
     """Total stage loss; the surrogate's stop-gradient adjoints are frozen at
     the base parameters before differencing, matching what backward
     differentiates."""
@@ -120,7 +120,7 @@ def check_stage_total(kind, config, params, teacher_params, store, sample, k,
         losses = stage2_sample_losses(sample, teacher_params, params, config, k)
     else:
         losses = stage3_sample_losses(sample, 0, store, params, config, k)
-    total, _, _ = _latent_stage_loss(losses, weight, "align")
+    total, _ = _latent_stage_loss(losses, weight, "align")
     frozen = [np.asarray(g).copy() for g in losses[3]]
 
     def build(pdict):
@@ -129,7 +129,7 @@ def check_stage_total(kind, config, params, teacher_params, store, sample, k,
         return ad.add(ntp_loss(logits, built.layout, built.label_mask),
                       ad.scale(latent_only_surrogate(frozen, produced), weight))
 
-    return _fd_check(f"{kind}-total", total, build, params, coords, eps, tol)
+    return _fd_check(f"{kind}-total", total, build, params, coords)
 
 
 def _make_groups(sample, old_params, config, rl_config, rng, need_latents):
@@ -161,7 +161,7 @@ def _inject_latent_run(roll, k, config, rng):
     roll.layout = SequenceLayout(segments)
 
 
-def check_policy(algo, config, params, old_params, sample, coords, eps, tol, seed):
+def check_policy(algo, config, params, old_params, sample, coords, seed):
     rl_config = RlConfig(group_size=2, k_train_rl=2, temperature=0.7,
                          max_response_length=20, clip_eps=0.2)
     rng = np.random.default_rng(seed)
@@ -172,15 +172,14 @@ def check_policy(algo, config, params, old_params, sample, coords, eps, tol, see
         loss, _ = policy_objective(groups, pdict, None, rl_config, algo, config)
         return loss
 
-    return _fd_check(algo.value, build(params), build, params, coords, eps, tol)
+    return _fd_check(algo.value, build(params), build, params, coords)
 
 
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
-def run_gradcheck(seed: int = 0, eps: float = 1e-5, tol: float = 1e-4,
-                  budget: int = 64) -> list:
+def run_gradcheck(seed: int = 0) -> list:
     """All loss-level gradient checks on a 2-layer, d=16 model."""
     config, params = _tiny_model(seed)
     _, teacher_params = _tiny_model(seed + 1)
@@ -188,19 +187,19 @@ def run_gradcheck(seed: int = 0, eps: float = 1e-5, tol: float = 1e-4,
     sample = _tiny_sample()
     k = 2
     rng = np.random.default_rng(seed + 3)
-    coords = _sample_coords(params, rng, budget)
+    coords = _sample_coords(params, rng)
     store = emit_target_latents(params, _records_for(sample), config, k)
     weights = LossWeights()
     results = [
-        check_ntp(config, params, sample, coords, eps, tol),
-        check_align_obs(config, params, teacher_params, sample, k, coords, eps, tol),
-        check_align_latent(config, params, store.get(0), sample, k, coords, eps, tol),
+        check_ntp(config, params, sample, coords),
+        check_align_obs(config, params, teacher_params, sample, k, coords),
+        check_align_latent(config, params, store.get(0), sample, k, coords),
         check_stage_total("stage2", config, params, teacher_params, None, sample, k,
-                          weights.alpha, coords, eps, tol),
+                          weights.alpha, coords),
         check_stage_total("stage3", config, params, teacher_params, store, sample, k,
-                          weights.beta_stage3, coords, eps, tol),
-        check_policy(Algo.GRPO, config, params, old_params, sample, coords, eps, tol, seed + 4),
-        check_policy(Algo.VLPO, config, params, old_params, sample, coords, eps, tol, seed + 5),
+                          weights.beta_stage3, coords),
+        check_policy(Algo.GRPO, config, params, old_params, sample, coords, seed + 4),
+        check_policy(Algo.VLPO, config, params, old_params, sample, coords, seed + 5),
     ]
     return results
 

@@ -175,13 +175,8 @@ class SequenceLayout:
         self.segments[si].latents[slot] = value
 
 
-@dataclass
-class AttentionMaskSpec:
-    mode: MaskMode
-    allow: np.ndarray  # (T, T) bool, allow[q][k]
-
-
-def build_attention_mask(layout: SequenceLayout, mode: MaskMode) -> AttentionMaskSpec:
+def build_attention_mask(layout: SequenceLayout, mode: MaskMode) -> np.ndarray:
+    """The (T, T) bool mask: allow[q, k] says whether position q sees key k."""
     T = layout.length
     allow = np.tril(np.ones((T, T), dtype=bool))
     if mode is MaskMode.AUX_GATED:
@@ -198,7 +193,7 @@ def build_attention_mask(layout: SequenceLayout, mode: MaskMode) -> AttentionMas
             rows[a0:a1] = True
             rows[l0:l1] = True
             allow[:, a0:a1] &= rows[:, None]
-    return AttentionMaskSpec(mode, allow)
+    return allow
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +328,9 @@ class ForwardCache:
     valid. Beside the buffers the cache keeps, per pass, the graph nodes that
     produced its rows (`owners`) and its `spans`: the first row it ran and the
     first row it added. A pass that reruns the row before its new one writes
-    that row's bits again (they differ only after a one-row first pass) but
-    leaves its gradient with the pass that first ran it. Under `no_grad` the
-    nodes have no parents and the buffer views are all a pass reads.
+    that row's bits again but leaves its gradient with the pass that first
+    ran it. Under `no_grad` the nodes have no parents and the buffer views
+    are all a pass reads.
 
     The buffers start zero-filled, and `rows` may be handed in (a view of a
     group's shared buffer): a group step reads the rows past a sequence's
@@ -382,7 +377,7 @@ class ForwardCache:
         return ad.get_row(self.owners[-1][j], pos - self.spans[j][0])
 
 
-def forward(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
+def forward(layout: SequenceLayout, mask: np.ndarray, params: dict,
             config: ModelConfig, cache: ForwardCache | None = None):
     """Pre-norm transformer pass.
 
@@ -397,13 +392,13 @@ def forward(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
     With a `cache` the layout must extend the sequence the cache holds. The
     pass runs only the rows the cache lacks, attending to the cached keys
     and values, and stores the new rows; its stack holds just those rows.
-    `mask.allow` may then hold only the last rows of the (T, T) mask, down
-    to the first row the pass runs. Logits still come from one matmul over
-    all T final rows, as in a full pass: OpenBLAS rounds a row of the narrow
+    `mask` may then hold only the last rows of the (T, T) mask, down to the
+    first row the pass runs. Logits still come from one matmul over all T
+    final rows, as in a full pass: OpenBLAS rounds a row of the narrow
     output projection by its place in the row blocking. A single new row
-    runs beside the row before it, since a one-row matmul (gemv) rounds
-    differently. With a graph, the cached rows are nodes, so backward
-    reaches the passes that made them.
+    runs beside the row before it, so that every product has two rows and
+    none pays for `ad.matmul`'s one-row padding. With a graph, the cached
+    rows are nodes, so backward reaches the passes that made them.
     """
     T = layout.length
     start = 0
@@ -412,10 +407,10 @@ def forward(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
             raise LayoutError(f"layout length {T} does not extend the {cache.length} cached rows")
         start = max(min(cache.length, T - 2), 0)
     R = T - start
-    if mask.allow.shape[1:] != (T,) or not R <= mask.allow.shape[0] <= T:
-        raise LayoutError(f"mask shape {mask.allow.shape} does not match layout length {T} "
+    if mask.shape[1:] != (T,) or not R <= mask.shape[0] <= T:
+        raise LayoutError(f"mask shape {mask.shape} does not match layout length {T} "
                           f"with {R} rows to run")
-    allow = np.broadcast_to(mask.allow[-R:], (1, config.head_count, R, T))
+    allow = np.broadcast_to(mask[-R:], (1, config.head_count, R, T))
     x0 = embed_layout(layout, params, config, start)
     if cache is not None:
         cache.spans.append((start, cache.length))
@@ -452,11 +447,11 @@ def forward_group(layouts: list, params: dict, config: ModelConfig):
     w_out = params["w_out"]
     logits = np.zeros((G * T, config.vocab_size))
     for rows in own:
-        logits[rows] = final.data[rows] @ w_out.data
+        logits[rows] = ad.matmul_array(final.data[rows], w_out.data)
 
     def vjp(g):
         g = g * real  # padded logits rows are constant zeros
-        return g @ w_out.data.T, final.data.T @ g
+        return ad.matmul_array(g, w_out.data.T), final.data.T @ g
 
     return ad.Tensor(logits, (final, w_out), vjp), final
 
@@ -525,7 +520,7 @@ def _from_heads(x: ad.Tensor) -> ad.Tensor:
 # latent fill (training-time autoregressive slot binding)
 # ---------------------------------------------------------------------------
 
-def fill_latents(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
+def fill_latents(layout: SequenceLayout, mask: np.ndarray, params: dict,
                  config: ModelConfig) -> list:
     """Bind every latent slot autoregressively.
 
@@ -535,10 +530,9 @@ def fill_latents(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
     only the rows the cache lacks, so each row runs once (a one-row step
     also reruns the row before it) and no row after the last source runs.
     A graph, if one is being built, carries through the cache. Prefix
-    invariance gives every vector the bits of a full pass, unless a source
-    sits at position 0: that first pass is one row, and takes the gemv
-    path. Returns the produced vectors (graph nodes) in slot order; the
-    layout's slots are left holding them.
+    invariance gives every vector the bits of a full pass. Returns the
+    produced vectors (graph nodes) in slot order; the layout's slots are
+    left holding them.
     """
     cache = ForwardCache(config)
     produced = []
@@ -546,8 +540,7 @@ def fill_latents(layout: SequenceLayout, mask: AttentionMaskSpec, params: dict,
         src = layout.latent_source(si) if slot == 0 else pos - 1
         if src >= cache.length:
             t = src + 1
-            forward(layout.prefix(t), AttentionMaskSpec(mask.mode, mask.allow[:t, :t]),
-                    params, config, cache)
+            forward(layout.prefix(t), mask[:t, :t], params, config, cache)
         vec = cache.final_row(src)
         layout.set_latent(si, slot, vec)
         produced.append(vec)
@@ -673,10 +666,8 @@ def decode_group(prompt: SequenceLayout, k_latent: int, params: dict, config: Mo
             logits, stack = forward(prompt, build_attention_mask(prompt, MaskMode.CAUSAL),
                                     params, config, caches[0])
         rows[1:, :, :P] = rows[0, :, :P]
-        for cache in caches:
-            # a one-row pass takes the gemv path, and a full pass over a
-            # longer prefix does not, so the first step reruns that row
-            cache.length = P if P > 1 else 0
+        for cache in caches[1:]:
+            cache.length = P
         outs = [(logits.data[-1], stack[-1].data[-1])] * len(live)
     while live:
         live = [g for g, out in zip(live, outs) if _resume(loops[g], out)]
@@ -726,25 +717,19 @@ def _step(live: list, layouts: list, caches: list, rows: np.ndarray, params: dic
           config: ModelConfig) -> list:
     """One cached step of the `live` sequences: each runs its last two rows
     (after the prompt every step has a new row and reruns the one before
-    it). A lone sequence steps through `forward`, and so does each sequence
-    on the first step after a one-row prompt, whose cache holds no rows then.
-    Several run as one stacked pass, each attending over its own keys and
-    values in `rows[g]`, with zero rows padding it to the longest sequence;
-    those columns get probability exactly 0. Logits come from one matmul
-    per sequence over its own final rows, as in `forward`. Returns each
-    sequence's last (logits row, final state)."""
-    if len(live) == 1 or not caches[live[0]].length:
-        outs = []
-        for g in live:
-            T = layouts[g].length
-            first = T - 2 if caches[g].length else 0
-            with ad.no_grad():
-                logits, stack = forward(
-                    layouts[g], AttentionMaskSpec(MaskMode.CAUSAL,
-                                                  np.arange(T) <= np.arange(first, T)[:, None]),
-                    params, config, caches[g])
-            outs.append((logits.data[-1], stack[-1].data[-1]))
-        return outs
+    it). A lone sequence steps through `forward`. Several run as one
+    stacked pass, each attending over its own keys and values in `rows[g]`,
+    with zero rows padding it to the longest sequence; those columns get
+    probability exactly 0. Logits come from one matmul per sequence over its
+    own final rows, as in `forward`. Returns each sequence's last (logits
+    row, final state)."""
+    if len(live) == 1:
+        g, = live
+        T = layouts[g].length
+        with ad.no_grad():
+            logits, stack = forward(layouts[g], np.arange(T) <= np.arange(T - 2, T)[:, None],
+                                    params, config, caches[g])
+        return [(logits.data[-1], stack[-1].data[-1])]
     ends = np.array([layouts[g].length for g in live])
     T = int(ends.max())
     pos = (ends[:, None] - np.array([2, 1])).ravel()  # the two rows of each sequence
@@ -767,7 +752,7 @@ def _step(live: list, layouts: list, caches: list, rows: np.ndarray, params: dic
     outs = []
     for j, g in enumerate(live):
         caches[g].length = int(ends[j])
-        logits = rows[g, top, :ends[j]] @ params["w_out"].data
+        logits = ad.matmul_array(rows[g, top, :ends[j]], params["w_out"].data)
         outs.append((logits[-1], final[2 * j + 1]))
     return outs
 
@@ -792,6 +777,9 @@ def save_checkpoint(ckpt: Checkpoint, path):
     shapes = param_shapes(ckpt.config)
     if list(shapes) != list(ckpt.params):
         raise ValueError("checkpoint parameters do not match the declared order")
+    for name in shapes:
+        if not np.isfinite(ckpt.params[name].data).all():
+            raise ValueError(f"{path}: parameter {name} holds non-finite values; not saved")
     lines = [f"{k}={v}" for k, v in ckpt.config.to_manifest().items()]
     lines += [f"stage={ckpt.stage}", f"step={ckpt.step}", f"seed={ckpt.seed}"]
     blob = b"".join(np.ascontiguousarray(ckpt.params[n].data, dtype="<f8").tobytes()

@@ -40,14 +40,19 @@ class RlConfig:
     format_bonus: float = 0.1
 
     def __post_init__(self):
-        if self.group_size < 2:
-            raise ValueError("group_size must be >= 2")
-        if not 0.0 < self.clip_eps < 1.0:
-            raise ValueError("clip_eps must lie in (0, 1)")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if not 0.0 < self.accuracy_threshold <= 1.0:
-            raise ValueError("accuracy_threshold must lie in (0, 1]")
+        # each rule is written so that NaN breaks it
+        for ok, rule in ((self.group_size >= 2, "group_size must be >= 2"),
+                         (0.0 < self.clip_eps < 1.0, "clip_eps must lie in (0, 1)"),
+                         (self.kl_coeff >= 0, "kl_coeff must be >= 0"),
+                         (self.sigma > 0, "sigma must be > 0"),
+                         (self.temperature >= 0, "temperature must be >= 0"),
+                         (self.max_response_length >= 1, "max_response_length must be >= 1"),
+                         (0.0 < self.accuracy_threshold <= 1.0, "accuracy_threshold must lie in (0, 1]"),
+                         (self.learning_rate > 0, "learning_rate must be > 0"),
+                         (self.k_train_rl >= 0, "k_train_rl must be >= 0"),
+                         (abs(self.format_bonus) < np.inf, "format_bonus must be finite")):
+            if not ok:
+                raise ValueError(rule)
 
 
 @dataclass
@@ -320,6 +325,8 @@ class RlResult:
 def train_rl(sft_params: dict, records, config: RlConfig, algo: Algo,
              mconfig: ModelConfig, seed: int, epochs: int = 1) -> RlResult:
     """One prompt group per update step; rollouts under the pre-update policy."""
+    if not records:
+        raise ValueError("rl: no training records")
     params = copy_params(sft_params)
     reference = copy_params(sft_params)
     opt = AdamW(params, config.learning_rate)

@@ -39,8 +39,9 @@ class LossWeights:
     beta_stage3: float = 2.0  # stage-3 latent-alignment weight
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta_stage3 < 0:
-            raise ValueError("loss weights must be >= 0")
+        for name in ("alpha", "beta_stage3"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass
@@ -52,44 +53,40 @@ class StageConfig:
     k_train: int = 8
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.grad_accum < 1:
-            raise ValueError("grad_accum must be >= 1")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be None or >= 1")
-        if self.k_train < 0:
-            raise ValueError("k_train must be >= 0")
+        for ok, rule in ((self.learning_rate > 0, "learning_rate must be > 0"),
+                         (self.epochs >= 1, "epochs must be >= 1"),
+                         (self.grad_accum >= 1, "grad_accum must be >= 1"),
+                         (self.max_steps is None or self.max_steps >= 1, "max_steps must be None or >= 1"),
+                         (self.k_train >= 0, "k_train must be >= 0")):
+            if not ok:
+                raise ValueError(rule)
 
 
 DIAG_INTERVAL = 250  # stage-1 steps between observation-accuracy diagnostics
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+WEIGHT_DECAY = 0.01  # AdamW's decoupled weight decay
 
 
 class AdamW:
     """Adaptive moments with decoupled weight decay."""
 
-    def __init__(self, params: dict, lr: float, weight_decay: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float):
         self.params = params
         self.lr = lr
-        self.wd = weight_decay
-        self.b1, self.b2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.t = 0
 
     def step(self, grads: dict):
         self.t += 1
-        c1 = 1.0 - self.b1 ** self.t
-        c2 = 1.0 - self.b2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for name, tensor in self.params.items():
             g = grads[name]
-            m = self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            v = self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            tensor.data -= self.lr * (update + self.wd * tensor.data)
+            m = self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+            v = self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
+            update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            tensor.data -= self.lr * (update + WEIGHT_DECAY * tensor.data)
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +285,21 @@ def _train(params: dict, records, stage: StageConfig, seed: int, name: str,
            sample_loss, after_step=None) -> TrainResult:
     """The loop all three SFT stages run, training `params` in place.
 
-    `sample_loss(record)` returns (node to differentiate, value checked for
-    finiteness, log fields). AdamW steps on the mean gradient of each
-    `grad_accum` samples; a last partial window steps on the mean of the
-    samples it holds. `after_step(step)` runs once each step is logged.
+    `sample_loss(record)` returns (node to differentiate, log fields); a
+    non-finite node value stops training. AdamW steps on the mean gradient
+    of each `grad_accum` samples; a last partial window steps on the mean of
+    the samples it holds. `after_step(step)` runs once each step is logged.
     """
+    if not records:
+        raise ValueError(f"{name}: no training records")
     opt = AdamW(params, stage.learning_rate)
     order = list(_epoch_order(len(records), stage.epochs, stage.max_steps,
                               np.random.default_rng(seed)))
     result = TrainResult(params)
     acc, in_acc = None, 0
     for step, idx in enumerate(order):
-        loss, checked, fields = sample_loss(records[idx])
-        if not np.isfinite(checked):
+        loss, fields = sample_loss(records[idx])
+        if not np.isfinite(loss.item()):
             raise TrainingDiverged(f"{name}: loss became non-finite at step {step}")
         acc = _accumulate(acc, ad.backward(loss, params))
         in_acc += 1
@@ -347,7 +346,7 @@ def _latent_stage_loss(losses, weight: float, align_field: str):
     """Stage 2/3 sample loss for `_train`: NTP plus the weighted surrogate."""
     loss_ntp, loss_align, surrogate, _ = losses
     total = ad.add(loss_ntp, ad.scale(surrogate, weight))
-    return total, loss_ntp.item() + loss_align.item(), {
+    return total, {
         "ntp": loss_ntp.item(), align_field: loss_align.item(), "total": total.item()}
 
 
@@ -376,7 +375,7 @@ def train_stage1(base_params: dict, records, config: ModelConfig, stage: StageCo
 
     def sample_loss(rec):
         loss = stage1_sample_loss(rec.sample, params, config)
-        return loss, loss.item(), {"loss": loss.item()}
+        return loss, {"loss": loss.item()}
 
     def diagnose(step):
         with_aux, without_aux = measure_obs_accuracy(params, config, diag_samples)

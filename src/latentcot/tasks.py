@@ -27,6 +27,9 @@ import numpy as np
 from . import vocab
 
 POOL = 2  # pooling factor of the question-image embedder
+GRID_SIZE = 4  # rows and columns of every generated grid
+CROP_SIZE = 2  # side of a lookup task's crop, one pooling block
+COUNT_REMOVALS = 2  # row/column removal steps of a count task
 
 SCHEMA_VERSION = 1
 
@@ -293,38 +296,32 @@ def _fill_block(rng: np.random.Generator) -> list:
     return [cells[i] for i in order]
 
 
-def generate_lookup_task(rng: np.random.Generator, grid_size: int = 4,
-                         crop_size: int = 2) -> ToySample:
+def generate_lookup_task(rng: np.random.Generator) -> ToySample:
     """Crops are aligned to pooling blocks, so one pooled patch carries the
     whole (lossy) evidence for the queried region."""
-    if crop_size > grid_size:
-        raise ValueError("crop does not fit in grid")
-    R = C = grid_size
+    R = C = GRID_SIZE
     grid = [[None] * C for _ in range(R)]
     for bi in range(R // POOL):
         for bj in range(C // POOL):
             block = _fill_block(rng)
             for k, (di, dj) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
                 grid[bi * POOL + di][bj * POOL + dj] = block[k]
-    r0 = POOL * int(rng.integers(0, (R - crop_size) // POOL + 1))
-    c0 = POOL * int(rng.integers(0, (C - crop_size) // POOL + 1))
-    bbox = (r0, c0, r0 + crop_size - 1, c0 + crop_size - 1)
-    qr = r0 + int(rng.integers(crop_size))
-    qc = c0 + int(rng.integers(crop_size))
+    r0 = POOL * int(rng.integers(0, (R - CROP_SIZE) // POOL + 1))
+    c0 = POOL * int(rng.integers(0, (C - CROP_SIZE) // POOL + 1))
+    bbox = (r0, c0, r0 + CROP_SIZE - 1, c0 + CROP_SIZE - 1)
+    qr = r0 + int(rng.integers(CROP_SIZE))
+    qc = c0 + int(rng.integers(CROP_SIZE))
     return make_lookup_sample(grid, bbox, (qr, qc))
 
 
-def generate_count_task(rng: np.random.Generator, grid_size: int = 4,
-                        removal_steps: int = 2) -> ToySample:
-    if removal_steps < 1:
-        raise ValueError("need at least one removal step")
-    R = C = grid_size
+def generate_count_task(rng: np.random.Generator) -> ToySample:
+    R = C = GRID_SIZE
     for _ in range(64):
         syms = [vocab.SYMBOLS[i] for i in rng.choice(len(vocab.SYMBOLS), size=4, replace=False)]
         grid = [[syms[rng.integers(len(syms))] for _ in range(C)] for _ in range(R)]
         target = syms[int(rng.integers(len(syms)))]
         lines = [("row", i) for i in range(R)] + [("col", j) for j in range(C)]
-        picks = rng.choice(len(lines), size=removal_steps, replace=False)
+        picks = rng.choice(len(lines), size=COUNT_REMOVALS, replace=False)
         steps = [lines[i] for i in picks]
         if count_symbol(grid, target) > 9:
             continue
@@ -489,6 +486,13 @@ class CurationConfig:
     seed: int = 0
     corrupt_fraction: float = 0.10
     lookup_fraction: float = 0.80
+
+    def __post_init__(self):
+        for ok, rule in ((self.sample_count >= 1, "sample_count must be >= 1"),
+                         (0.0 <= self.corrupt_fraction <= 1.0, "corrupt_fraction must lie in [0, 1]"),
+                         (0.0 <= self.lookup_fraction <= 1.0, "lookup_fraction must lie in [0, 1]")):
+            if not ok:
+                raise ValueError(rule)
 
 
 def generate_raw(cfg: CurationConfig) -> list:

@@ -72,7 +72,7 @@ def tagged_lookup():
 
 def test_criterion_1_gradient_correctness():
     started = time.monotonic()
-    results = run_gradcheck(seed=0, eps=1e-5, tol=1e-4, budget=64)
+    results = run_gradcheck(seed=0)
     elapsed = time.monotonic() - started
     names = {r.name for r in results}
     assert {"ntp", "align-obs", "align-latent", "stage2-total", "stage3-total",
@@ -118,8 +118,8 @@ def test_criterion_3_attention_flow():
     for i in range(100):
         layout = random_layout(rng, require_aux=i % 2 == 0)
         for mode in (MaskMode.CAUSAL, MaskMode.AUX_GATED):
-            spec = build_attention_mask(layout, mode)
-            assert np.array_equal(spec.allow, brute_force_mask(layout, mode))
+            mask = build_attention_mask(layout, mode)
+            assert np.array_equal(mask, brute_force_mask(layout, mode))
 
     params = init_params(SMALL, np.random.default_rng(1))
     forced = [np.random.default_rng(2).normal(size=SMALL.hidden_dim) for _ in range(3)]

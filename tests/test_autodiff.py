@@ -234,3 +234,34 @@ def test_matmul_grads_match_fd(seed):
 
     numeric = ad.finite_difference(f, vals, eps=1e-5)
     assert ad.max_rel_error(analytic, numeric) < 1e-4
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((7, 64), (64, 256)), ((7, 16), (16, 16)),
+                                              ((2, 4, 7, 16), (2, 4, 9, 16))])
+def test_one_row_matmul_matches_its_row_in_a_longer_product(a_shape, b_shape):
+    """A one-row left operand gets the bits of the same row inside a longer
+    product, in the output and in both vjp products (BLAS alone would take
+    the lone row down its gemv path). The shapes are the model's: hidden
+    widths, and attention scores against transposed keys (G, H, dh, T)."""
+    rng = np.random.default_rng(5)
+    a_all, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+    if b.ndim == 4:
+        b = np.swapaxes(b, -1, -2)
+    g_all = rng.normal(size=a_shape[:-1] + b.shape[-1:])
+
+    def run(a_val, g):
+        a, bp = ad.parameter("a", a_val), ad.parameter("b", b)
+        out = ad.matmul(a, bp)
+        grads = ad.backward(ad.sum_all(ad.mul(out, g)), {"a": a, "b": bp})
+        return out.data, grads["a"], grads["b"]
+
+    long_out, long_grad_a, _ = run(a_all, g_all)
+    for i in range(a_shape[-2]):
+        row = np.s_[..., i:i + 1, :]
+        out, grad_a, grad_b = run(a_all[row], g_all[row])
+        assert np.array_equal(out, long_out[row])
+        assert np.array_equal(grad_a, long_grad_a[row])
+        # with the other rows' output gradients zero, `aᵀ @ g` is this row's alone
+        g_row = np.zeros_like(g_all)
+        g_row[row] = g_all[row]
+        assert np.array_equal(grad_b, run(a_all, g_row)[2])

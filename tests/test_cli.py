@@ -187,7 +187,12 @@ def test_config_file_round_trip(tmp_path):
 
 
 SFT_STAGE1 = ["train-sft", "--stage", "1", "--max-steps", "2", *TINY_MODEL]
+SFT_STAGE2 = ["train-sft", "--stage", "2", "--max-steps", "1", "--k-train", "2"]
 RL_GRPO = ["train-rl", "--algo", "grpo", "--k-train-rl", "2", "--group-size", "2"]
+
+
+def _run_files(run):
+    return {p: p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
 
 
 @pytest.mark.parametrize("argv, config_text, named", [
@@ -200,27 +205,61 @@ RL_GRPO = ["train-rl", "--algo", "grpo", "--k-train-rl", "2", "--group-size", "2
     (SFT_STAGE1, "learnig_rate=0.1", ["bad.cfg", "learnig_rate"]),
     (SFT_STAGE1, "epochs=two", ["bad.cfg", "epochs"]),
     (RL_GRPO, "group_size=2.5", ["bad.cfg", "group_size"]),
+    (RL_GRPO + ["--learning-rate", "-1"], None, ["learning_rate"]),
+    (RL_GRPO + ["--k-train-rl", "-3"], None, ["k_train_rl"]),
+    (RL_GRPO, "sigma=nan", ["sigma"]),
+    (RL_GRPO, "temperature=-0.5", ["temperature"]),
+    (SFT_STAGE2 + ["--alpha", "nan"], None, ["alpha"]),
+    (["gen-data", "--train-count", "0"], None, ["sample_count"]),
+    (["gen-data", "--corrupt-fraction", "3"], None, ["corrupt_fraction"]),
 ], ids=["max-steps-flag", "epochs-flag", "grad-accum-flag", "group-size-flag",
-        "sigma-file", "clip-eps-file", "unknown-key-file", "bad-int-file", "bad-rl-int-file"])
+        "sigma-file", "clip-eps-file", "unknown-key-file", "bad-int-file", "bad-rl-int-file",
+        "rl-learning-rate-flag", "k-train-rl-flag", "sigma-nan-file", "temperature-file",
+        "alpha-nan-flag", "train-count-flag", "corrupt-fraction-flag"])
 def test_bad_config_values_fail_before_any_checkpoint(tmp_path, capsys, argv,
                                                       config_text, named):
     """A value from a flag or a --config file that its dataclass rejects, or
     a file entry that names no field or does not parse, exits 1 with an
-    error naming the field (and the file), and no checkpoint is written."""
+    error naming the field (and the file), and the run dir is left as it
+    was: no checkpoint, data file or manifest entry is written."""
+    run = tmp_path / "run"
+    gen_tiny(run)
+    config = ModelConfig(layer_count=2, hidden_dim=16, head_count=2)
+    params = init_params(config, np.random.default_rng(0))
+    for name in ("warmup", "sft"):
+        save_checkpoint(Checkpoint(config, name, 0, 0, params),
+                        run / "checkpoints" / f"{name}.ckpt")
+    if config_text is not None:
+        (tmp_path / "bad.cfg").write_text(config_text + "\n")
+        argv = argv + ["--config", str(tmp_path / "bad.cfg")]
+    before = _run_files(run)
+    capsys.readouterr()
+    assert main([argv[0], "--run-dir", str(run), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(word in err for word in named), err
+    assert _run_files(run) == before
+
+
+@pytest.mark.parametrize("argv, split, named", [
+    (SFT_STAGE1, "train.jsonl", "stage1"),
+    (RL_GRPO, "rl.jsonl", "rl"),
+], ids=["sft-stage1", "rl"])
+def test_an_empty_training_split_fails_before_any_checkpoint(tmp_path, capsys, argv, split,
+                                                             named):
+    """Training on a split with no records exits 1 naming the stage, and
+    writes no checkpoint."""
     run = tmp_path / "run"
     gen_tiny(run)
     config = ModelConfig(layer_count=2, hidden_dim=16, head_count=2)
     save_checkpoint(Checkpoint(config, "sft", 0, 0, init_params(config, np.random.default_rng(0))),
                     run / "checkpoints" / "sft.ckpt")
-    if config_text is not None:
-        (tmp_path / "bad.cfg").write_text(config_text + "\n")
-        argv = argv + ["--config", str(tmp_path / "bad.cfg")]
-    before = sorted((run / "checkpoints").iterdir())
+    (run / "data" / split).write_text("")
+    before = _run_files(run)
     capsys.readouterr()
     assert main([argv[0], "--run-dir", str(run), *argv[1:]]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and all(word in err for word in named), err
-    assert sorted((run / "checkpoints").iterdir()) == before
+    assert err.startswith(f"error: {named}: no training records"), err
+    assert _run_files(run) == before
 
 
 def test_empty_report(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from latentcot import autodiff as ad
 from latentcot import model, vocab
-from latentcot.model import (AttentionMaskSpec, Checkpoint, CheckpointError,
+from latentcot.model import (Checkpoint, CheckpointError,
                              LayoutError, MaskMode, ModelConfig, SegmentRole,
                              SequenceLayout, build_attention_mask,
                              ForwardCache, LatentStep, TextStep, copy_params,
@@ -83,8 +83,8 @@ def test_mask_matches_brute_force_on_100_layouts():
     for i in range(100):
         layout = random_layout(rng, require_aux=i % 2 == 0)
         for mode in (MaskMode.CAUSAL, MaskMode.AUX_GATED):
-            spec = build_attention_mask(layout, mode)
-            assert np.array_equal(spec.allow, brute_force_mask(layout, mode)), (i, mode)
+            mask = build_attention_mask(layout, mode)
+            assert np.array_equal(mask, brute_force_mask(layout, mode)), (i, mode)
 
 
 def test_mask_spec_example():
@@ -94,7 +94,7 @@ def test_mask_spec_example():
         latent_segment(2),
         text_segment(SegmentRole.OBSERVATION_TEXT, [10, 11]),
     ])
-    allow = build_attention_mask(layout, MaskMode.AUX_GATED).allow
+    allow = build_attention_mask(layout, MaskMode.AUX_GATED)
     aux_cols = allow[:, 2:4]
     assert aux_cols[2, 0] and aux_cols[3, 1] and aux_cols[3, 0]  # aux-internal causal
     assert aux_cols[4:6].all()  # latent rows see aux
@@ -104,7 +104,7 @@ def test_mask_spec_example():
 
 def test_causal_mask_is_lower_triangular():
     layout = SequenceLayout([text_segment(SegmentRole.PLAIN_TEXT, [1, 2, 3])])
-    allow = build_attention_mask(layout, MaskMode.CAUSAL).allow
+    allow = build_attention_mask(layout, MaskMode.CAUSAL)
     assert np.array_equal(allow, np.tril(np.ones((3, 3), dtype=bool)))
 
 
@@ -114,8 +114,8 @@ def test_empty_aux_segment_equals_causal():
         image_segment(SegmentRole.AUX_IMAGE, np.zeros((0, CFG.patch_features))),
         text_segment(SegmentRole.PLAIN_TEXT, [3]),
     ])
-    gated = build_attention_mask(layout, MaskMode.AUX_GATED).allow
-    causal = build_attention_mask(layout, MaskMode.CAUSAL).allow
+    gated = build_attention_mask(layout, MaskMode.AUX_GATED)
+    causal = build_attention_mask(layout, MaskMode.CAUSAL)
     assert np.array_equal(gated, causal)
 
 
@@ -201,7 +201,7 @@ def test_forward_deterministic():
 def test_mask_length_mismatch_rejected():
     params = init_params(CFG, np.random.default_rng(0))
     layout = SequenceLayout([text_segment(SegmentRole.PLAIN_TEXT, [1, 2, 3])])
-    bad = AttentionMaskSpec(MaskMode.CAUSAL, np.tril(np.ones((2, 2), dtype=bool)))
+    bad = np.tril(np.ones((2, 2), dtype=bool))
     with pytest.raises(LayoutError, match="mask"):
         forward(layout, bad, params, CFG)
 
@@ -817,6 +817,15 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.config == CFG
     for name in param_shapes(CFG):
         assert np.array_equal(back.params[name].data, params[name].data)
+
+
+def test_save_checkpoint_refuses_non_finite_parameters(tmp_path):
+    params = init_params(CFG, np.random.default_rng(0))
+    params["block0.w2"].data[3, 1] = np.inf
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match="model.ckpt: parameter block0.w2 holds non-finite"):
+        save_checkpoint(Checkpoint(CFG, "sft", 5, 1, params), path)
+    assert not path.exists()
 
 
 def _saved_checkpoint(tmp_path):

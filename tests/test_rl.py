@@ -50,6 +50,17 @@ def boxed_tokens(content):
 # config and rewards
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("field, value", [
+    ("group_size", 1), ("clip_eps", np.nan), ("kl_coeff", -0.1), ("kl_coeff", np.nan),
+    ("sigma", np.nan), ("temperature", -0.5), ("temperature", np.nan),
+    ("max_response_length", 0), ("accuracy_threshold", np.nan), ("learning_rate", 0.0),
+    ("learning_rate", np.nan), ("k_train_rl", -3), ("format_bonus", np.nan),
+])
+def test_config_rejects_out_of_range_and_nan_values_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        RlConfig(**{field: value})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RlConfig(group_size=1)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latentcot import autodiff as ad
@@ -307,12 +307,11 @@ _TOKENS = st.one_of(st.just(_LAT_START), st.integers(0, vocab.VOCAB_SIZE - 1))
 def _fill_layouts(draw):
     """Segments with two or more latent segments, some after an aux image of
     one or more patches, and random text between that often holds the
-    latent-start marker. The layout opens with <bos> and one more token:
-    built layouts open with question text and image, and a source at
-    position 0 would make the fill's first pass a single row, whose gemv
-    bits differ from the same row in a longer pass."""
+    latent-start marker. The layout opens with <bos> and up to three more
+    tokens, so a latent segment may follow <bos> directly (a source at
+    position 0, whose first fill pass is a single row)."""
     segments = [text_segment(SegmentRole.QUESTION_TEXT,
-                             [vocab.TOKEN_TO_ID[vocab.BOS]] + draw(st.lists(_TOKENS, min_size=1, max_size=3)))]
+                             [vocab.TOKEN_TO_ID[vocab.BOS]] + draw(st.lists(_TOKENS, max_size=3)))]
     for with_aux in draw(st.lists(st.booleans(), min_size=2, max_size=4)):
         text = draw(st.lists(_TOKENS, max_size=3))
         if text:
@@ -330,6 +329,9 @@ def _fill_layouts(draw):
 @settings(max_examples=40, deadline=None)
 @given(_fill_layouts(), st.sampled_from(list(MaskMode)),
        st.sampled_from([CFG, ModelConfig()]), st.integers(0, 2**16))
+@example([text_segment(SegmentRole.QUESTION_TEXT, [vocab.TOKEN_TO_ID[vocab.BOS]]),
+          latent_segment(2), text_segment(SegmentRole.PLAIN_TEXT, [5]), latent_segment(1),
+          text_segment(SegmentRole.ANSWER, [6])], MaskMode.CAUSAL, CFG, 0)
 def test_cached_fill_matches_full_pass_fill(segments, mode, config, seed):
     """The cached fill produces the full-pass fill's vectors bit for bit, and
     their parameter gradients up to summation order."""
@@ -453,7 +455,7 @@ def test_stage2_ntp_invariant_to_aux_with_forced_latents():
 
 def test_stage_config_reference_defaults():
     cfg = StageConfig()
-    assert cfg.learning_rate == 1e-5 and AdamW({}, cfg.learning_rate).wd == 0.01
+    assert cfg.learning_rate == 1e-5 and sft.WEIGHT_DECAY == 0.01
     assert cfg.k_train == 8
     weights = LossWeights()
     assert weights.alpha == 2.0 and weights.beta_stage3 == 2.0
@@ -461,12 +463,19 @@ def test_stage_config_reference_defaults():
         LossWeights(alpha=-1.0)
 
 
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("field", ["alpha", "beta_stage3"])
+def test_loss_weights_reject_negative_and_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        LossWeights(**{field: value})
+
+
 def test_adamw_decoupled_decay():
     p = ad.parameter("p", np.array([1.0]))
-    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.5, beta1=0.9, beta2=0.999)
+    opt = AdamW({"p": p}, lr=0.1)
     opt.step({"p": np.array([0.0])})
     # zero gradient: only decay moves the parameter
-    assert p.data[0] == pytest.approx(1.0 - 0.1 * 0.5 * 1.0)
+    assert p.data[0] == pytest.approx(1.0 - 0.1 * 0.01 * 1.0)
 
 
 def test_stage1_loss_decreases_and_diagnostic_moves():

@@ -228,6 +228,15 @@ def test_generation_deterministic_per_seed(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sample_count", 0), ("corrupt_fraction", 3.0), ("corrupt_fraction", np.nan),
+    ("lookup_fraction", -0.1), ("lookup_fraction", np.nan),
+])
+def test_curation_config_rejects_out_of_range_values_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        CurationConfig(**{field: value})
+
+
 def test_observation_spans_are_aux_local():
     # permuting cells inside pooling blocks leaves the pooled view unchanged,
     # so only span tokens (and the answer) may differ
