@@ -362,11 +362,16 @@ def cmd_train_rl(args) -> int:
     return 0
 
 
+def _eval_records(args) -> list:
+    """The first `--limit` records of the split, or all of them."""
+    if args.limit is not None and args.limit < 1:
+        raise ValueError(f"limit must be >= 1, got {args.limit}")
+    return read_dataset(Path(args.run_dir) / "data" / args.split)[:args.limit]
+
+
 def cmd_eval(args) -> int:
+    records = _eval_records(args)
     run_dir = ensure_run_dir(args.run_dir)
-    records = read_dataset(run_dir / "data" / args.split)
-    if args.limit:
-        records = records[:args.limit]
     ckpt = load_checkpoint(Path(run_dir) / "checkpoints" / args.checkpoint)
     row = evaluate(ckpt, records, args.k_test, run_id=Path(args.run_dir).name)
     append_metrics(run_dir, [row])
@@ -381,10 +386,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    records = _eval_records(args)
     run_dir = ensure_run_dir(args.run_dir)
-    records = read_dataset(run_dir / "data" / args.split)
-    if args.limit:
-        records = records[:args.limit]
     ks = [int(k) for k in args.k_tests.split(",")]
     rows = []
     for name in args.checkpoints.split(","):

@@ -62,6 +62,9 @@ class ModelConfig:
     patch_features: int = vocab.PATCH_FEATURES
 
     def __post_init__(self):
+        for name in ("layer_count", "hidden_dim", "head_count", "max_positions"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.hidden_dim % self.head_count:
             raise ValueError("hidden_dim must be divisible by head_count")
         if self.patch_dim != 1:
@@ -321,16 +324,16 @@ def _select_rows(a: ad.Tensor, b: ad.Tensor, row_mask: np.ndarray) -> ad.Tensor:
 
 class ForwardCache:
     """What `forward` keeps of the rows it has run, for one growing sequence:
-    each layer's attention keys and values, and the post-final-norm states.
+    each layer's attention keys and values.
 
-    `rows[2l]` and `rows[2l + 1]` hold layer l's keys and values, `rows[2L]`
-    the final states; each spans `max_positions` rows, the first `length`
-    valid. Beside the buffers the cache keeps, per pass, the graph nodes that
-    produced its rows (`owners`) and its `spans`: the first row it ran and the
-    first row it added. A pass that reruns the row before its new one writes
-    that row's bits again but leaves its gradient with the pass that first
-    ran it. Under `no_grad` the nodes have no parents and the buffer views
-    are all a pass reads.
+    `rows[2l]` and `rows[2l + 1]` hold layer l's keys and values; each spans
+    `max_positions` rows, the first `length` valid. Beside the buffers the
+    cache keeps, per pass, the graph nodes that produced its rows (`owners`),
+    its post-final-norm rows (`finals`) and its `spans`: the first row it ran
+    and the first row it added. A pass that reruns the row before its new one
+    writes that row's bits again but leaves its gradient with the pass that
+    first ran it. Under `no_grad` the nodes have no parents and the buffer
+    views are all a pass reads.
 
     The buffers start zero-filled, and `rows` may be handed in (a view of a
     group's shared buffer): a group step reads the rows past a sequence's
@@ -338,11 +341,12 @@ class ForwardCache:
     """
 
     def __init__(self, config: ModelConfig, rows: np.ndarray | None = None):
-        count = 2 * config.layer_count + 1
+        count = 2 * config.layer_count
         self.length = 0
         self.rows = np.zeros((count, config.max_positions, config.hidden_dim)) \
             if rows is None else rows
         self.owners = [[] for _ in range(count)]
+        self.finals = []
         self.spans = []
 
     def store(self, i: int, node: ad.Tensor) -> ad.Tensor:
@@ -374,31 +378,51 @@ class ForwardCache:
         """The post-final-norm state at a cached position, as a node of the
         pass that first ran it."""
         j = bisect.bisect_right([own for _, own in self.spans], pos) - 1
-        return ad.get_row(self.owners[-1][j], pos - self.spans[j][0])
+        return ad.get_row(self.finals[j], pos - self.spans[j][0])
+
+
+# The vocabulary product runs against `w_out` padded with zero columns to a
+# multiple of this width. At the 41-column width OpenBLAS rounds a row by its
+# place in the row blocking; at 48 columns a row keeps its bits in any
+# product, as at the hidden widths.
+HEAD_COLUMNS = 16
+
+
+def _head(final: ad.Tensor, w_out: ad.Tensor) -> ad.Tensor:
+    """Logits `final @ w_out` by `ad.matmul`, over `w_out` padded with zero
+    columns to a multiple of `HEAD_COLUMNS`; the padded columns are dropped.
+    Every row gets the bits it has in any other product of this helper."""
+    d, V = w_out.shape
+    pad = np.zeros((d, -V % HEAD_COLUMNS))
+    out = ad.matmul(final, ad.Tensor(np.concatenate([w_out.data, pad], axis=1), (w_out,),
+                                     lambda g: (g[:, :V],)))
+    return ad.Tensor(out.data[:, :V], (out,),
+                     lambda g: (np.concatenate([g, np.zeros((len(g), pad.shape[1]))], axis=1),))
 
 
 def forward(layout: SequenceLayout, mask: np.ndarray, params: dict,
             config: ModelConfig, cache: ForwardCache | None = None):
     """Pre-norm transformer pass.
 
-    Returns (logits (T, V), stack), where stack[0] is the input embedding,
-    stack[l] the residual after block l, and stack[L] the post-final-norm
-    state (the vector that gets fed back during latent decoding).
+    Returns (logits (R, V), stack) over the R rows the pass runs, where
+    stack[0] is the input embedding, stack[l] the residual after block l,
+    and stack[L] the post-final-norm state (the vector that gets fed back
+    during latent decoding).
 
     The pass is prefix-invariant: rows of a pass over a prefix equal the
-    same rows of a longer pass, bit for bit (softmax denominators are summed
-    over a fixed `max_positions` width). That makes a cached pass exact.
+    same rows of a longer pass, bit for bit, logits included (softmax
+    denominators are summed over a fixed `max_positions` width, and `_head`
+    gives a logits row the same bits in any product). That makes a cached
+    pass exact.
 
     With a `cache` the layout must extend the sequence the cache holds. The
     pass runs only the rows the cache lacks, attending to the cached keys
-    and values, and stores the new rows; its stack holds just those rows.
-    `mask` may then hold only the last rows of the (T, T) mask, down to the
-    first row the pass runs. Logits still come from one matmul over all T
-    final rows, as in a full pass: OpenBLAS rounds a row of the narrow
-    output projection by its place in the row blocking. A single new row
-    runs beside the row before it, so that every product has two rows and
-    none pays for `ad.matmul`'s one-row padding. With a graph, the cached
-    rows are nodes, so backward reaches the passes that made them.
+    and values, and stores the new keys and values; its logits and stack
+    hold just those rows. `mask` may then hold only the last rows of the
+    (T, T) mask, down to the first row the pass runs. A single new row runs
+    beside the row before it, so that every product has two rows and none
+    pays for `ad.matmul`'s one-row padding. With a graph, the cached rows
+    are nodes, so backward reaches the passes that made them.
     """
     T = layout.length
     start = 0
@@ -416,12 +440,10 @@ def forward(layout: SequenceLayout, mask: np.ndarray, params: dict,
         cache.spans.append((start, cache.length))
     stack = _blocks(x0, layout.latent_mask[start:], allow, params, config,
                     (lambda i, node: node) if cache is None else cache.store)
-    final = stack[-1]
     if cache is not None:
-        final = cache.store(2 * config.layer_count, final)
+        cache.finals.append(stack[-1])
         cache.length = T
-    logits = ad.matmul(final, params["w_out"])
-    return logits, stack
+    return _head(stack[-1], params["w_out"]), stack
 
 
 def forward_group(layouts: list, params: dict, config: ModelConfig):
@@ -429,31 +451,21 @@ def forward_group(layouts: list, params: dict, config: ModelConfig):
     blocks. Each layout's rows are padded with zero rows to the longest
     length T; layout g holds rows g*T onward. Its rows get the bits of a lone
     `forward`: padded rows come after its own, so the causal mask hides
-    them, and its logits come from one matmul over its own final rows.
-    Returns (logits (G*T, V), final (G*T, d)); padded logits rows are zero."""
+    them, and `_head` rounds a logits row alike in any product.
+    Returns (logits (G*T, V), final (G*T, d)); padded rows hold finite
+    values that no real row reads."""
     G, d = len(layouts), config.hidden_dim
     T = max(layout.length for layout in layouts)
-    own = [slice(g * T, g * T + layout.length) for g, layout in enumerate(layouts)]
-    parts, latent_rows, real = [], np.zeros(G * T, dtype=bool), np.zeros((G * T, 1))
-    for layout, rows in zip(layouts, own):
+    parts, latent_rows = [], np.zeros(G * T, dtype=bool)
+    for g, layout in enumerate(layouts):
         parts.append(embed_layout(layout, params, config))
         if layout.length < T:
             parts.append(ad.constant(np.zeros((T - layout.length, d))))
-        latent_rows[rows] = layout.latent_mask
-        real[rows] = 1.0
+        latent_rows[g * T:g * T + layout.length] = layout.latent_mask
     allow = np.broadcast_to(np.tri(T, dtype=bool), (G, config.head_count, T, T))
     final = _blocks(ad.concat_rows(parts), latent_rows, allow, params, config,
                     lambda i, node: node)[-1]
-    w_out = params["w_out"]
-    logits = np.zeros((G * T, config.vocab_size))
-    for rows in own:
-        logits[rows] = ad.matmul_array(final.data[rows], w_out.data)
-
-    def vjp(g):
-        g = g * real  # padded logits rows are constant zeros
-        return ad.matmul_array(g, w_out.data.T), final.data.T @ g
-
-    return ad.Tensor(logits, (final, w_out), vjp), final
+    return _head(final, params["w_out"]), final
 
 
 def _blocks(x0: ad.Tensor, latent_rows: np.ndarray, allow: np.ndarray, params: dict,
@@ -529,7 +541,9 @@ def fill_latents(layout: SequenceLayout, mask: np.ndarray, params: dict,
     slot runs a cached pass over the layout's prefix up to its source,
     only the rows the cache lacks, so each row runs once (a one-row step
     also reruns the row before it) and no row after the last source runs.
-    A graph, if one is being built, carries through the cache. Prefix
+    Each vector is a row of the post-final-norm node of the pass that first
+    ran its source (`ForwardCache.final_row`); the cache holds no final-state
+    buffer. A graph, if one is being built, carries through the cache. Prefix
     invariance gives every vector the bits of a full pass. Returns the
     produced vectors (graph nodes) in slot order; the layout's slots are
     left holding them.
@@ -568,19 +582,21 @@ def bind_use_sites(layout: SequenceLayout, produced: list) -> list:
 # ---------------------------------------------------------------------------
 
 def sample_token(logits: np.ndarray, temperature: float, rng: np.random.Generator | None):
-    """Returns (token id, log-probability under the sampling distribution)."""
+    """Returns (token id, log-probability under the sampling distribution).
+    The row is scaled by 1 / temperature and the log-probability taken by
+    `ad.log_prob_row`, as `rl.score_group` does, so an on-policy text ratio
+    is exactly 1."""
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
     if temperature == 0:
         return int(np.argmax(logits)), 0.0
-    z = logits / temperature
-    z = z - z.max()
-    p = np.exp(z)
+    z = logits * (1.0 / temperature)
+    p = np.exp(z - z.max())
     p /= p.sum()
     u = rng.random()
     tok = int(np.searchsorted(np.cumsum(p), u))
     tok = min(tok, len(p) - 1)
-    return tok, float(np.log(p[tok]))
+    return tok, float(ad.log_prob_row(z, tok).data)
 
 
 @dataclass
@@ -654,7 +670,7 @@ def decode_group(prompt: SequenceLayout, k_latent: int, params: dict, config: Mo
     if k_latent < 0:
         raise ValueError("k_latent must be >= 0")
     G, P = len(rngs), prompt.length
-    rows = np.zeros((G, 2 * config.layer_count + 1, config.max_positions, config.hidden_dim))
+    rows = np.zeros((G, 2 * config.layer_count, config.max_positions, config.hidden_dim))
     caches = [ForwardCache(config, rows[g]) for g in range(G)]
     layouts = [SequenceLayout(prompt.segments) for _ in range(G)]
     trajs = [Trajectory(prompt_len=P) for _ in range(G)]
@@ -720,9 +736,8 @@ def _step(live: list, layouts: list, caches: list, rows: np.ndarray, params: dic
     it). A lone sequence steps through `forward`. Several run as one
     stacked pass, each attending over its own keys and values in `rows[g]`,
     with zero rows padding it to the longest sequence; those columns get
-    probability exactly 0. Logits come from one matmul per sequence over its
-    own final rows, as in `forward`. Returns each sequence's last (logits
-    row, final state)."""
+    probability exactly 0. Logits come from one `_head` product over the
+    stacked rows. Returns each sequence's last (logits row, final state)."""
     if len(live) == 1:
         g, = live
         T = layouts[g].length
@@ -746,15 +761,11 @@ def _step(live: list, layouts: list, caches: list, rows: np.ndarray, params: dic
 
     with ad.no_grad():
         x0 = _embed([(layouts[g], layouts[g].length - 2) for g in live], params, config)
-        final = _blocks(x0, latent_rows, allow, params, config, attend)[-1].data
-    top = 2 * config.layer_count
-    rows[seq, top, pos] = final
-    outs = []
+        final = _blocks(x0, latent_rows, allow, params, config, attend)[-1]
+        logits = _head(final, params["w_out"]).data
     for j, g in enumerate(live):
         caches[g].length = int(ends[j])
-        logits = ad.matmul_array(rows[g, top, :ends[j]], params["w_out"].data)
-        outs.append((logits[-1], final[2 * j + 1]))
-    return outs
+    return [(logits[2 * j + 1], final.data[2 * j + 1]) for j in range(G)]
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +843,7 @@ def load_checkpoint(path) -> Checkpoint:
                 raise bad(key, f"{meta[key]!r} is not an integer") from None
     try:
         config = ModelConfig.from_manifest({k: ints[k] for k in ModelConfig().to_manifest()})
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         raise bad("config", str(e)) from None
     shapes = param_shapes(config)
     expected = 8 * sum(int(np.prod(shape)) for shape in shapes.values())

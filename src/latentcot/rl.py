@@ -327,6 +327,8 @@ def train_rl(sft_params: dict, records, config: RlConfig, algo: Algo,
     """One prompt group per update step; rollouts under the pre-update policy."""
     if not records:
         raise ValueError("rl: no training records")
+    if not epochs >= 1:
+        raise ValueError(f"rl: epochs must be >= 1, got {epochs}")
     params = copy_params(sft_params)
     reference = copy_params(sft_params)
     opt = AdamW(params, config.learning_rate)

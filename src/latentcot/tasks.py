@@ -561,7 +561,10 @@ def read_dataset(path):
             if not line:
                 continue
             try:
-                records.append(DatasetRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as e:
+                d = json.loads(line)
+                if not isinstance(d, dict):
+                    raise DatasetError(f"a JSON {type(d).__name__}, not an object")
+                records.append(DatasetRecord.from_dict(d))
+            except (ValueError, KeyError, TypeError) as e:
                 raise DatasetError(f"{path}: malformed record at line {lineno}: {e}") from e
     return records

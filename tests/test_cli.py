@@ -212,16 +212,29 @@ def _run_files(run):
     (SFT_STAGE2 + ["--alpha", "nan"], None, ["alpha"]),
     (["gen-data", "--train-count", "0"], None, ["sample_count"]),
     (["gen-data", "--corrupt-fraction", "3"], None, ["corrupt_fraction"]),
+    (SFT_STAGE1 + ["--heads", "0"], None, ["head_count"]),
+    (SFT_STAGE1 + ["--hidden-dim", "0"], None, ["hidden_dim"]),
+    (SFT_STAGE1 + ["--layers", "0"], None, ["layer_count"]),
+    (SFT_STAGE1 + ["--max-positions", "0"], None, ["max_positions"]),
+    (RL_GRPO + ["--epochs", "0"], None, ["epochs"]),
+    (RL_GRPO + ["--epochs", "-2"], None, ["epochs"]),
+    (["eval", "--k-test", "0", "--limit", "0"], None, ["limit"]),
+    (["eval", "--k-test", "0", "--limit", "-1"], None, ["limit"]),
+    (["sweep", "--k-tests", "0", "--limit", "0"], None, ["limit"]),
 ], ids=["max-steps-flag", "epochs-flag", "grad-accum-flag", "group-size-flag",
         "sigma-file", "clip-eps-file", "unknown-key-file", "bad-int-file", "bad-rl-int-file",
         "rl-learning-rate-flag", "k-train-rl-flag", "sigma-nan-file", "temperature-file",
-        "alpha-nan-flag", "train-count-flag", "corrupt-fraction-flag"])
+        "alpha-nan-flag", "train-count-flag", "corrupt-fraction-flag", "heads-flag",
+        "hidden-dim-flag", "layers-flag", "max-positions-flag", "rl-epochs-zero-flag",
+        "rl-epochs-negative-flag", "eval-limit-zero-flag", "eval-limit-negative-flag",
+        "sweep-limit-zero-flag"])
 def test_bad_config_values_fail_before_any_checkpoint(tmp_path, capsys, argv,
                                                       config_text, named):
-    """A value from a flag or a --config file that its dataclass rejects, or
-    a file entry that names no field or does not parse, exits 1 with an
-    error naming the field (and the file), and the run dir is left as it
-    was: no checkpoint, data file or manifest entry is written."""
+    """A value from a flag or a --config file that its dataclass or command
+    rejects, or a file entry that names no field or does not parse, exits 1
+    with an error naming the field (and the file), and the run dir is left
+    as it was: no checkpoint, data file, report or manifest entry is
+    written."""
     run = tmp_path / "run"
     gen_tiny(run)
     config = ModelConfig(layer_count=2, hidden_dim=16, head_count=2)

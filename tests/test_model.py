@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from latentcot import autodiff as ad
 from latentcot import model, vocab
+from latentcot.layouts import build_interleaved, build_student
 from latentcot.model import (Checkpoint, CheckpointError,
                              LayoutError, MaskMode, ModelConfig, SegmentRole,
                              SequenceLayout, build_attention_mask,
@@ -14,6 +15,7 @@ from latentcot.model import (Checkpoint, CheckpointError,
                              init_params, latent_segment, load_checkpoint,
                              param_shapes, sample_token, save_checkpoint,
                              text_segment, zero_params)
+from latentcot.tasks import CurationConfig, build_corpus
 
 CFG = ModelConfig(layer_count=2, hidden_dim=16, head_count=2, max_positions=96)
 
@@ -265,10 +267,54 @@ def test_forward_is_prefix_invariant(config):
                     assert np.array_equal(a.data, b.data[:t]), (trial, int(t), level)
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_head_rows_keep_their_bits_in_any_window_or_prefix(data):
+    """`_head` gives each row of random final states the bits of the same
+    row in the product over all rows: for every prefix and for windows of
+    rows that start anywhere, decode steps' two-row windows included."""
+    config = data.draw(st.sampled_from([CFG, ModelConfig()]), label="config")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed"))
+    T, d = config.max_positions, config.hidden_dim
+    final = rng.normal(size=(T, d))
+    w_out = ad.parameter("w_out", rng.normal(scale=data.draw(st.sampled_from([0.02, 0.5, 3.0]),
+                                                             label="scale"),
+                                             size=(d, config.vocab_size)))
+    with ad.no_grad():
+        full = model._head(ad.constant(final), w_out).data
+        for t in range(1, T + 1):
+            assert np.array_equal(model._head(ad.constant(final[:t]), w_out).data, full[:t]), t
+        for width in (1, 2, data.draw(st.integers(3, T), label="width")):
+            for a in range(T - width + 1):
+                rows = model._head(ad.constant(final[a:a + width]), w_out).data
+                assert np.array_equal(rows, full[a:a + width]), (a, width)
+
+
+def test_every_prefix_pass_of_built_layouts_gives_the_full_pass_logits():
+    """The last logits row of a pass over each prefix of a built layout
+    equals the full pass's row at that position, bit for bit, at the
+    reference shape; a decode samples from the first and RL scores the
+    second."""
+    config = ModelConfig()
+    params = init_params(config, np.random.default_rng(31), scale=0.3)
+    records, _ = build_corpus(CurationConfig(sample_count=40, seed=77))
+    built = [build_student(rec.sample, 8, False).layout for rec in records[:5]]
+    built += [build_interleaved(rec.sample, False).layout for rec in records[5:10]]
+    with ad.no_grad():
+        for i, layout in enumerate(built):
+            full, _ = forward(layout, build_attention_mask(layout, MaskMode.CAUSAL),
+                              params, config)
+            for t in range(1, layout.length + 1):
+                prefix = layout.prefix(t)
+                logits, _ = forward(prefix, build_attention_mask(prefix, MaskMode.CAUSAL),
+                                    params, config)
+                assert np.array_equal(logits.data[-1], full.data[t - 1]), (i, t)
+
+
 def test_cached_forward_matches_full_passes():
     """Growing a ForwardCache a few rows per call, each call gives the logits
-    of a full pass over its prefix, and stack rows equal to a pass over the
-    whole layout."""
+    rows of a full pass over its prefix for the rows it runs, and stack rows
+    equal to a pass over the whole layout."""
     rng = np.random.default_rng(12)
     params = init_params(CFG, rng, scale=0.3)
     layout = _long_layout(rng, CFG, CFG.max_positions)
@@ -283,8 +329,8 @@ def test_cached_forward_matches_full_passes():
             mask = build_attention_mask(prefix, MaskMode.CAUSAL)
             logits, stack = forward(prefix, mask, params, CFG, cache)
             ref_logits, _ = forward(prefix, mask, params, CFG)
-            assert np.array_equal(logits.data, ref_logits.data), t
             start = t - stack[0].shape[0]
+            assert np.array_equal(logits.data, ref_logits.data[start:]), t
             for a, b in zip(stack, full):
                 assert np.array_equal(a.data, b.data[start:t]), t
             assert cache.length == t
@@ -332,6 +378,7 @@ def test_cached_forward_carries_the_graph():
     cached = ad.backward(loss(logits, stack), params)
     full_logits, full_stack = forward(layout, build_attention_mask(layout, MaskMode.CAUSAL),
                                       params, CFG)
+    full_logits = ad.gather_rows(full_logits, np.arange(start, layout.length))
     full_stack = [ad.gather_rows(level, np.arange(start, layout.length)) for level in full_stack]
     _rel_close(cached, ad.backward(loss(full_logits, full_stack), params))
 
@@ -661,7 +708,7 @@ def _poison_freed_memory(config, group):
     that is not zero-filled would then likely start out holding NaN, which
     its padded key and value rows would carry into the attention."""
     for _ in range(2):
-        block = np.full((group, 2 * config.layer_count + 1, config.max_positions,
+        block = np.full((group, 2 * config.layer_count, config.max_positions,
                          config.hidden_dim), np.nan)
         del block
 
@@ -871,6 +918,15 @@ def test_vocabulary_has_each_special_exactly_once():
 def test_model_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(hidden_dim=10, head_count=4)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("layer_count", 0), ("layer_count", -1), ("hidden_dim", 0), ("head_count", 0),
+    ("max_positions", 0),
+])
+def test_model_config_rejects_sizes_below_one_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+        ModelConfig(**{field: value})
 
 
 def test_copy_params_is_independent():

@@ -294,6 +294,35 @@ def test_current_equals_old_gives_mean_advantage():
         assert stats["latent_ratio_mean"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("algo", [Algo.GRPO, Algo.VLPO])
+def test_on_policy_ratios_are_exactly_one(algo):
+    """Groups decoded and scored under the same params: decoding and scoring
+    give each position the same bits and take a text log-probability by the
+    same formula, so every text and latent ratio is exactly 1.0 and the
+    latent part of the objective has a gradient of exactly 0.0."""
+    mconfig = ModelConfig()
+    params = _stopping_params(mconfig, 5, 0.5, 0.0, 0.4)
+    config = RlConfig(group_size=4, k_train_rl=3, temperature=0.7, max_response_length=40)
+    rng = np.random.default_rng(6)
+    groups, text_steps, latent_steps = [], 0, 0
+    for rec in rl_records(4):
+        group = rollout_group(rec.sample, params, config, mconfig, rng)
+        for i, roll in enumerate(group.rollouts):
+            roll.reward, roll.correct = (1.1, True) if i == 0 else (0.1, False)
+        groups.append(compute_advantages(group))
+        scored = score_group(params, group, config, mconfig)
+        text = text_ratio(scored.new_logp, scored.old_logp).data
+        latent = vlpo_latent_ratio(scored.h_old, scored.h_theta, config.sigma).data
+        assert (text == 1.0).all() and (latent == 1.0).all()
+        text_steps, latent_steps = text_steps + text.size, latent_steps + latent.size
+    assert text_steps >= 100 and latent_steps >= 20
+    _, stats = policy_objective(groups, params, None, config, algo, mconfig)
+    assert stats["text_ratio_mean"] == 1.0
+    assert stats["latent_ratio_mean"] == (1.0 if algo is Algo.VLPO else 0.0)
+    assert (stats["latent_part"] is None) == (algo is Algo.GRPO)
+    assert latent_gradient_norm(stats["latent_part"], params) == 0.0
+
+
 def test_clipping_kills_gradient_when_ratio_far():
     # Â > 0 and ratio > 1 + eps: the clipped branch is a constant, min picks it
     p = ad.parameter("p", np.array(0.5))

@@ -281,6 +281,21 @@ def test_truncated_line_reports_line_number(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("edit, why", [
+    (lambda d: {**d, "schema_version": 2}, "unsupported schema_version 2"),
+    (lambda d: {**d, "cot": 5}, "not iterable"),
+    (lambda d: [d], "a JSON list, not an object"),
+], ids=["schema-version", "cot-not-a-list", "array-line"])
+def test_malformed_record_names_the_file_and_line(tmp_path, edit, why):
+    records, _ = build_corpus(CurationConfig(sample_count=40, seed=15))
+    path = tmp_path / "odd.jsonl"
+    lines = [json.dumps(r.to_dict(), sort_keys=True) for r in records[:3]]
+    lines[2] = json.dumps(edit(records[2].to_dict()), sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(tasks.DatasetError, match=f"odd.jsonl: malformed record at line 3: .*{why}"):
+        read_dataset(path)
+
+
 def test_record_schema_version_checked():
     with pytest.raises(tasks.DatasetError):
         DatasetRecord.from_dict({"schema_version": 99})
