@@ -169,7 +169,7 @@ def check_policy(algo, config, params, old_params, sample, coords, seed):
                           need_latents=algo is Algo.VLPO)
 
     def build(pdict):
-        loss, _ = policy_objective(groups, pdict, None, rl_config, algo, config)
+        loss, _ = policy_objective(groups, pdict, rl_config, algo, config)
         return loss
 
     return _fd_check(algo.value, build(params), build, params, coords)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vocab
-from .model import (MaskMode, SegmentRole, Segment, SequenceLayout,
-                    image_segment, latent_segment, text_segment)
-from .tasks import ImageSeg, TextSeg, ToySample
+from .model import (MaskMode, SegmentRole, SequenceLayout, image_segment,
+                    latent_segment, text_segment)
+from .tasks import ImageSeg, ToySample
 
 _SYM_INDEX = {s: i for i, s in enumerate(vocab.CELL_SYMBOLS)}
 _NSYM = len(vocab.CELL_SYMBOLS)

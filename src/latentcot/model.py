@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -69,16 +69,6 @@ class ModelConfig:
             raise ValueError("hidden_dim must be divisible by head_count")
         if self.patch_dim != 1:
             raise ValueError("only single-cell patches are supported")
-
-    def to_manifest(self) -> dict:
-        return {"layer_count": self.layer_count, "hidden_dim": self.hidden_dim,
-                "head_count": self.head_count, "vocab_size": self.vocab_size,
-                "max_positions": self.max_positions, "patch_dim": self.patch_dim,
-                "patch_features": self.patch_features}
-
-    @staticmethod
-    def from_manifest(d: dict) -> "ModelConfig":
-        return ModelConfig(**{k: int(v) for k, v in d.items()})
 
 
 @dataclass
@@ -791,7 +781,7 @@ def save_checkpoint(ckpt: Checkpoint, path):
     for name in shapes:
         if not np.isfinite(ckpt.params[name].data).all():
             raise ValueError(f"{path}: parameter {name} holds non-finite values; not saved")
-    lines = [f"{k}={v}" for k, v in ckpt.config.to_manifest().items()]
+    lines = [f"{k}={v}" for k, v in asdict(ckpt.config).items()]
     lines += [f"stage={ckpt.stage}", f"step={ckpt.step}", f"seed={ckpt.seed}"]
     blob = b"".join(np.ascontiguousarray(ckpt.params[n].data, dtype="<f8").tobytes()
                     for n in shapes)
@@ -828,7 +818,8 @@ def load_checkpoint(path) -> Checkpoint:
         if key in meta:
             raise bad(key, "repeated")
         meta[key] = value
-    keys = [*ModelConfig().to_manifest(), "stage", "step", "seed"]
+    sizes = [f.name for f in fields(ModelConfig)]
+    keys = [*sizes, "stage", "step", "seed"]
     odd = sorted(set(keys) ^ set(meta))
     if odd:
         raise bad(odd[0], "missing" if odd[0] in keys else "unknown key")
@@ -842,7 +833,7 @@ def load_checkpoint(path) -> Checkpoint:
             except ValueError:
                 raise bad(key, f"{meta[key]!r} is not an integer") from None
     try:
-        config = ModelConfig.from_manifest({k: ints[k] for k in ModelConfig().to_manifest()})
+        config = ModelConfig(**{k: ints[k] for k in sizes})
     except ValueError as e:
         raise bad("config", str(e)) from None
     shapes = param_shapes(config)

@@ -30,7 +30,6 @@ from .sft import AdamW, TrainingDiverged
 class RlConfig:
     group_size: int = 8
     clip_eps: float = 0.2
-    kl_coeff: float = 0.0
     sigma: float = 10.0
     temperature: float = 0.5
     max_response_length: int = 4096
@@ -43,9 +42,8 @@ class RlConfig:
         # each rule is written so that NaN breaks it
         for ok, rule in ((self.group_size >= 2, "group_size must be >= 2"),
                          (0.0 < self.clip_eps < 1.0, "clip_eps must lie in (0, 1)"),
-                         (self.kl_coeff >= 0, "kl_coeff must be >= 0"),
                          (self.sigma > 0, "sigma must be > 0"),
-                         (self.temperature >= 0, "temperature must be >= 0"),
+                         (self.temperature > 0, "temperature must be > 0"),
                          (self.max_response_length >= 1, "max_response_length must be >= 1"),
                          (0.0 < self.accuracy_threshold <= 1.0, "accuracy_threshold must lie in (0, 1]"),
                          (self.learning_rate > 0, "learning_rate must be > 0"),
@@ -163,20 +161,17 @@ class GroupScore:
     h_theta: ad.Tensor  # (n_latent, d) regenerated latent vectors
     h_old: np.ndarray  # (n_latent, d) rollout latent vectors
     latent_rollout: np.ndarray  # (n_latent,) rollout index of each latent step
-    ref_logp: np.ndarray | None = None  # (n_text,) under the reference policy
 
 
 def score_group(params: dict, group: RolloutGroup, config: RlConfig,
-                mconfig: ModelConfig, reference: dict | None = None) -> GroupScore:
+                mconfig: ModelConfig) -> GroupScore:
     """Teacher-force a group's rollouts through the current policy.
 
     One stacked causal pass over the rollouts' full layouts (`forward_group`;
     latent slots hold the rollout vectors) gives every rollout the rows of a
     lone full pass, bit for bit. A step at position p reads row p - 1: the
     logits of a sampled text step, the regenerated vector h_theta of a
-    latent step. Each kind is read through one row gather. With `reference`
-    given, the same pass runs under no_grad for the frozen reference
-    log-probabilities of the KL estimator."""
+    latent step. Each kind is read through one row gather."""
     layouts = [roll.layout for roll in group.rollouts]
     T = max(layout.length for layout in layouts)
     text_at, tokens, old_logp, text_rollout = [], [], [], []
@@ -194,28 +189,20 @@ def score_group(params: dict, group: RolloutGroup, config: RlConfig,
                 old_logp.append(step.logp)
                 text_rollout.append(g)
             row += 1
-    inv_t = 1.0 / config.temperature if config.temperature > 0 else 1.0
-
-    def logp(logits):
-        return ad.log_prob_row(ad.scale(ad.gather_rows(logits, text_at), inv_t), tokens)
-
     logits, final = forward_group(layouts, params, mconfig)
-    ref_logp = None
-    if reference is not None:
-        with ad.no_grad():
-            ref_logp = logp(forward_group(layouts, reference, mconfig)[0]).data
-    return GroupScore(logp(logits), np.array(old_logp), np.array(text_rollout, dtype=np.int64),
+    new_logp = ad.log_prob_row(
+        ad.scale(ad.gather_rows(logits, text_at), 1.0 / config.temperature), tokens)
+    return GroupScore(new_logp, np.array(old_logp), np.array(text_rollout, dtype=np.int64),
                       ad.gather_rows(final, latent_at),
                       np.array(h_old).reshape(len(latent_at), mconfig.hidden_dim),
-                      np.array(latent_rollout, dtype=np.int64), ref_logp)
+                      np.array(latent_rollout, dtype=np.int64))
 
 
 def score_trajectory(params: dict, rollout: Rollout, config: RlConfig,
-                     mconfig: ModelConfig, reference: dict | None = None) -> GroupScore:
+                     mconfig: ModelConfig) -> GroupScore:
     """`score_group` of a group holding just `rollout` (the name the
     benchmark's tracer wraps)."""
-    return score_group(params, RolloutGroup(gold=[], rollouts=[rollout]), config,
-                       mconfig, reference)
+    return score_group(params, RolloutGroup(gold=[], rollouts=[rollout]), config, mconfig)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +222,8 @@ def _clipped_term(ratio: ad.Tensor, advantage, eps: float) -> ad.Tensor:
     return ad.minimum2(left, right)
 
 
-def policy_objective(groups, current: dict, reference: dict | None,
-                     config: RlConfig, algo: Algo, mconfig: ModelConfig):
+def policy_objective(groups, current: dict, config: RlConfig, algo: Algo,
+                     mconfig: ModelConfig):
     """Negated clipped-surrogate objective over the retained groups.
 
     Per trajectory the step terms are averaged over the steps that contribute
@@ -247,16 +234,13 @@ def policy_objective(groups, current: dict, reference: dict | None,
     contributing steps in a group of G weighs 1 / (n G). Returns (loss,
     stats) or (None, stats) when nothing is retained."""
     stats = {"retained_groups": len(groups), "text_ratio_mean": 0.0,
-             "latent_ratio_mean": 0.0, "kl": 0.0}
+             "latent_ratio_mean": 0.0}
     if not groups:
         return None, stats
-    use_ref = bool(config.kl_coeff) and reference is not None
     group_objs, latent_objs = [], []
     text_ratios, latent_ratios = [], []
-    kl_sums, kl_count = [], 0
     for group in groups:
-        scored = score_group(current, group, config, mconfig,
-                             reference if use_ref else None)
+        scored = score_group(current, group, config, mconfig)
         G = len(group.rollouts)
         advantage = np.array([roll.advantage for roll in group.rollouts])
         with_latents = algo is Algo.VLPO and scored.latent_rollout.size > 0
@@ -280,19 +264,10 @@ def policy_objective(groups, current: dict, reference: dict | None,
             latent_objs.append(weighted(ratio, scored.latent_rollout))
             obj = ad.add(obj, latent_objs[-1])
         group_objs.append(obj)
-        if use_ref:
-            # k3 estimator of KL(pi_theta || pi_ref), per token
-            delta = ad.sub(scored.ref_logp, scored.new_logp)
-            kl_sums.append(ad.sum_all(ad.sub(ad.sub(ad.exp(delta), delta), 1.0)))
-            kl_count += delta.shape[0]
     if not group_objs:
         return None, stats
     objective = ad.scale(functools.reduce(ad.add, group_objs), 1.0 / len(group_objs))
     loss = ad.scale(objective, -1.0)
-    if kl_count:
-        kl = ad.scale(functools.reduce(ad.add, kl_sums), 1.0 / kl_count)
-        stats["kl"] = kl.item()
-        loss = ad.add(loss, ad.scale(kl, config.kl_coeff))
     text_ratios = np.concatenate(text_ratios)
     if text_ratios.size:
         stats["text_ratio_mean"] = float(np.mean(text_ratios))
@@ -330,7 +305,6 @@ def train_rl(sft_params: dict, records, config: RlConfig, algo: Algo,
     if not epochs >= 1:
         raise ValueError(f"rl: epochs must be >= 1, got {epochs}")
     params = copy_params(sft_params)
-    reference = copy_params(sft_params)
     opt = AdamW(params, config.learning_rate)
     rng = np.random.default_rng(seed)
     result = RlResult(params)
@@ -350,8 +324,7 @@ def train_rl(sft_params: dict, records, config: RlConfig, algo: Algo,
                    "text_ratio_mean": 1.0, "latent_ratio_mean": 1.0,
                    "latent_grad_norm": 0.0}
             if retained:
-                loss, stats = policy_objective(retained, params,
-                                               reference, config, algo, mconfig)
+                loss, stats = policy_objective(retained, params, config, algo, mconfig)
                 if loss is not None:
                     if not np.isfinite(loss.item()):
                         raise TrainingDiverged(f"rl: loss non-finite at step {step}")

@@ -273,14 +273,6 @@ def _epoch_order(n: int, epochs: int, max_steps, rng: np.random.Generator):
             yield int(i)
 
 
-def _accumulate(acc: dict | None, grads: dict) -> dict:
-    if acc is None:
-        return {k: v.copy() for k, v in grads.items()}
-    for k, v in grads.items():
-        acc[k] += v
-    return acc
-
-
 def _train(params: dict, records, stage: StageConfig, seed: int, name: str,
            sample_loss, after_step=None) -> TrainResult:
     """The loop all three SFT stages run, training `params` in place.
@@ -301,7 +293,9 @@ def _train(params: dict, records, stage: StageConfig, seed: int, name: str,
         loss, fields = sample_loss(records[idx])
         if not np.isfinite(loss.item()):
             raise TrainingDiverged(f"{name}: loss became non-finite at step {step}")
-        acc = _accumulate(acc, ad.backward(loss, params))
+        grads = ad.backward(loss, params)
+        acc = grads if acc is None else {k: acc[k] + g for k, g in grads.items()}
+        del grads  # else this step's gradients live on through the next backward
         in_acc += 1
         if in_acc >= stage.grad_accum or step == len(order) - 1:
             opt.step({k: v / in_acc for k, v in acc.items()})

@@ -19,7 +19,7 @@ delimiter tokens.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np

@@ -51,8 +51,8 @@ def boxed_tokens(content):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("field, value", [
-    ("group_size", 1), ("clip_eps", np.nan), ("kl_coeff", -0.1), ("kl_coeff", np.nan),
-    ("sigma", np.nan), ("temperature", -0.5), ("temperature", np.nan),
+    ("group_size", 1), ("clip_eps", np.nan), ("sigma", np.nan), ("temperature", 0.0),
+    ("temperature", -0.5), ("temperature", np.nan),
     ("max_response_length", 0), ("accuracy_threshold", np.nan), ("learning_rate", 0.0),
     ("learning_rate", np.nan), ("k_train_rl", -3), ("format_bonus", np.nan),
 ])
@@ -239,7 +239,7 @@ def test_zero_advantage_gives_zero_objective():
     group = rolled_group(params, lookup_sample(), config)
     for roll in group.rollouts:
         roll.advantage = 0.0
-    loss, stats = policy_objective([group], params, None, config, Algo.VLPO, CFG)
+    loss, stats = policy_objective([group], params, config, Algo.VLPO, CFG)
     assert loss.item() == pytest.approx(0.0, abs=1e-15)
 
 
@@ -264,8 +264,8 @@ def test_text_only_grpo_equals_vlpo():
     config = RlConfig(group_size=2, k_train_rl=2, temperature=0.8,
                       max_response_length=16)
     group = text_only_group()
-    loss_g, _ = policy_objective([group], params, None, config, Algo.GRPO, CFG)
-    loss_v, stats_v = policy_objective([group], params, None, config, Algo.VLPO, CFG)
+    loss_g, _ = policy_objective([group], params, config, Algo.GRPO, CFG)
+    loss_v, stats_v = policy_objective([group], params, config, Algo.VLPO, CFG)
     assert loss_g.item() == loss_v.item()
     g_g = ad.backward(loss_g, params)
     g_v = ad.backward(loss_v, params)
@@ -283,7 +283,7 @@ def test_current_equals_old_gives_mean_advantage():
     group.rollouts[0].reward, group.rollouts[0].correct = 1.1, True
     group.rollouts[1].reward, group.rollouts[1].correct = 0.1, False
     group = compute_advantages(group)
-    loss, stats = policy_objective([group], params, None, config, Algo.VLPO, CFG)
+    loss, stats = policy_objective([group], params, config, Algo.VLPO, CFG)
     # ratios are 1 up to teacher-forcing round-off, so the objective collapses
     # to the mean advantage, which is zero by normalization
     assert loss.item() == pytest.approx(0.0, abs=1e-9)
@@ -316,7 +316,7 @@ def test_on_policy_ratios_are_exactly_one(algo):
         assert (text == 1.0).all() and (latent == 1.0).all()
         text_steps, latent_steps = text_steps + text.size, latent_steps + latent.size
     assert text_steps >= 100 and latent_steps >= 20
-    _, stats = policy_objective(groups, params, None, config, algo, mconfig)
+    _, stats = policy_objective(groups, params, config, algo, mconfig)
     assert stats["text_ratio_mean"] == 1.0
     assert stats["latent_ratio_mean"] == (1.0 if algo is Algo.VLPO else 0.0)
     assert (stats["latent_part"] is None) == (algo is Algo.GRPO)
@@ -388,17 +388,17 @@ def test_grpo_latent_gradients_zero_vlpo_nonzero():
     group.rollouts[0].reward, group.rollouts[0].correct = 1.1, True
     group.rollouts[1].reward, group.rollouts[1].correct = 0.1, False
     group = compute_advantages(group)
-    _, stats_g = policy_objective([group], current, None, config, Algo.GRPO, CFG)
+    _, stats_g = policy_objective([group], current, config, Algo.GRPO, CFG)
     assert stats_g["latent_part"] is None
     assert latent_gradient_norm(stats_g["latent_part"], current) == 0.0
-    _, stats_v = policy_objective([group], current, None, config, Algo.VLPO, CFG)
+    _, stats_v = policy_objective([group], current, config, Algo.VLPO, CFG)
     assert latent_gradient_norm(stats_v["latent_part"], current) > 0.0
 
 
 def test_policy_objective_empty_retained_set():
     params = init_params(CFG, np.random.default_rng(15))
     config = RlConfig(group_size=2)
-    loss, stats = policy_objective([], params, None, config, Algo.VLPO, CFG)
+    loss, stats = policy_objective([], params, config, Algo.VLPO, CFG)
     assert loss is None and stats["retained_groups"] == 0
 
 
@@ -406,13 +406,21 @@ def test_policy_objective_empty_retained_set():
 # rollouts and the training loop
 # ---------------------------------------------------------------------------
 
-def test_forced_steps_carry_no_ratio_term():
+def _latent_start_params():
+    """Zero weights whose head puts LATENT_START 400 logits above every other
+    token: at temperature 0.5 every other probability underflows to 0.0, so
+    each sampled text step opens a latent run."""
     params = zero_params(CFG)
     params["lnf_b"].data[:] = 1.0
     w = np.zeros((CFG.hidden_dim, CFG.vocab_size))
-    w[:, vocab.TOKEN_TO_ID[vocab.LATENT_START]] = 0.05
+    w[:, vocab.TOKEN_TO_ID[vocab.LATENT_START]] = 400.0 / CFG.hidden_dim
     params["w_out"].data[:] = w
-    config = RlConfig(group_size=2, k_train_rl=3, temperature=0.0,
+    return params
+
+
+def test_forced_steps_carry_no_ratio_term():
+    params = _latent_start_params()
+    config = RlConfig(group_size=2, k_train_rl=3, temperature=0.5,
                       max_response_length=10)
     group = rollout_group(lookup_sample(), params, config, CFG, np.random.default_rng(0))
     roll = group.rollouts[0]
@@ -427,23 +435,9 @@ def test_forced_steps_carry_no_ratio_term():
             assert s.kind == "latent"
 
 
-def test_rollout_group_deterministic_at_zero_temperature():
-    params = init_params(CFG, np.random.default_rng(16))
-    config = RlConfig(group_size=3, k_train_rl=2, temperature=0.0,
-                      max_response_length=16)
-    group = rollout_group(lookup_sample(), params, config, CFG, np.random.default_rng(0))
-    t0 = [s.token for s in group.rollouts[0].trajectory.steps if isinstance(s, TextStep)]
-    for roll in group.rollouts[1:]:
-        assert [s.token for s in roll.trajectory.steps if isinstance(s, TextStep)] == t0
-
-
 def test_rollout_latent_runs_have_config_length():
-    params = zero_params(CFG)
-    params["lnf_b"].data[:] = 1.0
-    w = np.zeros((CFG.hidden_dim, CFG.vocab_size))
-    w[:, vocab.TOKEN_TO_ID[vocab.LATENT_START]] = 0.05
-    params["w_out"].data[:] = w
-    config = RlConfig(group_size=2, k_train_rl=4, temperature=0.0,
+    params = _latent_start_params()
+    config = RlConfig(group_size=2, k_train_rl=4, temperature=0.5,
                       max_response_length=14)
     group = rollout_group(lookup_sample(), params, config, CFG, np.random.default_rng(1))
     for roll in group.rollouts:
@@ -507,12 +501,10 @@ def _per_step(scored, roll, g, config):
     return out
 
 
-def _reference_objective(groups, current, reference, config, algo, mconfig):
+def _reference_objective(groups, current, config, algo, mconfig):
     """The per-step objective `policy_objective` vectorizes: one full forward
     per rollout and a chain of scalar nodes per step (the scorer that
     `score_group` replaced), as an oracle for the stacked pass."""
-    use_ref = bool(config.kl_coeff) and reference is not None
-    inv_t = 1.0 / config.temperature if config.temperature > 0 else 1.0
     eps = config.clip_eps
 
     def clipped(ratio, adv):
@@ -524,16 +516,13 @@ def _reference_objective(groups, current, reference, config, algo, mconfig):
             out = ad.add(out, n)
         return out
 
-    group_objs, latent_terms, kl_nodes = [], [], []
+    group_objs, latent_terms = [], []
     text_ratios, latent_ratios = [], []
     for group in groups:
         traj_objs = []
         for roll in group.rollouts:
             mask = build_attention_mask(roll.layout, MaskMode.CAUSAL)
             logits, stack = forward(roll.layout, mask, current, mconfig)
-            if use_ref:
-                with ad.no_grad():
-                    ref_logits = forward(roll.layout, mask, reference, mconfig)[0].data
             terms, lat_local = [], []
             for pos, step in enumerate(roll.trajectory.steps, roll.trajectory.prompt_len):
                 if isinstance(step, LatentStep):
@@ -545,17 +534,11 @@ def _reference_objective(groups, current, reference, config, algo, mconfig):
                     lat_local.append(clipped(ratio, roll.advantage))
                     terms.append(lat_local[-1])
                 elif not step.forced:
-                    row = ad.scale(ad.get_row(logits, pos - 1), inv_t)
+                    row = ad.scale(ad.get_row(logits, pos - 1), 1.0 / config.temperature)
                     new_logp = ad.log_prob_row(row, step.token)
                     ratio = ad.exp(ad.sub(new_logp, step.logp))
                     text_ratios.append(ratio.item())
                     terms.append(clipped(ratio, roll.advantage))
-                    if use_ref:
-                        z = ref_logits[pos - 1] / config.temperature
-                        z = z - z.max()
-                        delta = ad.sub(float(z[step.token] - np.log(np.exp(z).sum())),
-                                       new_logp)
-                        kl_nodes.append(ad.sub(ad.sub(ad.exp(delta), delta), 1.0))
             if not terms:
                 continue
             inv = 1.0 / len(terms)
@@ -565,12 +548,8 @@ def _reference_objective(groups, current, reference, config, algo, mconfig):
         if traj_objs:
             group_objs.append(ad.scale(total(traj_objs), 1.0 / len(group.rollouts)))
     loss = ad.scale(total(group_objs), -1.0 / len(group_objs))
-    stats = {"kl": 0.0, "text_ratio_mean": float(np.mean(text_ratios)),
+    stats = {"text_ratio_mean": float(np.mean(text_ratios)),
              "latent_ratio_mean": float(np.mean(latent_ratios)) if latent_ratios else 0.0}
-    if kl_nodes:
-        kl = ad.scale(total(kl_nodes), 1.0 / len(kl_nodes))
-        stats["kl"] = kl.item()
-        loss = ad.add(loss, ad.scale(kl, config.kl_coeff))
     latent_part = ad.scale(total(latent_terms), -1.0 / len(group_objs)) if latent_terms else None
     return loss, {**stats, "latent_part": latent_part}
 
@@ -602,25 +581,20 @@ def _mixed_groups(config, old, seeds):
     return [compute_advantages(g) for g in groups]
 
 
-@pytest.mark.parametrize("algo, kl_coeff", [(Algo.GRPO, 0.0), (Algo.VLPO, 0.0),
-                                            (Algo.VLPO, 0.3), (Algo.GRPO, 0.3)])
-def test_policy_objective_matches_the_per_step_reference(algo, kl_coeff):
+@pytest.mark.parametrize("algo", [Algo.GRPO, Algo.VLPO])
+def test_policy_objective_matches_the_per_step_reference(algo):
     """Loss, stats, and the gradients of the loss and of the latent part
     agree with the per-step objective to 1e-12 relative, across two groups
-    of uneven rollouts, off-policy (so ratios clip), with and without the
-    KL term."""
+    of uneven rollouts, off-policy (so ratios clip)."""
     old = init_params(CFG, np.random.default_rng(20))
     current = init_params(CFG, np.random.default_rng(21))
-    reference = init_params(CFG, np.random.default_rng(22))
-    config = RlConfig(group_size=3, k_train_rl=2, temperature=0.7, kl_coeff=kl_coeff,
-                      max_response_length=24)
+    config = RlConfig(group_size=3, k_train_rl=2, temperature=0.7, max_response_length=24)
     groups = _mixed_groups(config, old, (23, 24))
-    loss, stats = policy_objective(groups, current, reference, config, algo, CFG)
-    ref_loss, ref_stats = _reference_objective(groups, current, reference, config, algo, CFG)
+    loss, stats = policy_objective(groups, current, config, algo, CFG)
+    ref_loss, ref_stats = _reference_objective(groups, current, config, algo, CFG)
     assert _close(loss.item(), ref_loss.item())
-    for key in ("text_ratio_mean", "latent_ratio_mean", "kl"):
+    for key in ("text_ratio_mean", "latent_ratio_mean"):
         assert _close(stats[key], ref_stats[key])
-    assert (stats["kl"] > 0.0) == (kl_coeff > 0.0)
     assert stats["latent_ratio_mean"] != 1.0 or algo is Algo.GRPO
     assert _grads_close(ad.backward(loss, current), ad.backward(ref_loss, current))
     if algo is Algo.GRPO:
@@ -630,22 +604,20 @@ def test_policy_objective_matches_the_per_step_reference(algo, kl_coeff):
                             ad.backward(ref_stats["latent_part"], current))
 
 
-def _check_group_rows(layouts, trajs, params, reference, config, temperature):
-    """score_group's log-probabilities, reference log-probabilities and
-    regenerated latent rows equal those read from a lone full forward over
-    each rollout, bit for bit; so do all of forward_group's logits and final
-    rows (a last-bit logits difference seldom reaches a log-probability)."""
+def _check_group_rows(layouts, trajs, params, config, temperature):
+    """score_group's log-probabilities and regenerated latent rows equal
+    those read from a lone full forward over each rollout, bit for bit; so
+    do all of forward_group's logits and final rows (a last-bit logits
+    difference seldom reaches a log-probability)."""
     group = RolloutGroup(gold=[], rollouts=[Rollout(l, t) for l, t in zip(layouts, trajs)])
     rl_config = RlConfig(temperature=temperature)
-    scored = score_group(params, group, rl_config, config, reference)
+    scored = score_group(params, group, rl_config, config)
     stacked_logits, stacked_final = forward_group(layouts, params, config)
     T = max(layout.length for layout in layouts)
-    inv_t = 1.0 / temperature if temperature > 0 else 1.0
-    logp, ref_logp, h_theta = [], [], []
+    logp, h_theta = [], []
     for g, (layout, traj) in enumerate(zip(layouts, trajs)):
         mask = build_attention_mask(layout, MaskMode.CAUSAL)
         logits, stack = forward(layout, mask, params, config)
-        ref_logits, _ = forward(layout, mask, reference, config)
         rows = slice(g * T, g * T + layout.length)
         assert np.array_equal(stacked_logits.data[rows], logits.data)
         assert np.array_equal(stacked_final.data[rows], stack[-1].data)
@@ -653,11 +625,9 @@ def _check_group_rows(layouts, trajs, params, reference, config, temperature):
             if isinstance(step, LatentStep):
                 h_theta.append(stack[-1].data[pos - 1])
             elif not step.forced:
-                for out, lg in ((logp, logits), (ref_logp, ref_logits)):
-                    out.append(ad.log_prob_row(ad.scale(ad.get_row(lg, pos - 1), inv_t),
-                                               step.token).item())
+                row = ad.scale(ad.get_row(logits, pos - 1), 1.0 / temperature)
+                logp.append(ad.log_prob_row(row, step.token).item())
     assert np.array_equal(scored.new_logp.data, np.array(logp))
-    assert np.array_equal(scored.ref_logp, np.array(ref_logp))
     assert np.array_equal(scored.h_theta.data, np.array(h_theta).reshape(-1, config.hidden_dim))
     for g, roll in enumerate(group.rollouts):
         _per_step(scored, roll, g, rl_config)
@@ -676,7 +646,7 @@ def test_score_group_rows_match_lone_forward_passes(data):
         segments.append(image_segment(SegmentRole.QUESTION_IMAGE, feats))
     prompt = SequenceLayout(segments)
     k = data.draw(st.sampled_from([0, 1, 2, 3, 5, 8]), label="k")
-    temperature = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="temperature")
+    temperature = data.draw(st.sampled_from([0.5, 1.0]), label="temperature")
     weights = data.draw(st.integers(0, 3), label="weights")
     params = _stopping_params(config, weights, data.draw(st.sampled_from([0.05, 0.5]),
                                                          label="scale"),
@@ -686,8 +656,7 @@ def test_score_group_rows_match_lone_forward_passes(data):
     seed = data.draw(st.integers(0, 2 ** 16), label="seed")
     decoded = decode_group(prompt, k, params, config, np.random.default_rng(seed).spawn(group),
                            temperature, data.draw(st.integers(1, 48), label="max_new"))
-    reference = init_params(config, np.random.default_rng(weights + 10))
-    _check_group_rows(*zip(*decoded), params, reference, config, temperature)
+    _check_group_rows(*zip(*decoded), params, config, temperature)
 
 
 def test_score_group_rows_match_lone_passes_at_reference_shape():
@@ -702,5 +671,4 @@ def test_score_group_rows_match_lone_passes_at_reference_shape():
                                        np.random.default_rng(3).spawn(8), 1.0, 40))
     assert len({t.truncated for t in trajs}) == 2 and len({len(t.steps) for t in trajs}) >= 4
     assert any(s.forced for t in trajs for s in t.steps if isinstance(s, TextStep))
-    _check_group_rows(layouts, trajs, params, init_params(config, np.random.default_rng(4)),
-                      config, 1.0)
+    _check_group_rows(layouts, trajs, params, config, 1.0)
