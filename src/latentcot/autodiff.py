@@ -1,15 +1,19 @@
 """Minimal reverse-mode autodiff on float64 numpy buffers.
 
-Every operation builds a graph of `Tensor` nodes. `backward` walks the graph
-once in reverse topological order and returns a gradient map; it never mutates
-nodes, so one graph can be differentiated several times (the staged trainers
-rely on this). `stop_gradient` inserts a hard barrier: values pass through
-unchanged, gradients never cross.
+Every operation builds a graph of `Tensor` nodes, each numbered from one
+counter as it is made, so a node's number is above its parents'. `backward`
+runs the nodes that hold a gradient latest-made first (the order of a tape,
+read backwards) and returns a gradient map; it never mutates nodes, so one
+graph can be differentiated several times (the staged trainers rely on this).
+`stop_gradient` inserts a hard barrier: values pass through unchanged,
+gradients never cross.
 """
 
 from __future__ import annotations
 
 import contextlib
+import heapq
+import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -44,8 +48,7 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
+_sequence = itertools.count()
 
 
 class Tensor:
@@ -53,11 +56,13 @@ class Tensor:
 
     `vjp` maps the output gradient to one gradient per parent (None allowed
     for non-differentiable parents). `barrier` marks a stop-gradient node.
+    `seq` is the node's creation number.
     """
 
-    __slots__ = ("data", "parents", "vjp", "barrier", "name")
+    __slots__ = ("data", "parents", "vjp", "barrier", "name", "seq")
 
     def __init__(self, data, parents=(), vjp=None, barrier=False, name=None):
+        self.seq = next(_sequence)
         self.data = np.asarray(data, dtype=np.float64)
         if _grad_enabled:
             self.parents = tuple(parents)
@@ -478,24 +483,6 @@ def stop_gradient(a) -> Tensor:
 # backward
 # ---------------------------------------------------------------------------
 
-def _topo(root: Tensor, stop: set | None = None) -> list[Tensor]:
-    order, seen, stack = [], set(), [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        if not node.barrier and (stop is None or id(node) not in stop):
-            for p in node.parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-    return order
-
-
 def backward(loss: Tensor, params: dict[str, Tensor] | None = None,
              wrt: Iterable[Tensor] | None = None,
              stop_at: Iterable[Tensor] | None = None):
@@ -504,34 +491,39 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None,
     With `params` (name -> leaf tensor) returns {name: grad}; parameters not
     reached by any gradient path get zeros. Otherwise returns a list of
     gradients aligned with the nodes in `wrt`. Nodes in `stop_at` still
-    accumulate gradient but their ancestors are not visited. A node's
-    gradient is dropped once its vjp has run, unless it is a `wrt` node, so
-    the map never holds every intermediate gradient at once.
+    accumulate gradient but pass none to their parents.
+
+    Nodes run latest-made first, taken from a heap of the nodes that hold a
+    gradient: a node is made after its parents, so every consumer of a node
+    has run before it. A node's gradient is dropped once its vjp has run,
+    unless it is a `wrt` node, so the map never holds every intermediate
+    gradient at once.
     """
     if loss.data.shape not in ((), (1,)):
         raise NonScalarLoss(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    stop = {id(t) for t in stop_at} if stop_at is not None else None
+    stop = {t.seq for t in stop_at} if stop_at is not None else set()
     wrt = [] if wrt is None else list(wrt)
-    keep = {id(t) for t in wrt}
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(_topo(loss, stop)):
-        g = grads.get(id(node))
-        if g is None or node.barrier or node.vjp is None:
+    keep = {t.seq for t in wrt}
+    grads: dict[int, np.ndarray] = {loss.seq: np.ones_like(loss.data)}
+    heap = [(-loss.seq, loss)]
+    while heap:
+        _, node = heapq.heappop(heap)
+        if node.vjp is None or node.seq in stop:
             continue
-        if stop is not None and id(node) in stop:
-            continue
-        if id(node) not in keep:
-            del grads[id(node)]
-        parent_grads = node.vjp(g)
-        for p, pg in zip(node.parents, parent_grads):
+        g = grads[node.seq] if node.seq in keep else grads.pop(node.seq)
+        for p, pg in zip(node.parents, node.vjp(g)):
             if pg is None:
                 continue
-            acc = grads.get(id(p))
-            grads[id(p)] = pg if acc is None else acc + pg
+            acc = grads.get(p.seq)
+            if acc is None:
+                grads[p.seq] = pg
+                heapq.heappush(heap, (-p.seq, p))
+            else:
+                grads[p.seq] = acc + pg
 
     if params is not None:
-        return {name: grads.get(id(t), np.zeros_like(t.data)) for name, t in params.items()}
-    return [grads.get(id(t), np.zeros_like(t.data)) for t in wrt]
+        return {name: grads.get(t.seq, np.zeros_like(t.data)) for name, t in params.items()}
+    return [grads.get(t.seq, np.zeros_like(t.data)) for t in wrt]
 
 
 # ---------------------------------------------------------------------------

@@ -190,11 +190,10 @@ _SERIES_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
 
 
 def emit_report(rows, run_dir, baseline: float | None = None):
-    """Accuracy-vs-k line chart plus the metrics CSV; the dashed horizontal
-    line marks the warm-up baseline at k_test=0."""
+    """Accuracy-vs-k line chart of `rows`, which are appended to the metrics
+    CSV; the dashed horizontal line marks the warm-up baseline at k_test=0."""
     run_dir = Path(run_dir)
-    csv_path = run_dir / "reports" / "metrics.csv"
-    write_csv(csv_path, rows, METRICS_FIELDS)
+    csv_path = append_metrics(run_dir, rows)
     svg_path = run_dir / "reports" / "sweep.svg"
     svg_path.write_text(render_sweep_svg(rows, baseline))
     return csv_path, svg_path

@@ -318,11 +318,13 @@ class ForwardCache:
 
     `rows[2l]` and `rows[2l + 1]` hold layer l's keys and values; each spans
     `max_positions` rows, the first `length` valid. Beside the buffers the
-    cache keeps, per pass, the graph nodes that produced its rows (`owners`),
-    its post-final-norm rows (`finals`) and its `spans`: the first row it ran
-    and the first row it added. A pass that reruns the row before its new one
-    writes that row's bits again but leaves its gradient with the pass that
-    first ran it. Under `no_grad` the nodes have no parents and the buffer
+    cache keeps, per buffer, the graph node that holds its valid rows
+    (`nodes`), and per pass its post-final-norm rows (`finals`) and its
+    `spans`: the first row it ran and the first row it added. Each pass's
+    node chains to the one before it, so a row's gradient goes down the
+    chain to the pass that first ran it; a pass that reruns the row before
+    its new one writes that row's bits again but passes its gradient down
+    the chain too. Under `no_grad` the nodes have no parents and the buffer
     views are all a pass reads.
 
     The buffers start zero-filled, and `rows` may be handed in (a view of a
@@ -335,34 +337,27 @@ class ForwardCache:
         self.length = 0
         self.rows = np.zeros((count, config.max_positions, config.hidden_dim)) \
             if rows is None else rows
-        self.owners = [[] for _ in range(count)]
+        self.nodes = [ad.constant(self.rows[i, :0]) for i in range(count)]
         self.finals = []
         self.spans = []
 
     def store(self, i: int, node: ad.Tensor) -> ad.Tensor:
         """Write this pass's rows of buffer `i` and return rows 0..T-1 of it
-        as one node, whose gradient goes row by row to the owning passes."""
-        first, _ = self.spans[-1]
-        T = first + node.shape[0]
-        self.rows[i, first:T] = node.data
-        owners = self.owners[i]
-        owners.append(node)
-        # a no-grad node drops its vjp, so skip the O(passes) copy there
-        spans = self.spans[:len(owners)] if ad.grad_enabled() else ()
+        as one node, whose parents are the new rows and the node that held
+        the rows before them."""
+        ran, own = self.spans[-1]
+        T = ran + node.shape[0]
+        self.rows[i, ran:T] = node.data
 
         def vjp(g):
-            grads = []
-            for j, (ran, own) in enumerate(spans):
-                end = spans[j + 1][1] if j + 1 < len(spans) else T
-                if ran == own:
-                    grads.append(g[own:end])
-                else:
-                    pad = np.zeros((end - ran, g.shape[1]))
-                    pad[own - ran:] = g[own:end]
-                    grads.append(pad)
-            return tuple(grads)
+            new = g[ran:]
+            if ran < own:
+                new = new.copy()
+                new[:own - ran] = 0.0
+            return new, g[:own]
 
-        return ad.Tensor(self.rows[i, :T], owners, vjp)
+        self.nodes[i] = ad.Tensor(self.rows[i, :T], (node, self.nodes[i]), vjp)
+        return self.nodes[i]
 
     def final_row(self, pos: int) -> ad.Tensor:
         """The post-final-norm state at a cached position, as a node of the

@@ -334,6 +334,9 @@ def train_rl(sft_params: dict, records, config: RlConfig, algo: Algo,
                     row["text_ratio_mean"] = stats["text_ratio_mean"]
                     row["latent_ratio_mean"] = stats["latent_ratio_mean"]
                     opt.step(grads)
+                # else this group's graph (the latent part's too) lives on
+                # through the next rollout
+                del loss, stats
             result.log.append(row)
             step += 1
     return result

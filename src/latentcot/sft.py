@@ -294,6 +294,7 @@ def _train(params: dict, records, stage: StageConfig, seed: int, name: str,
         if not np.isfinite(loss.item()):
             raise TrainingDiverged(f"{name}: loss became non-finite at step {step}")
         grads = ad.backward(loss, params)
+        del loss  # else this step's graph lives on while the next one is built
         acc = grads if acc is None else {k: acc[k] + g for k, g in grads.items()}
         del grads  # else this step's gradients live on through the next backward
         in_acc += 1

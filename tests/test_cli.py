@@ -138,6 +138,18 @@ def test_sweep_emits_csv_and_svg(tmp_path):
     assert "stroke-dasharray" in svg  # the warm-up baseline
 
 
+def test_sweep_keeps_the_rows_eval_appended(tmp_path):
+    run = tmp_path / "run"
+    gen_tiny(run)
+    train_tiny(run)
+    assert main(["eval", "--run-dir", str(run), "--checkpoint", "sft.ckpt",
+                 "--k-test", "3", "--limit", "2"]) == 0
+    assert main(["sweep", "--run-dir", str(run), "--checkpoints", "sft.ckpt",
+                 "--k-tests", "0,2", "--limit", "2"]) == 0
+    rows = read_csv(run / "reports" / "metrics.csv")
+    assert [r["k_test"] for r in rows] == ["3", "0", "2"]
+
+
 def test_unknown_flag_exits_with_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["gen-data", "--run-dir", str(tmp_path), "--bogus-flag", "1"])

@@ -670,8 +670,9 @@ def test_cached_decode_truncated_inside_a_latent_run_replays(temperature):
 
 @pytest.mark.parametrize("temperature", [0.0, 0.5])
 def test_cached_decode_from_a_one_token_prompt_replays(temperature):
-    """The prompt pass is a single row (the gemv path, like its replay); the
-    first cached step then reruns that row beside the new one."""
+    """The prompt pass is a single row, which `ad.matmul_array` runs beside a
+    zero row (as in its replay); the first cached step then reruns that row
+    beside the new one."""
     prompt = SequenceLayout([text_segment(SegmentRole.QUESTION_TEXT,
                                           [vocab.TOKEN_TO_ID[vocab.BOS]])])
     _, traj = _decode_and_replay(prompt, 3, _talkative_params(), temperature, max_new=40)
@@ -793,11 +794,12 @@ def test_group_rollouts_that_stop_apart_match_lone_decodes():
 
 
 def test_one_token_prompt_with_empty_latent_runs_replays():
-    """A one-row prompt runs its first pass as a gemv; with k = 0 the forced
-    end token follows the marker at once, so the next pass adds two rows.
-    It must rerun the prompt row too, or every later row attends to gemv
-    keys and values that no full pass has. (The second rollout here, and
-    its lone decode, opens such a run at its first step.)"""
+    """A one-row prompt runs its first pass beside a zero row
+    (`ad.matmul_array`), so its keys and values have the bits of a full
+    pass; with k = 0 the forced end token follows the marker at once, so
+    the next pass adds two rows and attends to the prompt row's cached keys
+    and values. (The second rollout here, and its lone decode, opens such a
+    run at its first step.)"""
     prompt = SequenceLayout([text_segment(SegmentRole.QUESTION_TEXT, [0])])
     params = _stopping_params(LONG, 0, 0.05, -1.0, 0.2)
     trajs = _check_group(prompt, 0, params, LONG, 0.5, 3, 2, max_new=4)

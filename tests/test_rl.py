@@ -1,3 +1,4 @@
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentcot import autodiff as ad
-from latentcot import vocab
+from latentcot import rl, vocab
 from latentcot.gradcheck import _inject_latent_run
 from latentcot.layouts import build_prompt
 from latentcot.model import (LatentStep, MaskMode, ModelConfig, SegmentRole,
@@ -459,6 +460,25 @@ def test_train_rl_grpo_logs_zero_latent_norms():
     result = train_rl(params, records, config, Algo.GRPO, CFG, seed=3)
     assert len(result.log) == len(records)
     assert all(row["latent_grad_norm"] == 0.0 for row in result.log)
+
+
+def test_each_step_graph_is_freed_before_the_next_rollout(monkeypatch):
+    """Neither the loss nor the latent part of one step's objective is alive
+    when the next step scores its group."""
+    config = RlConfig(group_size=2, k_train_rl=3, temperature=0.5,
+                      max_response_length=10, learning_rate=1e-4)
+    kept = []
+
+    def objective(*args):
+        assert all(ref() is None for ref in kept)
+        loss, stats = policy_objective(*args)
+        kept.extend(weakref.ref(t.data) for t in (loss, stats["latent_part"]))
+        return loss, stats
+
+    monkeypatch.setattr(rl, "filter_by_accuracy", lambda groups, threshold: groups)
+    monkeypatch.setattr(rl, "policy_objective", objective)
+    train_rl(_latent_start_params(), rl_records(3), config, Algo.VLPO, CFG, seed=5)
+    assert len(kept) == 6
 
 
 def test_train_rl_deterministic():

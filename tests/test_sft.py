@@ -1,6 +1,7 @@
 import copy
 import functools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -405,7 +406,15 @@ def test_fill_graph_stays_near_one_forward():
                         params, config)
 
     def values(root):
-        return sum(n.data.size for n in ad._topo(root))
+        """Values held by the nodes above `root`, not crossing barriers."""
+        seen, todo = {root.seq: root}, [root]
+        while todo:
+            node = todo.pop()
+            for p in () if node.barrier else node.parents:
+                if p.seq not in seen:
+                    seen[p.seq] = p
+                    todo.append(p)
+        return sum(n.data.size for n in seen.values())
 
     assert values(surrogate) <= 3 * values(logits)
 
@@ -548,6 +557,22 @@ def test_grad_accum_steps_on_a_last_partial_window(grad_accum, max_steps):
         opt.step({k: sum(g[k] for g in window) / len(window) for k in ref})
     for name in ref:
         assert np.array_equal(result.params[name].data, ref[name].data), name
+
+
+def test_each_step_graph_is_freed_before_the_next_is_built():
+    records = tiny_records(n=4)
+    params = init_params(CFG, np.random.default_rng(42))
+    stage = StageConfig(learning_rate=1e-3, epochs=1, max_steps=3)
+    kept = []
+
+    def sample_loss(rec):
+        assert all(ref() is None for ref in kept)
+        loss = sft.stage1_sample_loss(rec.sample, params, CFG)
+        kept.append(weakref.ref(loss.data))
+        return loss, {}
+
+    sft._train(params, records, stage, 0, "stage1", sample_loss)
+    assert len(kept) == 3
 
 
 def test_untrained_obs_accuracy_near_chance():
