@@ -5,8 +5,16 @@ counter as it is made, so a node's number is above its parents'. `backward`
 runs the nodes that hold a gradient latest-made first (the order of a tape,
 read backwards) and returns a gradient map; it never mutates nodes, so one
 graph can be differentiated several times (the staged trainers rely on this).
+A node's third and later gradient contributions are added in place into a
+sum `backward` allocated itself, never into an array a vjp returned.
 `stop_gradient` inserts a hard barrier: values pass through unchanged,
 gradients never cross.
+
+Besides the primitives, two fused nodes carry a transformer block:
+`attention` (head split, scores, masked softmax, `probs @ v`, head merge)
+and `mlp` (`gelu(x @ w1 + b1) @ w2 + b2`). Each runs the numpy ops of the
+op chain it stands for, in the same order, so values and gradients keep
+their bits, and its vjp keeps only what backward needs.
 """
 
 from __future__ import annotations
@@ -63,7 +71,9 @@ class Tensor:
 
     def __init__(self, data, parents=(), vjp=None, barrier=False, name=None):
         self.seq = next(_sequence)
-        self.data = np.asarray(data, dtype=np.float64)
+        if type(data) is not np.ndarray or data.dtype != np.float64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         if _grad_enabled:
             self.parents = tuple(parents)
             self.vjp = vjp
@@ -184,13 +194,6 @@ def reshape(a, shape) -> Tensor:
     return Tensor(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
-def swap_last(a) -> Tensor:
-    a = as_tensor(a)
-    if a.data.ndim < 2:
-        raise ShapeError("swap_last", a.shape)
-    return Tensor(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
-
-
 def concat_rows(blocks: Sequence[Tensor]) -> Tensor:
     """Stack 2-d blocks along axis 0."""
     blocks = [as_tensor(b) for b in blocks]
@@ -261,18 +264,26 @@ def tanh(a) -> Tensor:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """The tanh term of the tanh-approximate GELU."""
+    return np.tanh(_GELU_C * (x + 0.044715 * ((x * x) * x)))
+
+
+def _gelu_value(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """gelu(x), from x and its tanh term."""
+    return 0.5 * x * (1.0 + t)
+
+
+def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d gelu(x) / dx, from x and its tanh term."""
+    dinner = _GELU_C * (1.0 + 0.134145 * (x * x))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+
+
 def gelu(a) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
-    out = 0.5 * x * (1.0 + t)
-
-    def vjp(g):
-        dinner = _GELU_C * (1.0 + 0.134145 * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
-
-    return Tensor(out, (a,), vjp)
+    t = _gelu_tanh(a.data)
+    return Tensor(_gelu_value(a.data, t), (a,), lambda g: (g * _gelu_slope(a.data, t),))
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
@@ -292,21 +303,22 @@ def minimum2(a, b) -> Tensor:
 
 
 def layer_norm(x, gain, bias) -> Tensor:
-    """Normalize the last axis, then apply elementwise gain and bias."""
+    """Normalize the last axis, then apply elementwise gain and bias. Means
+    are sums divided by the width, which is what `np.mean` computes."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ShapeError("layer_norm", x.shape, gain.shape, bias.shape)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + EPS_LAYERNORM)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
     def vjp(g):
-        d = x.shape[-1]
         gy = g * gain.data
-        gx = inv * (gy - gy.mean(axis=-1, keepdims=True) - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
+        gx = inv * (gy - gy.sum(axis=-1, keepdims=True) / d
+                    - xhat * ((gy * xhat).sum(axis=-1, keepdims=True) / d))
         axes = tuple(range(g.ndim - 1))
         return (gx, (g * xhat).sum(axis=axes), g.sum(axis=axes))
 
@@ -326,39 +338,86 @@ def softmax(a) -> Tensor:
     return Tensor(p, (a,), vjp)
 
 
-def masked_softmax(scores, allow: np.ndarray, sum_buffer: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis restricted to `allow` (bool, same shape).
+def attention(q, k, v, allow: np.ndarray, sum_buffer: np.ndarray, G: int, H: int,
+              scale: float) -> Tensor:
+    """Multi-head attention over G stacked sequences, as one node.
 
-    Disallowed entries come out exactly 0.0. Every row must keep at least one
-    allowed entry.
+    `q` holds (G*R, d) query rows, R per sequence; `k` and `v` hold (G*T, d)
+    or (G, T, d) key and value rows. Each is split into H heads of d/H
+    columns, scores `q kᵀ * scale` are softmaxed over the keys that `allow`
+    (bool, (G, H, R, T)) admits, and the heads of `probs @ v` are merged
+    back into (G*R, d) rows. Disallowed keys get probability exactly 0.0;
+    every row must keep at least one allowed key.
 
-    `sum_buffer` (shape `scores.shape[:-1] + (W,)` with W at least the score
-    width, zero beyond it) fixes how each denominator is summed: over all W
-    columns, the trailing ones exact zeros. numpy's pairwise sum groups terms
-    by the row width, so a sum over T columns rounds differently for
-    different T; over a fixed W a row's probabilities are the same bits
-    whatever number of masked columns follow it. Without a buffer W is the
-    score width, and the rounding depends on it.
+    `sum_buffer` (shape (G, H, R, W) with W at least T, zero beyond T) fixes
+    how each softmax denominator is summed: over all W columns, the trailing
+    ones exact zeros. numpy's pairwise sum groups terms by the row width, so
+    a sum over T columns rounds differently for different T; over a fixed W
+    a row's probabilities are the same bits whatever number of masked
+    columns follow it.
+
+    Products go through `matmul_array`. The vjp keeps only the probabilities
+    beside the inputs' own arrays.
     """
-    scores = as_tensor(scores)
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    scale = float(scale)
     allow = np.asarray(allow, dtype=bool)
-    if allow.shape != scores.shape:
-        raise ShapeError("masked_softmax", scores.shape, allow.shape)
+    try:
+        q4, k4, v4 = (x.data.reshape(G, -1, H, x.shape[-1] // H).transpose(0, 2, 1, 3)
+                      for x in (q, k, v))
+    except ValueError:
+        raise ShapeError("attention", q.shape, k.shape, v.shape)
+    R, T, dh = q4.shape[2], k4.shape[2], q4.shape[3]
+    if q.shape[-1] % H or k.shape != v.shape or k4.shape[3] != dh or allow.shape != (G, H, R, T):
+        raise ShapeError("attention", q.shape, k.shape, v.shape, allow.shape)
     if not allow.any(axis=-1).all():
-        raise ValueError("masked_softmax: a row has no allowed entries")
-    neg = np.where(allow, scores.data, -np.inf)
+        raise ValueError("attention: a row has no allowed entries")
+    if sum_buffer.shape[:-1] != allow.shape[:-1] or sum_buffer.shape[-1] < T:
+        raise ShapeError("attention", allow.shape, sum_buffer.shape)
+    scores = matmul_array(q4, np.swapaxes(k4, -1, -2)) * scale
+    neg = np.where(allow, scores, -np.inf)
     z = neg - neg.max(axis=-1, keepdims=True)
-    if sum_buffer is None:
-        sum_buffer = np.zeros(z.shape)
-    if sum_buffer.shape[:-1] != z.shape[:-1] or sum_buffer.shape[-1] < z.shape[-1]:
-        raise ShapeError("masked_softmax", scores.shape, sum_buffer.shape)
-    e = np.exp(z, out=sum_buffer[..., :z.shape[-1]])
+    e = np.exp(z, out=sum_buffer[..., :T])
     p = e / sum_buffer.sum(axis=-1, keepdims=True)
+    out = matmul_array(p, v4).transpose(0, 2, 1, 3).reshape(G * R, H * dh)
 
     def vjp(g):
-        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
+        g = g.reshape(G, R, H, dh).transpose(0, 2, 1, 3)
+        gp = matmul_array(g, np.swapaxes(v4, -1, -2))
+        gv = np.swapaxes(p, -1, -2) @ g
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+        gq = matmul_array(gs, k4)
+        gk = np.swapaxes(np.swapaxes(q4, -1, -2) @ gs, -1, -2)
+        return tuple(gx.transpose(0, 2, 1, 3).reshape(x.shape)
+                     for gx, x in ((gq, q), (gk, k), (gv, v)))
 
-    return Tensor(p, (scores,), vjp)
+    return Tensor(out, (q, k, v), vjp)
+
+
+def mlp(x, w1, b1, w2, b2) -> Tensor:
+    """`gelu(x @ w1 + b1) @ w2 + b2` over (n, d) rows, as one node.
+
+    Products go through `matmul_array`. The vjp keeps only the
+    pre-activation and the tanh term beside the inputs' own arrays and
+    recomputes the activation from them.
+    """
+    x, w1, b1, w2, b2 = (as_tensor(a) for a in (x, w1, b1, w2, b2))
+    if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
+            or x.shape[1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
+            or b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]):
+        raise ShapeError("mlp", x.shape, w1.shape, b1.shape, w2.shape, b2.shape)
+    pre = matmul_array(x.data, w1.data) + b1.data
+    t = _gelu_tanh(pre)
+    out = matmul_array(_gelu_value(pre, t), w2.data) + b2.data
+
+    def vjp(g):
+        h = _gelu_value(pre, t)
+        gh = matmul_array(g, w2.data.T)
+        gpre = gh * _gelu_slope(pre, t)
+        return (matmul_array(gpre, w1.data.T), x.data.T @ gpre, _unbroadcast(gpre, b1.shape),
+                h.T @ g, _unbroadcast(g, b2.shape))
+
+    return Tensor(out, (x, w1, b1, w2, b2), vjp)
 
 
 def cosine_rows(a, b) -> Tensor:
@@ -497,7 +556,10 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None,
     gradient: a node is made after its parents, so every consumer of a node
     has run before it. A node's gradient is dropped once its vjp has run,
     unless it is a `wrt` node, so the map never holds every intermediate
-    gradient at once.
+    gradient at once. A node's first gradient is the array a vjp returned;
+    its second makes a new sum, and its later ones add into that sum in
+    place. An array a vjp returned is never written to, as vjps may return
+    their own input or views of it.
     """
     if loss.data.shape not in ((), (1,)):
         raise NonScalarLoss(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -505,6 +567,7 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None,
     wrt = [] if wrt is None else list(wrt)
     keep = {t.seq for t in wrt}
     grads: dict[int, np.ndarray] = {loss.seq: np.ones_like(loss.data)}
+    owned = set()  # nodes whose gradient is a sum this loop allocated
     heap = [(-loss.seq, loss)]
     while heap:
         _, node = heapq.heappop(heap)
@@ -518,8 +581,12 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None,
             if acc is None:
                 grads[p.seq] = pg
                 heapq.heappush(heap, (-p.seq, p))
+            elif p.seq in owned:
+                acc += pg
+                grads[p.seq] = acc  # a 0-d sum is a numpy scalar, which += rebinds
             else:
                 grads[p.seq] = acc + pg
+                owned.add(p.seq)
 
     if params is not None:
         return {name: grads.get(t.seq, np.zeros_like(t.data)) for name, t in params.items()}

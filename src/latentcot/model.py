@@ -171,7 +171,7 @@ class SequenceLayout:
 def build_attention_mask(layout: SequenceLayout, mode: MaskMode) -> np.ndarray:
     """The (T, T) bool mask: allow[q, k] says whether position q sees key k."""
     T = layout.length
-    allow = np.tril(np.ones((T, T), dtype=bool))
+    allow = np.tri(T, dtype=bool)
     if mode is MaskMode.AUX_GATED:
         for si, seg in enumerate(layout.segments):
             if seg.role is not SegmentRole.AUX_IMAGE or len(seg) == 0:
@@ -374,15 +374,22 @@ HEAD_COLUMNS = 16
 
 
 def _head(final: ad.Tensor, w_out: ad.Tensor) -> ad.Tensor:
-    """Logits `final @ w_out` by `ad.matmul`, over `w_out` padded with zero
-    columns to a multiple of `HEAD_COLUMNS`; the padded columns are dropped.
-    Every row gets the bits it has in any other product of this helper."""
+    """Logits `final @ w_out` as one node: the product runs by
+    `ad.matmul_array` against `w_out` padded with zero columns to a multiple
+    of `HEAD_COLUMNS`, and the padded columns are dropped. Every row gets the
+    bits it has in any other product of this helper. The vjp pads the
+    gradient with zero columns and takes both products by `ad.matmul`'s
+    rule."""
     d, V = w_out.shape
-    pad = np.zeros((d, -V % HEAD_COLUMNS))
-    out = ad.matmul(final, ad.Tensor(np.concatenate([w_out.data, pad], axis=1), (w_out,),
-                                     lambda g: (g[:, :V],)))
-    return ad.Tensor(out.data[:, :V], (out,),
-                     lambda g: (np.concatenate([g, np.zeros((len(g), pad.shape[1]))], axis=1),))
+    if final.data.ndim != 2 or final.shape[1] != d:
+        raise ad.ShapeError("head", final.shape, w_out.shape)
+    wide = np.concatenate([w_out.data, np.zeros((d, -V % HEAD_COLUMNS))], axis=1)
+
+    def vjp(g):
+        g = np.concatenate([g, np.zeros((len(g), wide.shape[1] - V))], axis=1)
+        return ad.matmul_array(g, wide.T), (final.data.T @ g)[:, :V]
+
+    return ad.Tensor(ad.matmul_array(final.data, wide)[:, :V], (final, w_out), vjp)
 
 
 def forward(layout: SequenceLayout, mask: np.ndarray, params: dict,
@@ -477,40 +484,18 @@ def _blocks(x0: ad.Tensor, latent_rows: np.ndarray, allow: np.ndarray, params: d
             kv_in = ad.layer_norm(kv_stream, params[p + "ln1_g"], params[p + "ln1_b"])
         else:
             kv_in = q_in
-        q = _to_heads(ad.matmul(q_in, params[p + "wq"]), G, H)
-        k = _to_heads(attend(2 * l, ad.matmul(kv_in, params[p + "wk"])), G, H)
-        v = _to_heads(attend(2 * l + 1, ad.matmul(kv_in, params[p + "wv"])), G, H)
-        scores = ad.scale(ad.matmul(q, ad.swap_last(k)), scale)
-        probs = ad.masked_softmax(scores, allow, sum_buffer)
-        attn = _from_heads(ad.matmul(probs, v))
+        q = ad.matmul(q_in, params[p + "wq"])
+        k = attend(2 * l, ad.matmul(kv_in, params[p + "wk"]))
+        v = attend(2 * l + 1, ad.matmul(kv_in, params[p + "wv"]))
+        attn = ad.attention(q, k, v, allow, sum_buffer, G, H, scale)
         resid = ad.add(resid, ad.matmul(attn, params[p + "wo"]))
         h = ad.layer_norm(resid, params[p + "ln2_g"], params[p + "ln2_b"])
-        h = ad.gelu(ad.add(ad.matmul(h, params[p + "w1"]), params[p + "b1"]))
-        resid = ad.add(resid, ad.add(ad.matmul(h, params[p + "w2"]), params[p + "b2"]))
+        resid = ad.add(resid, ad.mlp(h, params[p + "w1"], params[p + "b1"],
+                                     params[p + "w2"], params[p + "b2"]))
         if l < config.layer_count - 1:
             stack.append(resid)
     stack.append(ad.layer_norm(resid, params["lnf_g"], params["lnf_b"]))
     return stack
-
-
-def _to_heads(x: ad.Tensor, G: int, H: int) -> ad.Tensor:
-    """(G*T, d) or (G, T, d) rows -> (G, H, T, d/H) heads."""
-    shape = x.shape
-
-    def vjp(g):
-        return (g.transpose(0, 2, 1, 3).reshape(shape),)
-
-    return ad.Tensor(x.data.reshape(G, -1, H, shape[-1] // H).transpose(0, 2, 1, 3), (x,), vjp)
-
-
-def _from_heads(x: ad.Tensor) -> ad.Tensor:
-    """(G, H, R, dh) heads -> (G*R, H*dh) rows."""
-    G, H, R, dh = x.shape
-
-    def vjp(g):
-        return (g.reshape(G, R, H, dh).transpose(0, 2, 1, 3),)
-
-    return ad.Tensor(x.data.transpose(0, 2, 1, 3).reshape(G * R, H * dh), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

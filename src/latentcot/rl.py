@@ -237,7 +237,7 @@ def policy_objective(groups, current: dict, config: RlConfig, algo: Algo,
              "latent_ratio_mean": 0.0}
     if not groups:
         return None, stats
-    group_objs, latent_objs = [], []
+    group_objs, latent_objs, latents = [], [], []
     text_ratios, latent_ratios = [], []
     for group in groups:
         scored = score_group(current, group, config, mconfig)
@@ -261,6 +261,7 @@ def policy_objective(groups, current: dict, config: RlConfig, algo: Algo,
         if with_latents:
             ratio = vlpo_latent_ratio(scored.h_old, scored.h_theta, config.sigma)
             latent_ratios.append(ratio.data)
+            latents.append((scored.h_old, scored.h_theta.data))
             latent_objs.append(weighted(ratio, scored.latent_rollout))
             obj = ad.add(obj, latent_objs[-1])
         group_objs.append(obj)
@@ -276,12 +277,19 @@ def policy_objective(groups, current: dict, config: RlConfig, algo: Algo,
     latent_part = None
     if latent_objs:
         latent_part = ad.scale(functools.reduce(ad.add, latent_objs), -1.0 / len(group_objs))
-    return loss, {**stats, "latent_part": latent_part}
+    return loss, {**stats, "latent_part": latent_part, "latents": latents}
 
 
-def latent_gradient_norm(latent_part, params: dict) -> float:
-    """Norm of the parameter gradient attributable to latent ratio terms."""
-    if latent_part is None:
+def latent_gradient_norm(latent_part, params: dict, latents=()) -> float:
+    """Norm of the parameter gradient attributable to latent ratio terms.
+
+    `latents` may hold each scored group's (h_old, h_theta) arrays (the
+    `latents` entry of `policy_objective`'s stats). When every pair is equal
+    elementwise, as under on-policy scoring, every latent term's gradient
+    is a multiple of h_old - h_theta = 0, so the norm is 0.0 and no backward
+    runs. The test is on the vectors, not on the squared distance, which
+    can underflow to 0 for vectors that differ."""
+    if latent_part is None or (latents and all(np.array_equal(a, b) for a, b in latents)):
         return 0.0
     grads = ad.backward(latent_part, params)
     return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
@@ -330,7 +338,7 @@ def train_rl(sft_params: dict, records, config: RlConfig, algo: Algo,
                         raise TrainingDiverged(f"rl: loss non-finite at step {step}")
                     grads = ad.backward(loss, params)
                     row["latent_grad_norm"] = latent_gradient_norm(
-                        stats.get("latent_part"), params)
+                        stats["latent_part"], params, stats["latents"])
                     row["text_ratio_mean"] = stats["text_ratio_mean"]
                     row["latent_ratio_mean"] = stats["latent_ratio_mean"]
                     opt.step(grads)

@@ -81,12 +81,19 @@ class AdamW:
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
+        # in place, with each product's and sum's operands as in
+        # w -= lr * ((m / c1) / (sqrt(v / c2) + eps) + wd * w), so bits match
         for name, tensor in self.params.items():
-            g = grads[name]
-            m = self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
-            v = self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-            tensor.data -= self.lr * (update + WEIGHT_DECAY * tensor.data)
+            g, m, v, w = grads[name], self.m[name], self.v[name], tensor.data
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            update = m / c1
+            update /= np.sqrt(v / c2) + ADAM_EPS
+            update += WEIGHT_DECAY * w
+            update *= self.lr
+            w -= update
 
 
 # ---------------------------------------------------------------------------

@@ -144,15 +144,14 @@ def test_fused_ops_match_finite_differences():
     vals = {"logits": rng.normal(size=(T, V))}
     targets = rng.integers(0, V, size=T)
     mask = np.array([True, False, True, True])
-    allow = np.tril(np.ones((T, T), dtype=bool))
+    allow = np.broadcast_to(np.tril(np.ones((T, T), dtype=bool)), (1, 2, T, T))
 
     def build(p):
         logits = p["logits"] if isinstance(p["logits"], ad.Tensor) else ad.constant(p["logits"])
         nll = ad.masked_mean_nll(logits, targets, mask)
-        scores = ad.matmul(logits, ad.constant(np.eye(V)[:, :T]))
-        sm = ad.masked_softmax(scores, allow)
+        att = ad.attention(logits, logits, logits, allow, np.zeros((1, 2, T, T)), 1, 2, 0.5)
         lp = ad.log_prob_row(ad.get_row(logits, 1), 2)
-        return ad.add(ad.add(nll, ad.mean_all(sm)), ad.scale(lp, 0.5))
+        return ad.add(ad.add(nll, ad.mean_all(att)), ad.scale(lp, 0.5))
 
     p = {"logits": ad.parameter("logits", vals["logits"])}
     analytic = ad.backward(build(p), p)
@@ -265,3 +264,176 @@ def test_one_row_matmul_matches_its_row_in_a_longer_product(a_shape, b_shape):
         g_row = np.zeros_like(g_all)
         g_row[row] = g_all[row]
         assert np.array_equal(grad_b, run(a_all, g_row)[2])
+
+
+def _attention_inputs(rng, G, H, R, T, d, kv_shape):
+    """Query, key and value rows, a mask with keys masked at random (key 0
+    always allowed), and a sum buffer wider than T."""
+    vals = {"q": rng.normal(size=(G * R, d)), "k": rng.normal(size=kv_shape),
+            "v": rng.normal(size=kv_shape)}
+    allow = rng.random((G, H, R, T)) < 0.6
+    allow[..., 0] = True
+    return vals, allow, T + 3
+
+
+@pytest.mark.parametrize("R, kv", [(3, "rows"), (3, "stacked"), (1, "rows")])
+def test_attention_matches_finite_differences(R, kv):
+    """Two sequences, two heads, masked keys, a sum buffer wider than T, and
+    a one-row query; keys and values as (G*T, d) rows or (G, T, d)."""
+    rng = np.random.default_rng(17)
+    G, H, T, d = 2, 2, 5, 4
+    vals, allow, width = _attention_inputs(rng, G, H, R, T, d,
+                                           (G * T, d) if kv == "rows" else (G, T, d))
+    weights = rng.normal(size=(G * R, d))
+
+    def build(p):
+        att = ad.attention(p["q"], p["k"], p["v"], allow, np.zeros((G, H, R, width)), G, H, 0.7)
+        return ad.sum_all(ad.mul(att, weights))
+
+    params = {k: ad.parameter(k, v) for k, v in vals.items()}
+    analytic = ad.backward(build(params), params)
+
+    def f(p):
+        with ad.no_grad():
+            return build({k: ad.constant(v) for k, v in p.items()}).item()
+
+    assert ad.max_rel_error(analytic, ad.finite_difference(f, vals, eps=1e-5)) < 1e-4
+
+
+def test_attention_gives_masked_keys_zero_weight_and_checks_its_rows():
+    rng = np.random.default_rng(2)
+    vals, allow, width = _attention_inputs(rng, 1, 2, 3, 4, 4, (4, 4))
+    buffer = np.zeros((1, 2, 3, width))
+    base = ad.attention(vals["q"], vals["k"], vals["v"], allow, buffer, 1, 2, 0.5).data
+    hidden = np.where(~allow.any(axis=(0, 1, 2)))[0]
+    moved = vals["v"].copy()
+    moved[hidden] += 100.0  # keys no row sees
+    assert np.array_equal(base, ad.attention(vals["q"], vals["k"], moved, allow, buffer,
+                                             1, 2, 0.5).data)
+    allow[0, 1, 2] = False
+    with pytest.raises(ValueError, match="no allowed entries"):
+        ad.attention(vals["q"], vals["k"], vals["v"], allow, buffer, 1, 2, 0.5)
+    with pytest.raises(ad.ShapeError, match="attention"):
+        ad.attention(vals["q"], vals["k"], vals["v"][:3], allow, buffer, 1, 2, 0.5)
+
+
+def test_mlp_matches_finite_differences():
+    rng = np.random.default_rng(19)
+    vals = {"x": rng.normal(size=(3, 4)), "w1": rng.normal(size=(4, 6)) * 0.7,
+            "b1": rng.normal(size=6) * 0.3, "w2": rng.normal(size=(6, 4)) * 0.7,
+            "b2": rng.normal(size=4) * 0.3}
+    weights = rng.normal(size=(3, 4))
+
+    def build(p):
+        return ad.sum_all(ad.mul(ad.mlp(p["x"], p["w1"], p["b1"], p["w2"], p["b2"]), weights))
+
+    params = {k: ad.parameter(k, v) for k, v in vals.items()}
+    analytic = ad.backward(build(params), params)
+
+    def f(p):
+        with ad.no_grad():
+            return build({k: ad.constant(v) for k, v in p.items()}).item()
+
+    assert ad.max_rel_error(analytic, ad.finite_difference(f, vals, eps=1e-5)) < 1e-4
+
+
+def _attention_chain(q, k, v, allow, width, G, H, scale, g):
+    """The op chain `ad.attention` replaced, in numpy: split heads, `q kᵀ`,
+    scale, masked softmax over a `width`-column buffer, `@ v`, merge heads;
+    then each op's vjp in reverse. Returns (output, grad q, grad k, grad v)."""
+    def heads(x):
+        return x.reshape(G, -1, H, x.shape[-1] // H).transpose(0, 2, 1, 3)
+
+    q4, k4, v4 = heads(q), heads(k), heads(v)
+    kt = np.swapaxes(k4, -1, -2)
+    scores = ad.matmul_array(q4, kt)
+    scaled = scores * scale
+    neg = np.where(allow, scaled, -np.inf)
+    z = neg - neg.max(axis=-1, keepdims=True)
+    buffer = np.zeros(allow.shape[:-1] + (width,))
+    e = np.exp(z, out=buffer[..., :z.shape[-1]])
+    p = e / buffer.sum(axis=-1, keepdims=True)
+    o = ad.matmul_array(p, v4)
+    G_, H_, R, dh = o.shape
+    out = o.transpose(0, 2, 1, 3).reshape(G_ * R, H_ * dh)
+    go = g.reshape(G_, R, H_, dh).transpose(0, 2, 1, 3)
+    gp = ad.matmul_array(go, np.swapaxes(v4, -1, -2))
+    gv4 = np.swapaxes(p, -1, -2) @ go
+    gscaled = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+    gscores = gscaled * scale
+    gq4 = ad.matmul_array(gscores, np.swapaxes(kt, -1, -2))
+    gkt = np.swapaxes(q4, -1, -2) @ gscores
+    gk4 = np.swapaxes(gkt, -1, -2)
+    return (out, gq4.transpose(0, 2, 1, 3).reshape(q.shape),
+            gk4.transpose(0, 2, 1, 3).reshape(k.shape), gv4.transpose(0, 2, 1, 3).reshape(v.shape))
+
+
+def _mlp_chain(x, w1, b1, w2, b2, g):
+    """The op chain `ad.mlp` replaced, in numpy: matmul, bias add, gelu,
+    matmul, bias add; then each op's vjp in reverse. Returns (output, grad x,
+    grad w1, grad b1, grad w2, grad b2)."""
+    c = np.sqrt(2.0 / np.pi)
+    pre = ad.matmul_array(x, w1) + b1
+    x2 = pre * pre
+    t = np.tanh(c * (pre + 0.044715 * (x2 * pre)))
+    h = 0.5 * pre * (1.0 + t)
+    out = ad.matmul_array(h, w2) + b2
+    gb2 = g.sum(axis=(0,))
+    gh = ad.matmul_array(g, np.swapaxes(w2, -1, -2))
+    gw2 = np.swapaxes(h, -1, -2) @ g
+    dinner = c * (1.0 + 0.134145 * x2)
+    gpre = gh * (0.5 * (1.0 + t) + 0.5 * pre * (1.0 - t * t) * dinner)
+    gb1 = gpre.sum(axis=(0,))
+    gx = ad.matmul_array(gpre, np.swapaxes(w1, -1, -2))
+    gw1 = np.swapaxes(x, -1, -2) @ gpre
+    return out, gx, gw1, gb1, gw2, gb2
+
+
+@pytest.mark.parametrize("R", [1, 2, 7])
+def test_fused_nodes_give_the_bits_of_the_op_chains_they_replace(R):
+    """`ad.attention` and `ad.mlp` at the reference widths (d = 64, 4 heads,
+    a 160-column sum buffer): output and every vjp output equal the numpy
+    transcription of the old op chain under `np.array_equal`. The score
+    scale is not a power of two, so a reordered product would show."""
+    rng = np.random.default_rng(R)
+    G, H, T, d = 2, 4, 9, 64
+    vals, allow, _ = _attention_inputs(rng, G, H, R, T, d, (G * T, d))
+    g = rng.normal(size=(G * R, d))
+    node = ad.attention(vals["q"], vals["k"], vals["v"], allow, np.zeros((G, H, R, 160)),
+                        G, H, 0.3)
+    want = _attention_chain(vals["q"], vals["k"], vals["v"], allow, 160, G, H, 0.3, g)
+    for got, ref in zip((node.data, *node.vjp(g)), want):
+        assert np.array_equal(got, ref)
+
+    x = rng.normal(size=(G * R, d))
+    w1, b1 = rng.normal(scale=0.3, size=(d, 4 * d)), rng.normal(scale=0.1, size=4 * d)
+    w2, b2 = rng.normal(scale=0.3, size=(4 * d, d)), rng.normal(scale=0.1, size=d)
+    node = ad.mlp(x, w1, b1, w2, b2)
+    for got, ref in zip((node.data, *node.vjp(g)), _mlp_chain(x, w1, b1, w2, b2, g)):
+        assert np.array_equal(got, ref)
+
+
+def test_backward_never_writes_into_an_array_a_vjp_returned():
+    """A node that takes three or more gradient contributions sums them in
+    a buffer of its own: the arrays the vjps returned, including an input
+    gradient passed straight through, keep their values."""
+    p = ad.parameter("p", np.array([1.0, -2.0, 0.5]))
+    returned = []
+
+    def recorded(node):
+        def vjp(g):
+            out = node.vjp(g)
+            returned.extend((a, a.copy()) for a in out)
+            return out
+        return ad.Tensor(node.data, node.parents, vjp)
+
+    uses = [recorded(ad.identity(p)), recorded(ad.scale(p, 3.0)), recorded(ad.identity(p)),
+            recorded(ad.scale(p, -0.5))]
+    total = uses[0]
+    for u in uses[1:]:
+        total = recorded(ad.add(total, u))
+    grads = ad.backward(ad.sum_all(total), {"p": p})
+    assert np.array_equal(grads["p"], np.full(3, 1.0 + 3.0 + 1.0 - 0.5))
+    assert len(returned) == 10
+    for arr, snapshot in returned:
+        assert np.array_equal(arr, snapshot)

@@ -290,6 +290,69 @@ def test_head_rows_keep_their_bits_in_any_window_or_prefix(data):
                 assert np.array_equal(rows, full[a:a + width]), (a, width)
 
 
+def test_head_matches_finite_differences():
+    rng = np.random.default_rng(23)
+    vals = {"final": rng.normal(size=(3, 5)), "w_out": rng.normal(size=(5, 7))}
+    weights = rng.normal(size=(3, 7))
+
+    def build(p):
+        return ad.sum_all(ad.mul(model._head(p["final"], p["w_out"]), weights))
+
+    params = {k: ad.parameter(k, v) for k, v in vals.items()}
+    analytic = ad.backward(build(params), params)
+
+    def f(p):
+        with ad.no_grad():
+            return build({k: ad.constant(v) for k, v in p.items()}).item()
+
+    assert ad.max_rel_error(analytic, ad.finite_difference(f, vals, eps=1e-5)) < 1e-4
+
+
+@pytest.mark.parametrize("R", [1, 2, 9])
+def test_head_gives_the_bits_of_the_op_chain_it_replaced(R):
+    """`_head`'s logits and vjp equal, under `np.array_equal`, the numpy
+    transcription of the old chain: pad `w_out`, product by `ad.matmul`'s
+    rule, drop the pad; then the pad-gradient, matmul and slice vjps."""
+    rng = np.random.default_rng(R)
+    d, V = 64, vocab.VOCAB_SIZE
+    final, w_out, g = rng.normal(size=(R, d)), rng.normal(size=(d, V)), rng.normal(size=(R, V))
+    wide = np.concatenate([w_out, np.zeros((d, -V % model.HEAD_COLUMNS))], axis=1)
+    out = ad.matmul_array(final, wide)
+    g_out = np.concatenate([g, np.zeros((R, wide.shape[1] - V))], axis=1)
+    want = (out[:, :V], ad.matmul_array(g_out, np.swapaxes(wide, -1, -2)),
+            (np.swapaxes(final, -1, -2) @ g_out)[:, :V])
+    node = model._head(ad.constant(final), ad.constant(w_out))
+    for got, ref in zip((node.data, *node.vjp(g)), want):
+        assert np.array_equal(got, ref)
+
+
+def _op_nodes(root) -> int:
+    """Nodes with parents among `root` and its ancestors."""
+    seen, todo, ops = {root.seq}, [root], 0
+    while todo:
+        node = todo.pop()
+        ops += bool(node.parents)
+        for p in node.parents:
+            if p.seq not in seen:
+                seen.add(p.seq)
+                todo.append(p)
+    return ops
+
+
+def test_a_block_builds_at_most_12_op_nodes():
+    """A full forward over a layout with latent slots: one more block adds
+    at most 12 op nodes (attention and the feed-forward are one node each)."""
+    layout = random_layout(np.random.default_rng(4), require_aux=True)
+    assert layout.latent_slots
+    mask = build_attention_mask(layout, MaskMode.AUX_GATED)
+    counts = []
+    for layers in (1, 2):
+        config = ModelConfig(layer_count=layers, hidden_dim=16, head_count=2, max_positions=96)
+        logits, _ = forward(layout, mask, init_params(config, np.random.default_rng(0)), config)
+        counts.append(_op_nodes(logits))
+    assert counts[1] - counts[0] <= 12
+
+
 def test_every_prefix_pass_of_built_layouts_gives_the_full_pass_logits():
     """The last logits row of a pass over each prefix of a built layout
     equals the full pass's row at that position, bit for bit, at the

@@ -12,7 +12,7 @@ from latentcot.gradcheck import _inject_latent_run
 from latentcot.layouts import build_prompt
 from latentcot.model import (LatentStep, MaskMode, ModelConfig, SegmentRole,
                              SequenceLayout, TextStep, Trajectory,
-                             build_attention_mask, decode_group, forward,
+                             build_attention_mask, copy_params, decode_group, forward,
                              forward_group, image_segment, init_params, params_allclose,
                              text_segment, zero_params)
 from latentcot.rl import (Algo, RlConfig, Rollout, RolloutGroup,
@@ -479,6 +479,62 @@ def test_each_step_graph_is_freed_before_the_next_rollout(monkeypatch):
     monkeypatch.setattr(rl, "policy_objective", objective)
     train_rl(_latent_start_params(), rl_records(3), config, Algo.VLPO, CFG, seed=5)
     assert len(kept) == 6
+
+
+def _counting_backward(monkeypatch):
+    calls = []
+    backward = ad.backward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "backward", counted)
+    return calls, backward
+
+
+def _norm(grads):
+    return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+
+
+def test_on_policy_latent_norm_skips_the_second_backward(monkeypatch):
+    """Each VLPO step scores a group with latent runs under the params that
+    decoded it: the logged latent gradient norm is 0.0, equals the norm
+    that the full backward of the latent part gives, and the step runs
+    `ad.backward` once."""
+    config = RlConfig(group_size=2, k_train_rl=3, temperature=0.5,
+                      max_response_length=10, learning_rate=1e-4)
+    calls, backward = _counting_backward(monkeypatch)
+    full = []
+
+    def objective(*args):
+        loss, stats = policy_objective(*args)
+        assert stats["latents"]
+        full.append(_norm(backward(stats["latent_part"], args[1])))
+        return loss, stats
+
+    monkeypatch.setattr(rl, "filter_by_accuracy", lambda groups, threshold: groups)
+    monkeypatch.setattr(rl, "policy_objective", objective)
+    result = train_rl(_latent_start_params(), rl_records(3), config, Algo.VLPO, CFG, seed=5)
+    assert [row["latent_grad_norm"] for row in result.log] == full == [0.0] * 3
+    assert len(calls) == 3
+
+
+def test_off_policy_latent_norm_runs_the_backward(monkeypatch):
+    """A group scored under params other than the ones that decoded it
+    moves its latent vectors, so the backward runs and the norm is
+    positive."""
+    params = _latent_start_params()
+    current = copy_params(params)
+    current["lnf_b"].data += 0.01 * np.random.default_rng(8).normal(size=CFG.hidden_dim)
+    config = RlConfig(group_size=2, k_train_rl=3, temperature=0.5, max_response_length=10)
+    group = rollout_group(lookup_sample(), params, config, CFG, np.random.default_rng(9))
+    group.rollouts[0].reward, group.rollouts[0].correct = 1.1, True
+    group = compute_advantages(group)
+    _, stats = policy_objective([group], current, config, Algo.VLPO, CFG)
+    calls, _ = _counting_backward(monkeypatch)
+    assert latent_gradient_norm(stats["latent_part"], current, stats["latents"]) > 0.0
+    assert len(calls) == 1
 
 
 def test_train_rl_deterministic():

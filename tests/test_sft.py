@@ -487,6 +487,26 @@ def test_adamw_decoupled_decay():
     assert p.data[0] == pytest.approx(1.0 - 0.1 * 0.01 * 1.0)
 
 
+def test_adamw_steps_in_place_with_the_bits_of_the_formula():
+    """Five steps on random gradients give, bit for bit, the out-of-place
+    update m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    w -= lr ((m / c1) / (sqrt(v / c2) + eps) + wd w)."""
+    rng = np.random.default_rng(40)
+    w0 = rng.normal(size=(3, 4))
+    p = ad.parameter("p", w0.copy())
+    opt = AdamW({"p": p}, lr=0.03)
+    w, m, v = w0.copy(), np.zeros_like(w0), np.zeros_like(w0)
+    b1, b2 = sft.ADAM_BETA1, sft.ADAM_BETA2
+    for t in range(1, 6):
+        g = rng.normal(size=w0.shape)
+        opt.step({"p": g})
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        update = (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + sft.ADAM_EPS)
+        w -= 0.03 * (update + sft.WEIGHT_DECAY * w)
+        assert np.array_equal(p.data, w) and np.array_equal(opt.m["p"], m)
+
+
 def test_stage1_loss_decreases_and_diagnostic_moves():
     records = tiny_records()
     base = init_params(CFG, np.random.default_rng(30))
