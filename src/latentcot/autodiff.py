@@ -1,6 +1,6 @@
 """Minimal reverse-mode autodiff on float64 numpy buffers.
 
-Every operation builds a graph of `Tensor` nodes, each numbered from one
+Operations on `Tensor` nodes build a graph, each node numbered from one
 counter as it is made, so a node's number is above its parents'. `backward`
 runs the nodes that hold a gradient latest-made first (the order of a tape,
 read backwards) and returns a gradient map; it never mutates nodes, so one
@@ -9,6 +9,14 @@ A node's third and later gradient contributions are added in place into a
 sum `backward` allocated itself, never into an array a vjp returned.
 `stop_gradient` inserts a hard barrier: values pass through unchanged,
 gradients never cross.
+
+Under `no_grad`, an op whose operands are all float64 ndarrays returns a
+plain array (or numpy scalar): it makes no node, no vjp closure and no
+parent tuple, but runs the same formula and the same checks, so its value
+has the bits of the node it stands for. `plain` and `plain_values` unwrap
+nodes under `no_grad`, so a caller that unwraps its parameters once runs a
+whole pass on arrays. An op given a `Tensor` or a Python number, or any op
+while grad is on, returns a node (under `no_grad` one without parents).
 
 Besides the primitives, two fused nodes carry a transformer block:
 `attention` (head split, scores, masked softmax, `probs @ v`, head merge)
@@ -19,7 +27,6 @@ their bits, and its vjp keeps only what backward needs.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import itertools
 from typing import Callable, Iterable, Sequence
@@ -28,6 +35,7 @@ import numpy as np
 
 EPS_COSINE = 1e-12
 EPS_LAYERNORM = 1e-5
+_F64 = np.dtype(np.float64)
 
 
 class ShapeError(ValueError):
@@ -44,16 +52,16 @@ class NonScalarLoss(ValueError):
 _grad_enabled = True
 
 
-@contextlib.contextmanager
-def no_grad():
+class no_grad:
     """Skip graph construction inside the block; values are bit-identical."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
+
+    def __enter__(self):
+        global _grad_enabled
+        self.prev, _grad_enabled = _grad_enabled, False
+
+    def __exit__(self, *exc):
+        global _grad_enabled
+        _grad_enabled = self.prev
 
 
 _sequence = itertools.count()
@@ -71,7 +79,7 @@ class Tensor:
 
     def __init__(self, data, parents=(), vjp=None, barrier=False, name=None):
         self.seq = next(_sequence)
-        if type(data) is not np.ndarray or data.dtype != np.float64:
+        if type(data) is not np.ndarray or data.dtype is not _F64:
             data = np.asarray(data, dtype=np.float64)
         self.data = data
         if _grad_enabled:
@@ -110,6 +118,50 @@ def constant(data) -> Tensor:
     return Tensor(data)
 
 
+def value(x) -> np.ndarray:
+    """The float64 array an operand holds: a node's data, else `x` as an
+    array. `value(x) is x` exactly when `x` is a float64 ndarray, which is
+    how an op tells that an operand is plain."""
+    if type(x) is np.ndarray and x.dtype is _F64:
+        return x
+    if isinstance(x, Tensor):
+        return x.data
+    return np.asarray(x, dtype=np.float64)
+
+
+def plain(x):
+    """Under `no_grad`, the array a node holds (ops on it then make no node);
+    otherwise `x` itself. Non-nodes pass through."""
+    return x if _grad_enabled or not isinstance(x, Tensor) else x.data
+
+
+def plain_values(named: dict) -> dict:
+    """`plain` of every value of a dict (the dict itself while grad is on)."""
+    if _grad_enabled:
+        return named
+    return {k: v.data if isinstance(v, Tensor) else v for k, v in named.items()}
+
+
+def is_plain(*operands) -> bool:
+    """Whether an op over `operands` returns a plain array: grad is off and
+    every operand is a float64 ndarray."""
+    if _grad_enabled:
+        return False
+    for x in operands:
+        if value(x) is not x:
+            return False
+    return True
+
+
+def node(out: np.ndarray, operands: tuple, vjp) -> Tensor:
+    """The node an op returns; operands that are not nodes become constants."""
+    for x in operands:
+        if not isinstance(x, Tensor):
+            operands = tuple(as_tensor(x) for x in operands)
+            break
+    return Tensor(out, operands, vjp)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape` to undo numpy broadcasting."""
     if grad.shape == shape:
@@ -128,40 +180,45 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    x, y = value(a), value(b)
     try:
-        out = a.data + b.data
+        out = x + y
     except ValueError:
-        raise ShapeError("add", a.shape, b.shape)
-    return Tensor(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+        raise ShapeError("add", x.shape, y.shape)
+    if not _grad_enabled and x is a and y is b:
+        return out
+    return node(out, (a, b), lambda g: (_unbroadcast(g, x.shape), _unbroadcast(g, y.shape)))
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    x, y = value(a), value(b)
     try:
-        out = a.data - b.data
+        out = x - y
     except ValueError:
-        raise ShapeError("sub", a.shape, b.shape)
-    return Tensor(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+        raise ShapeError("sub", x.shape, y.shape)
+    if not _grad_enabled and x is a and y is b:
+        return out
+    return node(out, (a, b), lambda g: (_unbroadcast(g, x.shape), _unbroadcast(-g, y.shape)))
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    x, y = value(a), value(b)
     try:
-        out = a.data * b.data
+        out = x * y
     except ValueError:
-        raise ShapeError("mul", a.shape, b.shape)
-    return Tensor(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
+        raise ShapeError("mul", x.shape, y.shape)
+    if not _grad_enabled and x is a and y is b:
+        return out
+    return node(out, (a, b),
+                lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)))
 
 
 def scale(a, s: float) -> Tensor:
-    a = as_tensor(a)
-    s = float(s)
-    return Tensor(a.data * s, (a,), lambda g: (g * s,))
+    x, s = value(a), float(s)
+    out = x * s
+    if not _grad_enabled and x is a:
+        return out
+    return node(out, (a,), lambda g: (g * s,))
 
 
 def matmul_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,91 +231,122 @@ def matmul_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def matmul(a, b) -> Tensor:
     """Matrix product by `matmul_array`'s rule, as is its vjp's `g @ bᵀ`."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError("matmul", a.shape, b.shape)
-    out = matmul_array(a.data, b.data)
+    x, y = value(a), value(b)
+    xs, ys = x.shape, y.shape
+    if len(xs) < 2 or len(ys) < 2 or xs[-1] != ys[-2] or xs[:-2] != ys[:-2]:
+        raise ShapeError("matmul", xs, ys)
+    out = matmul_array(x, y)
+    if not _grad_enabled and x is a and y is b:
+        return out
 
     def vjp(g):
-        return (matmul_array(g, np.swapaxes(b.data, -1, -2)), np.swapaxes(a.data, -1, -2) @ g)
+        return (matmul_array(g, np.swapaxes(y, -1, -2)), np.swapaxes(x, -1, -2) @ g)
 
-    return Tensor(out, (a, b), vjp)
+    return node(out, (a, b), vjp)
 
 
 def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
+    x = value(a)
     try:
-        out = a.data.reshape(shape)
+        out = x.reshape(shape)
     except ValueError:
-        raise ShapeError("reshape", a.shape, shape)
-    return Tensor(out, (a,), lambda g: (g.reshape(a.shape),))
+        raise ShapeError("reshape", x.shape, shape)
+    if not _grad_enabled and x is a:
+        return out
+    return node(out, (a,), lambda g: (g.reshape(x.shape),))
 
 
-def concat_rows(blocks: Sequence[Tensor]) -> Tensor:
-    """Stack 2-d blocks along axis 0."""
-    blocks = [as_tensor(b) for b in blocks]
-    width = {b.shape[1] for b in blocks}
-    if any(b.data.ndim != 2 for b in blocks) or len(width) != 1:
-        raise ShapeError("concat_rows", *[b.shape for b in blocks])
-    sizes = [b.shape[0] for b in blocks]
-    offsets = np.cumsum([0] + sizes)
+def concat_rows(blocks: Sequence, order=None) -> Tensor:
+    """Stack 2-d blocks along axis 0. With `order`, stacked row j goes to
+    output row `order[j]` instead; `order` must hold each row index once."""
+    xs = [value(b) for b in blocks]
+    if any(x.ndim != 2 for x in xs) or len({x.shape[1] for x in xs}) != 1:
+        raise ShapeError("concat_rows", *[x.shape for x in xs])
+    out = np.concatenate(xs, axis=0)
+    if order is not None:
+        order = np.asarray(order, dtype=np.int64)
+        seen = np.zeros(len(out), dtype=bool)
+        seen[order] = True
+        if len(order) != len(out) or not seen.all():
+            raise ValueError("concat_rows: order does not hold each row index once")
+        stacked, out = out, np.empty_like(out)
+        out[order] = stacked
+    if not _grad_enabled and all(x is b for x, b in zip(xs, blocks)):
+        return out
+    offsets = np.cumsum([0] + [len(x) for x in xs])
 
     def vjp(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(blocks)))
+        if order is not None:
+            g = g[order]
+        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(xs)))
 
-    return Tensor(np.concatenate([b.data for b in blocks], axis=0), tuple(blocks), vjp)
+    return node(out, blocks, vjp)
 
 
 def gather_rows(table, ids) -> Tensor:
     """Row lookup `table[ids]`; the embedding primitive. Backward scatter-adds."""
-    table = as_tensor(table)
+    t = value(table)
     idx = np.asarray(ids, dtype=np.int64)
-    if table.data.ndim != 2:
-        raise ShapeError("gather_rows", table.shape)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise IndexError(f"gather_rows: id out of range for table with {table.shape[0]} rows")
+    if t.ndim != 2:
+        raise ShapeError("gather_rows", t.shape)
+    if idx.size and (idx.min() < 0 or idx.max() >= t.shape[0]):
+        raise IndexError(f"gather_rows: id out of range for table with {t.shape[0]} rows")
+    out = t[idx]
+    if not _grad_enabled and t is table:
+        return out
 
     def vjp(g):
-        acc = np.zeros_like(table.data)
+        acc = np.zeros_like(t)
         np.add.at(acc, idx, g)
         return (acc,)
 
-    return Tensor(table.data[idx], (table,), vjp)
+    return node(out, (table,), vjp)
 
 
 def get_row(a, i: int) -> Tensor:
-    a = as_tensor(a)
-    i = int(i)
+    x, i = value(a), int(i)
+    out = x[i].copy()
+    if not _grad_enabled and x is a:
+        return out
 
     def vjp(g):
-        acc = np.zeros_like(a.data)
+        acc = np.zeros_like(x)
         acc[i] = g
         return (acc,)
 
-    return Tensor(a.data[i].copy(), (a,), vjp)
+    return node(out, (a,), vjp)
 
 
 def sum_all(a) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(a.data.sum(), (a,), lambda g: (np.full(a.shape, float(g)),))
+    x = value(a)
+    out = x.sum()
+    if not _grad_enabled and x is a:
+        return out
+    return node(out, (a,), lambda g: (np.full(x.shape, float(g)),))
 
 
 def mean_all(a) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size
-    return Tensor(a.data.mean(), (a,), lambda g: (np.full(a.shape, float(g) / n),))
+    x = value(a)
+    out = x.mean()
+    if not _grad_enabled and x is a:
+        return out
+    return node(out, (a,), lambda g: (np.full(x.shape, float(g) / x.size),))
 
 
 def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return Tensor(out, (a,), lambda g: (g * out,))
+    x = value(a)
+    out = np.exp(x)
+    if not _grad_enabled and x is a:
+        return out
+    return node(out, (a,), lambda g: (g * out,))
 
 
 def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-    return Tensor(out, (a,), lambda g: (g * (1.0 - out * out),))
+    x = value(a)
+    out = np.tanh(x)
+    if not _grad_enabled and x is a:
+        return out
+    return node(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -281,61 +369,70 @@ def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def gelu(a) -> Tensor:
-    a = as_tensor(a)
-    t = _gelu_tanh(a.data)
-    return Tensor(_gelu_value(a.data, t), (a,), lambda g: (g * _gelu_slope(a.data, t),))
+    x = value(a)
+    t = _gelu_tanh(x)
+    out = _gelu_value(x, t)
+    if not _grad_enabled and x is a:
+        return out
+    return node(out, (a,), lambda g: (g * _gelu_slope(x, t),))
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes inside [lo, hi] (inclusive), zero outside."""
-    a = as_tensor(a)
-    inside = (a.data >= lo) & (a.data <= hi)
-    return Tensor(np.clip(a.data, lo, hi), (a,), lambda g: (g * inside,))
+    x = value(a)
+    out = np.clip(x, lo, hi)
+    if not _grad_enabled and x is a:
+        return out
+    inside = (x >= lo) & (x <= hi)
+    return node(out, (a,), lambda g: (g * inside,))
 
 
 def minimum2(a, b) -> Tensor:
     """Elementwise min of two same-shape tensors; ties route gradient to `a`."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError("minimum2", a.shape, b.shape)
-    take_a = a.data <= b.data
-    return Tensor(np.where(take_a, a.data, b.data), (a, b), lambda g: (g * take_a, g * ~take_a))
+    x, y = value(a), value(b)
+    if x.shape != y.shape:
+        raise ShapeError("minimum2", x.shape, y.shape)
+    take_a = x <= y
+    out = np.where(take_a, x, y)
+    if not _grad_enabled and x is a and y is b:
+        return out
+    return node(out, (a, b), lambda g: (g * take_a, g * ~take_a))
 
 
 def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis, then apply elementwise gain and bias. Means
     are sums divided by the width, which is what `np.mean` computes."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
-        raise ShapeError("layer_norm", x.shape, gain.shape, bias.shape)
-    d = x.shape[-1]
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    xv, gv, bv = value(x), value(gain), value(bias)
+    if gv.shape != xv.shape[-1:] or bv.shape != xv.shape[-1:]:
+        raise ShapeError("layer_norm", xv.shape, gv.shape, bv.shape)
+    d = xv.shape[-1]
+    xc = xv - xv.sum(axis=-1, keepdims=True) / d
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + EPS_LAYERNORM)
     xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    out = xhat * gv + bv
+    if not _grad_enabled and xv is x and gv is gain and bv is bias:
+        return out
 
     def vjp(g):
-        gy = g * gain.data
+        gy = g * gv
         gx = inv * (gy - gy.sum(axis=-1, keepdims=True) / d
                     - xhat * ((gy * xhat).sum(axis=-1, keepdims=True) / d))
         axes = tuple(range(g.ndim - 1))
         return (gx, (g * xhat).sum(axis=axes), g.sum(axis=axes))
 
-    return Tensor(out, (x, gain, bias), vjp)
+    return node(out, (x, gain, bias), vjp)
 
 
 def softmax(a) -> Tensor:
     """Softmax over the last axis."""
-    a = as_tensor(a)
-    z = a.data - a.data.max(axis=-1, keepdims=True)
+    x = value(a)
+    z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
-
-    return Tensor(p, (a,), vjp)
+    if not _grad_enabled and x is a:
+        return p
+    return node(p, (a,), lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
 
 
 def attention(q, k, v, allow: np.ndarray, sum_buffer: np.ndarray, G: int, H: int,
@@ -359,27 +456,30 @@ def attention(q, k, v, allow: np.ndarray, sum_buffer: np.ndarray, G: int, H: int
     Products go through `matmul_array`. The vjp keeps only the probabilities
     beside the inputs' own arrays.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    qv, kv, vv = value(q), value(k), value(v)
     scale = float(scale)
-    allow = np.asarray(allow, dtype=bool)
+    if allow.dtype != bool:
+        allow = allow.astype(bool)
     try:
-        q4, k4, v4 = (x.data.reshape(G, -1, H, x.shape[-1] // H).transpose(0, 2, 1, 3)
-                      for x in (q, k, v))
+        q4, k4, v4 = [x.reshape(G, -1, H, x.shape[-1] // H).transpose(0, 2, 1, 3)
+                      for x in (qv, kv, vv)]
     except ValueError:
-        raise ShapeError("attention", q.shape, k.shape, v.shape)
+        raise ShapeError("attention", qv.shape, kv.shape, vv.shape)
     R, T, dh = q4.shape[2], k4.shape[2], q4.shape[3]
-    if q.shape[-1] % H or k.shape != v.shape or k4.shape[3] != dh or allow.shape != (G, H, R, T):
-        raise ShapeError("attention", q.shape, k.shape, v.shape, allow.shape)
+    if qv.shape[-1] % H or kv.shape != vv.shape or k4.shape[3] != dh or allow.shape != (G, H, R, T):
+        raise ShapeError("attention", qv.shape, kv.shape, vv.shape, allow.shape)
     if not allow.any(axis=-1).all():
         raise ValueError("attention: a row has no allowed entries")
     if sum_buffer.shape[:-1] != allow.shape[:-1] or sum_buffer.shape[-1] < T:
         raise ShapeError("attention", allow.shape, sum_buffer.shape)
-    scores = matmul_array(q4, np.swapaxes(k4, -1, -2)) * scale
+    scores = matmul_array(q4, k4.swapaxes(-1, -2)) * scale
     neg = np.where(allow, scores, -np.inf)
     z = neg - neg.max(axis=-1, keepdims=True)
     e = np.exp(z, out=sum_buffer[..., :T])
     p = e / sum_buffer.sum(axis=-1, keepdims=True)
     out = matmul_array(p, v4).transpose(0, 2, 1, 3).reshape(G * R, H * dh)
+    if not _grad_enabled and qv is q and kv is k and vv is v:
+        return out
 
     def vjp(g):
         g = g.reshape(G, R, H, dh).transpose(0, 2, 1, 3)
@@ -389,9 +489,9 @@ def attention(q, k, v, allow: np.ndarray, sum_buffer: np.ndarray, G: int, H: int
         gq = matmul_array(gs, k4)
         gk = np.swapaxes(np.swapaxes(q4, -1, -2) @ gs, -1, -2)
         return tuple(gx.transpose(0, 2, 1, 3).reshape(x.shape)
-                     for gx, x in ((gq, q), (gk, k), (gv, v)))
+                     for gx, x in ((gq, qv), (gk, kv), (gv, vv)))
 
-    return Tensor(out, (q, k, v), vjp)
+    return node(out, (q, k, v), vjp)
 
 
 def mlp(x, w1, b1, w2, b2) -> Tensor:
@@ -401,23 +501,25 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     pre-activation and the tanh term beside the inputs' own arrays and
     recomputes the activation from them.
     """
-    x, w1, b1, w2, b2 = (as_tensor(a) for a in (x, w1, b1, w2, b2))
-    if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
-            or x.shape[1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
-            or b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]):
-        raise ShapeError("mlp", x.shape, w1.shape, b1.shape, w2.shape, b2.shape)
-    pre = matmul_array(x.data, w1.data) + b1.data
+    xv, w1v, b1v, w2v, b2v = value(x), value(w1), value(b1), value(w2), value(b2)
+    if (xv.ndim != 2 or w1v.ndim != 2 or w2v.ndim != 2
+            or xv.shape[1] != w1v.shape[0] or w2v.shape[0] != w1v.shape[1]
+            or b1v.shape != w1v.shape[1:] or b2v.shape != w2v.shape[1:]):
+        raise ShapeError("mlp", xv.shape, w1v.shape, b1v.shape, w2v.shape, b2v.shape)
+    pre = matmul_array(xv, w1v) + b1v
     t = _gelu_tanh(pre)
-    out = matmul_array(_gelu_value(pre, t), w2.data) + b2.data
+    out = matmul_array(_gelu_value(pre, t), w2v) + b2v
+    if not _grad_enabled and xv is x and w1v is w1 and b1v is b1 and w2v is w2 and b2v is b2:
+        return out
 
     def vjp(g):
         h = _gelu_value(pre, t)
-        gh = matmul_array(g, w2.data.T)
+        gh = matmul_array(g, w2v.T)
         gpre = gh * _gelu_slope(pre, t)
-        return (matmul_array(gpre, w1.data.T), x.data.T @ gpre, _unbroadcast(gpre, b1.shape),
-                h.T @ g, _unbroadcast(g, b2.shape))
+        return (matmul_array(gpre, w1v.T), xv.T @ gpre, _unbroadcast(gpre, b1v.shape),
+                h.T @ g, _unbroadcast(g, b2v.shape))
 
-    return Tensor(out, (x, w1, b1, w2, b2), vjp)
+    return node(out, (x, w1, b1, w2, b2), vjp)
 
 
 def cosine_rows(a, b) -> Tensor:
@@ -426,31 +528,33 @@ def cosine_rows(a, b) -> Tensor:
     A row whose norm product falls under EPS_COSINE yields similarity
     dot/EPS_COSINE (0 for a true zero vector) with zero gradient.
     """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape or a.data.ndim != 2:
-        raise ShapeError("cosine_rows", a.shape, b.shape)
-    dots = (a.data * b.data).sum(axis=-1)
-    na = np.sqrt((a.data * a.data).sum(axis=-1))
-    nb = np.sqrt((b.data * b.data).sum(axis=-1))
+    x, y = value(a), value(b)
+    if x.shape != y.shape or x.ndim != 2:
+        raise ShapeError("cosine_rows", x.shape, y.shape)
+    dots = (x * y).sum(axis=-1)
+    na = np.sqrt((x * x).sum(axis=-1))
+    nb = np.sqrt((y * y).sum(axis=-1))
     prod = na * nb
     ok = prod >= EPS_COSINE
     den = np.where(ok, prod, EPS_COSINE)
     c = dots / den
+    if not _grad_enabled and x is a and y is b:
+        return c
 
     def vjp(g):
         gg = (g * ok) / den
-        ga = gg[:, None] * (b.data - (c * np.where(ok, nb / np.maximum(na, EPS_COSINE), 0.0))[:, None] * a.data)
-        gb = gg[:, None] * (a.data - (c * np.where(ok, na / np.maximum(nb, EPS_COSINE), 0.0))[:, None] * b.data)
+        ga = gg[:, None] * (y - (c * np.where(ok, nb / np.maximum(na, EPS_COSINE), 0.0))[:, None] * x)
+        gb = gg[:, None] * (x - (c * np.where(ok, na / np.maximum(nb, EPS_COSINE), 0.0))[:, None] * y)
         return (ga, gb)
 
-    return Tensor(c, (a, b), vjp)
+    return node(c, (a, b), vjp)
 
 
 def cosine(a, b) -> Tensor:
     """Cosine similarity of two vectors -> scalar."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape or a.data.ndim != 1:
-        raise ShapeError("cosine", a.shape, b.shape)
+    x, y = value(a), value(b)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ShapeError("cosine", x.shape, y.shape)
     c = cosine_rows(reshape(a, (1, -1)), reshape(b, (1, -1)))
     return reshape(c, ())
 
@@ -458,23 +562,29 @@ def cosine(a, b) -> Tensor:
 def sq_dist(a, b) -> Tensor:
     """Squared Euclidean distance over the last axis: two vectors give a
     scalar, two (n, d) matrices the n row distances."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError("sq_dist", a.shape, b.shape)
-    diff = a.data - b.data
+    x, y = value(a), value(b)
+    if x.shape != y.shape:
+        raise ShapeError("sq_dist", x.shape, y.shape)
+    diff = x - y
+    out = (diff * diff).sum(axis=-1)
+    if not _grad_enabled and x is a and y is b:
+        return out
 
     def vjp(g):
         g = np.expand_dims(g, -1)
         return (g * 2.0 * diff, g * -2.0 * diff)
 
-    return Tensor((diff * diff).sum(axis=-1), (a, b), vjp)
+    return node(out, (a, b), vjp)
 
 
 def dot(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError("dot", a.shape, b.shape)
-    return Tensor((a.data * b.data).sum(), (a, b), lambda g: (g * b.data, g * a.data))
+    x, y = value(a), value(b)
+    if x.shape != y.shape:
+        raise ShapeError("dot", x.shape, y.shape)
+    out = (x * y).sum()
+    if not _grad_enabled and x is a and y is b:
+        return out
+    return node(out, (a, b), lambda g: (g * y, g * x))
 
 
 def masked_mean_nll(logits, targets: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -482,18 +592,20 @@ def masked_mean_nll(logits, targets: np.ndarray, mask: np.ndarray) -> Tensor:
 
     Only rows where `mask` is true contribute; the mean is over those rows.
     """
-    logits = as_tensor(logits)
+    x = value(logits)
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
-    if logits.data.ndim != 2 or targets.shape != (logits.shape[0],) or mask.shape != targets.shape:
-        raise ShapeError("masked_mean_nll", logits.shape, targets.shape, mask.shape)
+    if x.ndim != 2 or targets.shape != (x.shape[0],) or mask.shape != targets.shape:
+        raise ShapeError("masked_mean_nll", x.shape, targets.shape, mask.shape)
     if not mask.any():
         raise ValueError("masked_mean_nll: label mask selects no positions")
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    z = x - x.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1))
     ll = z[np.arange(len(targets)), targets] - lse
     count = int(mask.sum())
     out = -(ll * mask).sum() / count
+    if not _grad_enabled and x is logits:
+        return out
 
     def vjp(g):
         p = np.exp(z - lse[:, None])
@@ -501,20 +613,22 @@ def masked_mean_nll(logits, targets: np.ndarray, mask: np.ndarray) -> Tensor:
         p *= (float(g) / count) * mask[:, None]
         return (p,)
 
-    return Tensor(out, (logits,), vjp)
+    return node(out, (logits,), vjp)
 
 
 def log_prob_row(logits, index) -> Tensor:
     """Log-softmax over the last axis at one index per row: a logits vector
     and an int give a scalar, (n, V) rows and n indices give (n,)."""
-    logits = as_tensor(logits)
+    x = value(logits)
     idx = np.asarray(index, dtype=np.int64)
-    if logits.data.ndim not in (1, 2) or idx.shape != logits.shape[:-1]:
-        raise ShapeError("log_prob_row", logits.shape, idx.shape)
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    if x.ndim not in (1, 2) or idx.shape != x.shape[:-1]:
+        raise ShapeError("log_prob_row", x.shape, idx.shape)
+    z = x - x.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1))
     at = (*np.indices(idx.shape), idx)
     out = z[at] - lse
+    if not _grad_enabled and x is logits:
+        return out
 
     def vjp(g):
         g = np.asarray(g)
@@ -523,19 +637,23 @@ def log_prob_row(logits, index) -> Tensor:
         p[at] += g
         return (p,)
 
-    return Tensor(out, (logits,), vjp)
+    return node(out, (logits,), vjp)
 
 
 def identity(a) -> Tensor:
     """Pass-through node; useful as an explicit use-site marker."""
-    a = as_tensor(a)
-    return Tensor(a.data, (a,), lambda g: (g,))
+    x = value(a)
+    if not _grad_enabled and x is a:
+        return x
+    return node(x, (a,), lambda g: (g,))
 
 
 def stop_gradient(a) -> Tensor:
     """Value-transparent barrier: backward contributes zero to ancestors."""
-    a = as_tensor(a)
-    return Tensor(a.data, (a,), None, barrier=True)
+    x = value(a)
+    if not _grad_enabled and x is a:
+        return x
+    return Tensor(x, (as_tensor(a),), None, barrier=True)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,11 @@ class SegmentRole(enum.Enum):
     ANSWER = "answer"
 
 
-TEXT_ROLES = {SegmentRole.QUESTION_TEXT, SegmentRole.OBSERVATION_TEXT,
-              SegmentRole.PLAIN_TEXT, SegmentRole.ANSWER}
-IMAGE_ROLES = {SegmentRole.QUESTION_IMAGE, SegmentRole.AUX_IMAGE}
+# Tuples, not sets: membership then compares identities and never calls the
+# members' Python-level `Enum.__hash__`, on every segment of every pass.
+TEXT_ROLES = (SegmentRole.QUESTION_TEXT, SegmentRole.OBSERVATION_TEXT,
+              SegmentRole.PLAIN_TEXT, SegmentRole.ANSWER)
+IMAGE_ROLES = (SegmentRole.QUESTION_IMAGE, SegmentRole.AUX_IMAGE)
 
 
 class MaskMode(enum.Enum):
@@ -260,56 +262,69 @@ def embed_layout(layout: SequenceLayout, params: dict, config: ModelConfig,
 
 
 def _embed(parts: list, params: dict, config: ModelConfig) -> ad.Tensor:
-    """`embed_layout` of each (layout, start) in `parts`, stacked in order
-    with one concatenation and one position lookup."""
-    d = config.hidden_dim
-    blocks, positions = [], []
+    """`embed_layout` of each (layout, start) in `parts`, stacked in order.
+    The text rows of all parts take one `tok_emb` gather and the positions
+    one `pos_emb` gather; image and latent rows are placed among the text
+    rows in position order."""
+    d, V = config.hidden_dim, config.vocab_size
+    ids, blocks, positions = [], [], []
+    text_at, other_at = [], []  # output rows of the text ids and of the other blocks
     for layout, start in parts:
         if layout.length > config.max_positions:
             raise LayoutError(f"layout length {layout.length} exceeds max_positions "
                               f"{config.max_positions}")
+        n = sum(map(len, positions))
         positions.append(np.arange(start, layout.length))
         first = max(bisect.bisect_right(layout.seg_starts, start) - 1, 0)
-        for si in range(first, len(layout.segments)):
+        starts = layout.seg_starts
+        for si in range(first, len(starts)):
             seg = layout.segments[si]
-            a, b = layout.segment_range(si)
+            a = starts[si]
+            b = starts[si + 1] if si + 1 < len(starts) else layout.length
             if b <= max(a, start):
                 continue
             skip = max(start - a, 0)
+            at = range(n + a + skip - start, n + b - start)
             if seg.role in TEXT_ROLES:
-                ids = np.asarray(seg.tokens[skip:], dtype=np.int64)
-                if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
+                tokens = seg.tokens[skip:]
+                if min(tokens) < 0 or max(tokens) >= V:
                     raise LayoutError(f"unknown token id in segment: {seg.tokens}")
-                blocks.append(ad.gather_rows(params["tok_emb"], ids))
-            elif seg.role in IMAGE_ROLES:
+                ids += tokens
+                text_at += at
+                continue
+            other_at += at
+            if seg.role in IMAGE_ROLES:
                 if seg.feats.shape[1] != config.patch_features:
                     raise LayoutError(f"patch grid feature size {seg.feats.shape[1]} "
                                       f"!= {config.patch_features}")
-                proj = ad.matmul(ad.constant(seg.feats), params["patch_proj"])
+                proj = ad.matmul(seg.feats, params["patch_proj"])
                 blocks.append(ad.gather_rows(proj, np.arange(skip, b - a)) if skip else proj)
-            else:
-                for v in seg.latents[skip:]:
-                    if v is None:
-                        blocks.append(ad.constant(np.zeros((1, d))))
-                    elif isinstance(v, ad.Tensor):
-                        blocks.append(ad.reshape(v, (1, d)))
-                    else:
-                        blocks.append(ad.constant(np.asarray(v, dtype=np.float64).reshape(1, d)))
-    if not blocks:
+                continue
+            for v in seg.latents[skip:]:
+                if v is None:
+                    blocks.append(np.zeros((1, d)))
+                elif isinstance(v, ad.Tensor):
+                    blocks.append(ad.reshape(ad.plain(v), (1, d)))
+                else:
+                    blocks.append(np.asarray(v, dtype=np.float64).reshape(1, d))
+    if not (ids or blocks):
         raise LayoutError("empty layout")
-    pos = ad.gather_rows(params["pos_emb"], np.concatenate(positions))
-    return ad.add(ad.concat_rows(blocks), pos)
+    if ids:
+        blocks.insert(0, ad.gather_rows(params["tok_emb"], ids))
+    if len(blocks) == 1:
+        x = blocks[0]
+    else:  # stacked as the text rows, then the others in order
+        x = ad.concat_rows(blocks, text_at + other_at if ids else None)
+    return ad.add(x, ad.gather_rows(params["pos_emb"], np.concatenate(positions)))
 
 
-def _select_rows(a: ad.Tensor, b: ad.Tensor, row_mask: np.ndarray) -> ad.Tensor:
+def _select_rows(a, b, row_mask: np.ndarray) -> ad.Tensor:
     """Row-exact select: rows of `b` where row_mask, rows of `a` elsewhere."""
     m = row_mask[:, None]
-    out = np.where(m, b.data, a.data)
-
-    def vjp(g):
-        return (g * ~m, g * m)
-
-    return ad.Tensor(out, (a, b), vjp)
+    out = np.where(m, ad.value(b), ad.value(a))
+    if ad.is_plain(a, b):
+        return out
+    return ad.node(out, (a, b), lambda g: (g * ~m, g * m))
 
 
 class ForwardCache:
@@ -319,13 +334,14 @@ class ForwardCache:
     `rows[2l]` and `rows[2l + 1]` hold layer l's keys and values; each spans
     `max_positions` rows, the first `length` valid. Beside the buffers the
     cache keeps, per buffer, the graph node that holds its valid rows
-    (`nodes`), and per pass its post-final-norm rows (`finals`) and its
-    `spans`: the first row it ran and the first row it added. Each pass's
-    node chains to the one before it, so a row's gradient goes down the
-    chain to the pass that first ran it; a pass that reruns the row before
-    its new one writes that row's bits again but passes its gradient down
-    the chain too. Under `no_grad` the nodes have no parents and the buffer
-    views are all a pass reads.
+    (`nodes`, None until a graph pass), and per pass its post-final-norm
+    rows (`finals`) and its `spans`: the first row it ran and the first row
+    it added. Each pass's node chains to the one before it, so a row's
+    gradient goes down the chain to the pass that first ran it; a pass that
+    reruns the row before its new one writes that row's bits again but
+    passes its gradient down the chain too. A pass on plain arrays (under
+    `no_grad`) writes the buffers and reads views of them, and makes no
+    node; a graph pass after it reads the rows it wrote as constants.
 
     The buffers start zero-filled, and `rows` may be handed in (a view of a
     group's shared buffer): a group step reads the rows past a sequence's
@@ -337,26 +353,32 @@ class ForwardCache:
         self.length = 0
         self.rows = np.zeros((count, config.max_positions, config.hidden_dim)) \
             if rows is None else rows
-        self.nodes = [ad.constant(self.rows[i, :0]) for i in range(count)]
+        self.nodes = [None] * count
         self.finals = []
         self.spans = []
 
-    def store(self, i: int, node: ad.Tensor) -> ad.Tensor:
-        """Write this pass's rows of buffer `i` and return rows 0..T-1 of it
-        as one node, whose parents are the new rows and the node that held
-        the rows before them."""
+    def store(self, i: int, new) -> ad.Tensor:
+        """Write this pass's rows of buffer `i` and return rows 0..T-1 of it:
+        a plain view for plain rows, else one node whose parents are the new
+        rows and the node that held the rows before them."""
         ran, own = self.spans[-1]
-        T = ran + node.shape[0]
-        self.rows[i, ran:T] = node.data
+        new_rows = ad.value(new)
+        T = ran + len(new_rows)
+        self.rows[i, ran:T] = new_rows
+        held = self.rows[i, :T]
+        if ad.is_plain(new):
+            self.nodes[i] = None
+            return held
 
         def vjp(g):
-            new = g[ran:]
+            fresh = g[ran:]
             if ran < own:
-                new = new.copy()
-                new[:own - ran] = 0.0
-            return new, g[:own]
+                fresh = fresh.copy()
+                fresh[:own - ran] = 0.0
+            return fresh, g[:own]
 
-        self.nodes[i] = ad.Tensor(self.rows[i, :T], (node, self.nodes[i]), vjp)
+        before = self.rows[i, :own] if self.nodes[i] is None else self.nodes[i]
+        self.nodes[i] = ad.node(held, (new, before), vjp)
         return self.nodes[i]
 
     def final_row(self, pos: int) -> ad.Tensor:
@@ -373,23 +395,27 @@ class ForwardCache:
 HEAD_COLUMNS = 16
 
 
-def _head(final: ad.Tensor, w_out: ad.Tensor) -> ad.Tensor:
+def _head(final, w_out) -> ad.Tensor:
     """Logits `final @ w_out` as one node: the product runs by
     `ad.matmul_array` against `w_out` padded with zero columns to a multiple
     of `HEAD_COLUMNS`, and the padded columns are dropped. Every row gets the
     bits it has in any other product of this helper. The vjp pads the
     gradient with zero columns and takes both products by `ad.matmul`'s
     rule."""
-    d, V = w_out.shape
-    if final.data.ndim != 2 or final.shape[1] != d:
-        raise ad.ShapeError("head", final.shape, w_out.shape)
-    wide = np.concatenate([w_out.data, np.zeros((d, -V % HEAD_COLUMNS))], axis=1)
+    f, w = ad.value(final), ad.value(w_out)
+    d, V = w.shape
+    if f.ndim != 2 or f.shape[1] != d:
+        raise ad.ShapeError("head", f.shape, w.shape)
+    wide = np.concatenate([w, np.zeros((d, -V % HEAD_COLUMNS))], axis=1)
+    out = ad.matmul_array(f, wide)[:, :V]
+    if ad.is_plain(final, w_out):
+        return out
 
     def vjp(g):
         g = np.concatenate([g, np.zeros((len(g), wide.shape[1] - V))], axis=1)
-        return ad.matmul_array(g, wide.T), (final.data.T @ g)[:, :V]
+        return ad.matmul_array(g, wide.T), (f.T @ g)[:, :V]
 
-    return ad.Tensor(ad.matmul_array(final.data, wide)[:, :V], (final, w_out), vjp)
+    return ad.node(out, (final, w_out), vjp)
 
 
 def forward(layout: SequenceLayout, mask: np.ndarray, params: dict,
@@ -414,7 +440,10 @@ def forward(layout: SequenceLayout, mask: np.ndarray, params: dict,
     (T, T) mask, down to the first row the pass runs. A single new row runs
     beside the row before it, so that every product has two rows and none
     pays for `ad.matmul`'s one-row padding. With a graph, the cached rows
-    are nodes, so backward reaches the passes that made them.
+    are nodes, so backward reaches the passes that made them. Under
+    `no_grad` the parameters are unwrapped once and the pass runs on plain
+    arrays; the logits and each stack entry are wrapped in a node at the
+    end.
     """
     T = layout.length
     start = 0
@@ -426,16 +455,19 @@ def forward(layout: SequenceLayout, mask: np.ndarray, params: dict,
     if mask.shape[1:] != (T,) or not R <= mask.shape[0] <= T:
         raise LayoutError(f"mask shape {mask.shape} does not match layout length {T} "
                           f"with {R} rows to run")
-    allow = np.broadcast_to(mask[-R:], (1, config.head_count, R, T))
+    allow = mask[None, None, -R:].repeat(config.head_count, axis=1)
+    params = ad.plain_values(params)
     x0 = embed_layout(layout, params, config, start)
     if cache is not None:
         cache.spans.append((start, cache.length))
     stack = _blocks(x0, layout.latent_mask[start:], allow, params, config,
-                    (lambda i, node: node) if cache is None else cache.store)
+                    (lambda i, rows: rows) if cache is None else cache.store)
+    logits = ad.as_tensor(_head(stack[-1], params["w_out"]))
+    stack = [ad.as_tensor(x) for x in stack]
     if cache is not None:
         cache.finals.append(stack[-1])
         cache.length = T
-    return _head(stack[-1], params["w_out"]), stack
+    return logits, stack
 
 
 def forward_group(layouts: list, params: dict, config: ModelConfig):
@@ -445,19 +477,22 @@ def forward_group(layouts: list, params: dict, config: ModelConfig):
     `forward`: padded rows come after its own, so the causal mask hides
     them, and `_head` rounds a logits row alike in any product.
     Returns (logits (G*T, V), final (G*T, d)); padded rows hold finite
-    values that no real row reads."""
+    values that no real row reads. Under `no_grad` the pass runs on plain
+    arrays, as `forward`'s does."""
     G, d = len(layouts), config.hidden_dim
     T = max(layout.length for layout in layouts)
-    parts, latent_rows = [], np.zeros(G * T, dtype=bool)
+    real, latent_rows = np.zeros(G * T, dtype=bool), np.zeros(G * T, dtype=bool)
     for g, layout in enumerate(layouts):
-        parts.append(embed_layout(layout, params, config))
-        if layout.length < T:
-            parts.append(ad.constant(np.zeros((T - layout.length, d))))
+        real[g * T:g * T + layout.length] = True
         latent_rows[g * T:g * T + layout.length] = layout.latent_mask
+    params = ad.plain_values(params)
+    x0 = _embed([(layout, 0) for layout in layouts], params, config)
+    if not real.all():
+        pad = np.flatnonzero(~real)
+        x0 = ad.concat_rows([x0, np.zeros((len(pad), d))], np.append(np.flatnonzero(real), pad))
     allow = np.broadcast_to(np.tri(T, dtype=bool), (G, config.head_count, T, T))
-    final = _blocks(ad.concat_rows(parts), latent_rows, allow, params, config,
-                    lambda i, node: node)[-1]
-    return _head(final, params["w_out"]), final
+    final = _blocks(x0, latent_rows, allow, params, config, lambda i, rows: rows)[-1]
+    return ad.as_tensor(_head(final, params["w_out"])), ad.as_tensor(final)
 
 
 def _blocks(x0: ad.Tensor, latent_rows: np.ndarray, allow: np.ndarray, params: dict,
@@ -465,11 +500,12 @@ def _blocks(x0: ad.Tensor, latent_rows: np.ndarray, allow: np.ndarray, params: d
     """The transformer blocks and final norm, over the rows of G sequences
     stacked as one (G*R, d) input `x0`, R rows each. `allow` (G, H, R, T)
     says which of its sequence's T key positions each row sees.
-    `attend(i, node)` takes the new rows' keys (i = 2l) or values (i = 2l+1)
+    `attend(i, rows)` takes the new rows' keys (i = 2l) or values (i = 2l+1)
     of layer l and returns the (G*T, d) or (G, T, d) rows they attend over.
     Every op but attention is row-wise, so a row gets the same bits in any
-    stack. Returns the stack: x0, each block's residual but the last, and
-    the post-final-norm rows."""
+    stack. With plain-array parameters and input under `no_grad`, every
+    entry is a plain array. Returns the stack: x0, each block's residual but
+    the last, and the post-final-norm rows."""
     G, H, R, T = allow.shape
     scale = 1.0 / np.sqrt(config.hidden_dim // H)
     has_latents = bool(latent_rows.any())
@@ -566,7 +602,7 @@ def sample_token(logits: np.ndarray, temperature: float, rng: np.random.Generato
     u = rng.random()
     tok = int(np.searchsorted(np.cumsum(p), u))
     tok = min(tok, len(p) - 1)
-    return tok, float(ad.log_prob_row(z, tok).data)
+    return tok, float(ad.value(ad.log_prob_row(z, tok)))
 
 
 @dataclass
@@ -720,22 +756,23 @@ def _step(live: list, layouts: list, caches: list, rows: np.ndarray, params: dic
     pos = (ends[:, None] - np.array([2, 1])).ravel()  # the two rows of each sequence
     allow = np.arange(T) <= pos[:, None]
     G = len(live)
-    allow = np.broadcast_to(allow.reshape(G, 1, 2, T), (G, config.head_count, 2, T))
+    allow = allow.reshape(G, 1, 2, T).repeat(config.head_count, axis=1)
     latent_rows = np.concatenate([layouts[g].latent_mask[-2:] for g in live])
     seq = np.repeat(live, 2)
     block = slice(None) if G == len(rows) else np.asarray(live)
 
-    def attend(i, node):
-        rows[seq, i, pos] = node.data
-        return ad.constant(rows[block, i, :T])
+    def attend(i, new):
+        rows[seq, i, pos] = new
+        return rows[block, i, :T]
 
     with ad.no_grad():
+        params = ad.plain_values(params)
         x0 = _embed([(layouts[g], layouts[g].length - 2) for g in live], params, config)
         final = _blocks(x0, latent_rows, allow, params, config, attend)[-1]
-        logits = _head(final, params["w_out"]).data
+        logits = _head(final, params["w_out"])
     for j, g in enumerate(live):
         caches[g].length = int(ends[j])
-    return [(logits[2 * j + 1], final.data[2 * j + 1]) for j in range(G)]
+    return [(logits[2 * j + 1], final[2 * j + 1]) for j in range(G)]
 
 
 # ---------------------------------------------------------------------------

@@ -306,7 +306,7 @@ def _train(params: dict, records, stage: StageConfig, seed: int, name: str,
         del grads  # else this step's gradients live on through the next backward
         in_acc += 1
         if in_acc >= stage.grad_accum or step == len(order) - 1:
-            opt.step({k: v / in_acc for k, v in acc.items()})
+            opt.step(acc if in_acc == 1 else {k: v / in_acc for k, v in acc.items()})
             acc, in_acc = None, 0
         result.log.append({"step": step, **fields})
         if after_step is not None:

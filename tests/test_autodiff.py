@@ -210,6 +210,50 @@ def test_no_grad_values_bit_identical():
     assert np.array_equal(a, b)
 
 
+def test_no_grad_ops_on_arrays_return_arrays_with_the_bits_of_nodes():
+    """With grad off, an op given only float64 arrays returns an ndarray
+    holding its node's bits and takes no creation number; given a node it
+    returns a node."""
+    rng = np.random.default_rng(29)
+    x, y = rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
+    w, g, b = rng.normal(size=(8, 8)), rng.normal(size=8), rng.normal(size=8)
+    w1, b1, w2 = rng.normal(size=(8, 32)), rng.normal(size=32), rng.normal(size=(32, 8))
+    allow = np.tri(3, dtype=bool)[None, None].repeat(2, axis=1)
+    ops = {
+        "add": lambda a, c: ad.add(a, c),
+        "matmul": lambda a, c: ad.matmul(a, w),
+        "layer_norm": lambda a, c: ad.layer_norm(a, g, b),
+        "attention": lambda a, c: ad.attention(a, c, c, allow, np.zeros((1, 2, 3, 5)), 1, 2, 0.5),
+        "mlp": lambda a, c: ad.mlp(a, w1, b1, w2, b),
+        "gather_rows": lambda a, c: ad.gather_rows(a, [2, 0, 2]),
+        "concat_rows": lambda a, c: ad.concat_rows([a, c], [5, 0, 3, 1, 4, 2]),
+        "log_prob_row": lambda a, c: ad.log_prob_row(a, [1, 2, 3]),
+    }
+    for name, op in ops.items():
+        graph = op(ad.constant(x), ad.constant(y))
+        with ad.no_grad():
+            before = next(ad._sequence)
+            plain = op(x, y)
+            made = next(ad._sequence) - before - 1
+            node = op(ad.constant(x), y)
+        assert type(plain) is np.ndarray and made == 0, name
+        assert np.array_equal(plain, graph.data), name
+        assert isinstance(node, ad.Tensor) and not node.parents, name
+        assert np.array_equal(node.data, graph.data), name
+
+
+def test_concat_rows_places_rows_and_checks_the_order():
+    a, b = ad.parameter("a", np.arange(4.0).reshape(2, 2)), ad.parameter("b", np.ones((1, 2)))
+    out = ad.concat_rows([a, b], [2, 0, 1])
+    assert np.array_equal(out.data, [[2.0, 3.0], [1.0, 1.0], [0.0, 1.0]])
+    grads = ad.backward(ad.sum_all(ad.mul(out, np.array([[1.0], [2.0], [3.0]]))), {"a": a, "b": b})
+    assert np.array_equal(grads["a"], [[3.0, 3.0], [1.0, 1.0]])
+    assert np.array_equal(grads["b"], [[2.0, 2.0]])
+    for order in ([0, 0, 1], [0, 1]):
+        with pytest.raises(ValueError, match="each row index once"):
+            ad.concat_rows([a, b], order)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=8))
 def test_softmax_rows_sum_to_one(vals):

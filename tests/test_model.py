@@ -457,6 +457,187 @@ def test_cached_forward_rejects_stale_layouts():
             forward(layout, mask, params, CFG, cache)
 
 
+# ---------------------------------------------------------------------------
+# no-grad passes on plain arrays
+# ---------------------------------------------------------------------------
+
+def _image_latent_layout(rng, config):
+    """Text, a question image, latent slots holding arrays and one node, and
+    more text: every row kind a pass embeds."""
+    vecs = rng.normal(size=(3, config.hidden_dim))
+    return SequenceLayout([
+        text_segment(SegmentRole.QUESTION_TEXT, [4, 9, 4]),
+        image_segment(SegmentRole.QUESTION_IMAGE, rng.normal(size=(3, config.patch_features))),
+        text_segment(SegmentRole.PLAIN_TEXT, [vocab.TOKEN_TO_ID[vocab.LATENT_START]]),
+        latent_segment(3, [vecs[0], ad.constant(vecs[1]), vecs[2]]),
+        text_segment(SegmentRole.PLAIN_TEXT, [vocab.TOKEN_TO_ID[vocab.LATENT_END], 9, 7]),
+    ])
+
+
+def _same_bits(plain, graph):
+    assert isinstance(plain, ad.Tensor) and isinstance(graph, ad.Tensor)
+    assert np.array_equal(plain.data, graph.data)
+
+
+def test_no_grad_passes_give_the_bits_of_graph_passes():
+    """`forward` (full and cached), `forward_group` and a stacked decode step
+    over layouts with images and latents: with grad off they run on plain
+    arrays and return the logits and stacks of the same graph passes, bit
+    for bit, as nodes."""
+    rng = np.random.default_rng(21)
+    params = init_params(CFG, rng, scale=0.3)
+    layout = _image_latent_layout(rng, CFG)
+    mask = build_attention_mask(layout, MaskMode.CAUSAL)
+    graph = forward(layout, mask, params, CFG)
+    with ad.no_grad():
+        plain = forward(layout, mask, params, CFG)
+    _same_bits(plain[0], graph[0])
+    for a, b in zip(plain[1], graph[1]):
+        _same_bits(a, b)
+
+    plain_cache, graph_cache = ForwardCache(CFG), ForwardCache(CFG)
+    for t in (5, 6, 8, 9, 10, 11, layout.length):
+        prefix = layout.prefix(t)
+        logits, stack = forward(prefix, mask[:t, :t], params, CFG, graph_cache)
+        with ad.no_grad():
+            plain_logits, plain_stack = forward(prefix, mask[:t, :t], params, CFG, plain_cache)
+        _same_bits(plain_logits, logits)
+        for a, b in zip(plain_stack, stack):
+            _same_bits(a, b)
+    assert np.array_equal(plain_cache.rows, graph_cache.rows)
+
+    group = [layout, layout.prefix(7), _long_layout(rng, CFG, 20)]
+    graph_logits, graph_final = model.forward_group(group, params, CFG)
+    with ad.no_grad():
+        plain_logits, plain_final = model.forward_group(group, params, CFG)
+    _same_bits(plain_logits, graph_logits)
+    _same_bits(plain_final, graph_final)
+
+
+def _stacked_step_inputs(rng, config, params, count):
+    """`count` decoded sequences of uneven length with their caches filled up
+    to the row before their last, as `decode_group` leaves them."""
+    lat_start = vocab.TOKEN_TO_ID[vocab.LATENT_START]
+    layouts = []
+    for g in range(count):
+        layout = _image_latent_layout(rng, config)
+        layout.append(text_segment(SegmentRole.PLAIN_TEXT, [3 + g] * (g + 1)))
+        layout.append(text_segment(SegmentRole.PLAIN_TEXT, [lat_start]))
+        if g % 2:
+            layout.append(latent_segment(1, [rng.normal(size=config.hidden_dim)]))
+        layouts.append(layout)
+    rows = np.zeros((count, 2 * config.layer_count, config.max_positions, config.hidden_dim))
+    caches = [ForwardCache(config, rows[g]) for g in range(count)]
+    with ad.no_grad():
+        for layout, cache in zip(layouts, caches):
+            t = layout.length - 1
+            forward(layout.prefix(t), build_attention_mask(layout.prefix(t), MaskMode.CAUSAL),
+                    params, config, cache)
+    return layouts, caches, rows
+
+
+def test_a_stacked_step_gives_the_bits_of_graph_passes():
+    """A stacked decode step on plain arrays gives each sequence the last
+    logits row and final state of a graph-mode full pass over it."""
+    rng = np.random.default_rng(22)
+    params = init_params(CFG, rng, scale=0.3)
+    layouts, caches, rows = _stacked_step_inputs(rng, CFG, params, 3)
+    outs = model._step([0, 1, 2], layouts, caches, rows, params, CFG)
+    for layout, (logits, final) in zip(layouts, outs):
+        ref_logits, ref_stack = forward(layout, build_attention_mask(layout, MaskMode.CAUSAL),
+                                        params, CFG)
+        assert np.array_equal(logits, ref_logits.data[-1])
+        assert np.array_equal(final, ref_stack[-1].data[-1])
+
+
+def _nodes_made(run):
+    """How many `Tensor`s `run()` makes (creation numbers it takes)."""
+    before = next(ad._sequence)
+    run()
+    return next(ad._sequence) - before - 1
+
+
+def test_no_grad_cached_steps_make_only_the_nodes_forward_returns():
+    """A lone no-grad cached step makes only the logits and stack nodes
+    `forward` hands back, and a stacked step makes none: the blocks, the
+    cache and the head run on plain arrays."""
+    rng = np.random.default_rng(23)
+    params = init_params(CFG, rng, scale=0.3)
+    layouts, caches, rows = _stacked_step_inputs(rng, CFG, params, 3)
+    assert _nodes_made(lambda: model._step([1], layouts, caches, rows, params, CFG)) \
+        <= 1 + CFG.layer_count + 1
+    assert _nodes_made(lambda: model._step([0, 2], layouts, caches, rows, params, CFG)) == 0
+    layout = layouts[0]
+    with ad.no_grad():
+        plain = ad.plain_values(params)
+        x0 = model.embed_layout(layout, plain, CFG)
+        T = layout.length
+        allow = np.tri(T, dtype=bool)[None, None].repeat(CFG.head_count, axis=1)
+        stack = []
+        made = _nodes_made(lambda: stack.extend(model._blocks(
+            x0, layout.latent_mask, allow, plain, CFG, lambda i, kv: kv)))
+    assert made == 0
+    assert all(type(level) is np.ndarray for level in [x0, *stack])
+
+
+def _tok_emb_gathers(root, table) -> int:
+    """Nodes among `root` and its ancestors that take `table` as a parent."""
+    seen, todo, count = {root.seq}, [root], 0
+    while todo:
+        node = todo.pop()
+        count += any(p is table for p in node.parents)
+        for p in node.parents:
+            if p.seq not in seen:
+                seen.add(p.seq)
+                todo.append(p)
+    return count
+
+
+def test_a_pass_embeds_its_text_rows_with_one_gather():
+    """A graph pass over a layout with several text segments reads `tok_emb`
+    through one gather node, and its rows are those of the lone lookups
+    placed in position order."""
+    rng = np.random.default_rng(24)
+    params = init_params(CFG, rng)
+    layout = _image_latent_layout(rng, CFG)
+    assert sum(seg.role in model.TEXT_ROLES for seg in layout.segments) == 3
+    for start in (0, 2, 6, 9):
+        emb = embed_layout(layout, params, CFG, start)
+        assert _tok_emb_gathers(emb, params["tok_emb"]) == 1
+        for pos in range(start, layout.length):
+            tok = layout.token_at[pos]
+            if tok >= 0:
+                want = params["tok_emb"].data[tok] + params["pos_emb"].data[pos]
+                assert np.array_equal(emb.data[pos - start], want)
+    group_logits, _ = model.forward_group([layout, layout.prefix(5)], params, CFG)
+    assert _tok_emb_gathers(group_logits, params["tok_emb"]) == 1
+
+
+def test_tok_emb_gradient_with_ids_repeated_across_segments_matches_fd():
+    """Token ids 4, 7 and 9 recur across the text segments of one layout; the
+    one gather's scatter-add gives `tok_emb` the gradient central
+    differences of a loss on the full pass give."""
+    rng = np.random.default_rng(25)
+    params = init_params(CFG, rng, scale=0.3)
+    layout = _image_latent_layout(rng, CFG)
+    mask = build_attention_mask(layout, MaskMode.CAUSAL)
+    weights = rng.normal(size=(layout.length, CFG.vocab_size))
+    logits, _ = forward(layout, mask, params, CFG)
+    analytic = ad.backward(ad.sum_all(ad.mul(logits, weights)), params)
+
+    def value(p):
+        live = dict(params, tok_emb=ad.constant(p["tok_emb"]))
+        with ad.no_grad():
+            out, _ = forward(layout, mask, live, CFG)
+        return float((out.data * weights).sum())
+
+    rows = np.array([4, 7, 9, 11])  # 11 appears nowhere: its gradient is 0
+    coords = {"tok_emb": (rows[:, None] * CFG.hidden_dim + np.arange(CFG.hidden_dim)).ravel()}
+    numeric = ad.finite_difference(value, {"tok_emb": params["tok_emb"].data}, coords=coords)
+    assert np.all(analytic["tok_emb"][11] == 0.0)
+    assert ad.max_rel_error({"tok_emb": analytic["tok_emb"]}, numeric, coords) < 1e-6
+
+
 def _perturb_token(layout, pos, delta=1):
     segments = []
     for seg in layout.segments:
