@@ -10,13 +10,11 @@ sum `backward` allocated itself, never into an array a vjp returned.
 `stop_gradient` inserts a hard barrier: values pass through unchanged,
 gradients never cross.
 
-Under `no_grad`, an op whose operands are all float64 ndarrays returns a
-plain array (or numpy scalar): it makes no node, no vjp closure and no
-parent tuple, but runs the same formula and the same checks, so its value
-has the bits of the node it stands for. `plain` and `plain_values` unwrap
-nodes under `no_grad`, so a caller that unwraps its parameters once runs a
-whole pass on arrays. An op given a `Tensor` or a Python number, or any op
-while grad is on, returns a node (under `no_grad` one without parents).
+Under `no_grad` nothing is recorded: every op returns its plain array (or
+numpy scalar), whatever its operands, and takes no creation number. It runs
+the same formula and the same checks, so the value has the bits of the node
+it stands for. `node` is the one place that decides this; `stop_gradient`,
+which builds its barrier node itself, has its own exit.
 
 Besides the primitives, two fused nodes carry a transformer block:
 `attention` (head split, scores, masked softmax, `probs @ v`, head merge)
@@ -82,12 +80,8 @@ class Tensor:
         if type(data) is not np.ndarray or data.dtype is not _F64:
             data = np.asarray(data, dtype=np.float64)
         self.data = data
-        if _grad_enabled:
-            self.parents = tuple(parents)
-            self.vjp = vjp
-        else:
-            self.parents = ()
-            self.vjp = None
+        self.parents = tuple(parents)
+        self.vjp = vjp
         self.barrier = barrier
         self.name = name
 
@@ -120,8 +114,7 @@ def constant(data) -> Tensor:
 
 def value(x) -> np.ndarray:
     """The float64 array an operand holds: a node's data, else `x` as an
-    array. `value(x) is x` exactly when `x` is a float64 ndarray, which is
-    how an op tells that an operand is plain."""
+    array (`x` itself when it already is a float64 ndarray)."""
     if type(x) is np.ndarray and x.dtype is _F64:
         return x
     if isinstance(x, Tensor):
@@ -129,32 +122,11 @@ def value(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def plain(x):
-    """Under `no_grad`, the array a node holds (ops on it then make no node);
-    otherwise `x` itself. Non-nodes pass through."""
-    return x if _grad_enabled or not isinstance(x, Tensor) else x.data
-
-
-def plain_values(named: dict) -> dict:
-    """`plain` of every value of a dict (the dict itself while grad is on)."""
-    if _grad_enabled:
-        return named
-    return {k: v.data if isinstance(v, Tensor) else v for k, v in named.items()}
-
-
-def is_plain(*operands) -> bool:
-    """Whether an op over `operands` returns a plain array: grad is off and
-    every operand is a float64 ndarray."""
-    if _grad_enabled:
-        return False
-    for x in operands:
-        if value(x) is not x:
-            return False
-    return True
-
-
 def node(out: np.ndarray, operands: tuple, vjp) -> Tensor:
-    """The node an op returns; operands that are not nodes become constants."""
+    """The node an op returns; operands that are not nodes become constants.
+    Under `no_grad` nothing is recorded and the op returns `out` itself."""
+    if not _grad_enabled:
+        return out
     for x in operands:
         if not isinstance(x, Tensor):
             operands = tuple(as_tensor(x) for x in operands)
@@ -185,8 +157,6 @@ def add(a, b) -> Tensor:
         out = x + y
     except ValueError:
         raise ShapeError("add", x.shape, y.shape)
-    if not _grad_enabled and x is a and y is b:
-        return out
     return node(out, (a, b), lambda g: (_unbroadcast(g, x.shape), _unbroadcast(g, y.shape)))
 
 
@@ -196,8 +166,6 @@ def sub(a, b) -> Tensor:
         out = x - y
     except ValueError:
         raise ShapeError("sub", x.shape, y.shape)
-    if not _grad_enabled and x is a and y is b:
-        return out
     return node(out, (a, b), lambda g: (_unbroadcast(g, x.shape), _unbroadcast(-g, y.shape)))
 
 
@@ -207,8 +175,6 @@ def mul(a, b) -> Tensor:
         out = x * y
     except ValueError:
         raise ShapeError("mul", x.shape, y.shape)
-    if not _grad_enabled and x is a and y is b:
-        return out
     return node(out, (a, b),
                 lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)))
 
@@ -216,8 +182,6 @@ def mul(a, b) -> Tensor:
 def scale(a, s: float) -> Tensor:
     x, s = value(a), float(s)
     out = x * s
-    if not _grad_enabled and x is a:
-        return out
     return node(out, (a,), lambda g: (g * s,))
 
 
@@ -236,8 +200,6 @@ def matmul(a, b) -> Tensor:
     if len(xs) < 2 or len(ys) < 2 or xs[-1] != ys[-2] or xs[:-2] != ys[:-2]:
         raise ShapeError("matmul", xs, ys)
     out = matmul_array(x, y)
-    if not _grad_enabled and x is a and y is b:
-        return out
 
     def vjp(g):
         return (matmul_array(g, np.swapaxes(y, -1, -2)), np.swapaxes(x, -1, -2) @ g)
@@ -251,8 +213,6 @@ def reshape(a, shape) -> Tensor:
         out = x.reshape(shape)
     except ValueError:
         raise ShapeError("reshape", x.shape, shape)
-    if not _grad_enabled and x is a:
-        return out
     return node(out, (a,), lambda g: (g.reshape(x.shape),))
 
 
@@ -271,13 +231,11 @@ def concat_rows(blocks: Sequence, order=None) -> Tensor:
             raise ValueError("concat_rows: order does not hold each row index once")
         stacked, out = out, np.empty_like(out)
         out[order] = stacked
-    if not _grad_enabled and all(x is b for x, b in zip(xs, blocks)):
-        return out
-    offsets = np.cumsum([0] + [len(x) for x in xs])
 
     def vjp(g):
         if order is not None:
             g = g[order]
+        offsets = np.cumsum([0] + [len(x) for x in xs])
         return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(xs)))
 
     return node(out, blocks, vjp)
@@ -292,8 +250,6 @@ def gather_rows(table, ids) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= t.shape[0]):
         raise IndexError(f"gather_rows: id out of range for table with {t.shape[0]} rows")
     out = t[idx]
-    if not _grad_enabled and t is table:
-        return out
 
     def vjp(g):
         acc = np.zeros_like(t)
@@ -306,8 +262,6 @@ def gather_rows(table, ids) -> Tensor:
 def get_row(a, i: int) -> Tensor:
     x, i = value(a), int(i)
     out = x[i].copy()
-    if not _grad_enabled and x is a:
-        return out
 
     def vjp(g):
         acc = np.zeros_like(x)
@@ -320,32 +274,24 @@ def get_row(a, i: int) -> Tensor:
 def sum_all(a) -> Tensor:
     x = value(a)
     out = x.sum()
-    if not _grad_enabled and x is a:
-        return out
     return node(out, (a,), lambda g: (np.full(x.shape, float(g)),))
 
 
 def mean_all(a) -> Tensor:
     x = value(a)
     out = x.mean()
-    if not _grad_enabled and x is a:
-        return out
     return node(out, (a,), lambda g: (np.full(x.shape, float(g) / x.size),))
 
 
 def exp(a) -> Tensor:
     x = value(a)
     out = np.exp(x)
-    if not _grad_enabled and x is a:
-        return out
     return node(out, (a,), lambda g: (g * out,))
 
 
 def tanh(a) -> Tensor:
     x = value(a)
     out = np.tanh(x)
-    if not _grad_enabled and x is a:
-        return out
     return node(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
@@ -372,8 +318,6 @@ def gelu(a) -> Tensor:
     x = value(a)
     t = _gelu_tanh(x)
     out = _gelu_value(x, t)
-    if not _grad_enabled and x is a:
-        return out
     return node(out, (a,), lambda g: (g * _gelu_slope(x, t),))
 
 
@@ -381,10 +325,7 @@ def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes inside [lo, hi] (inclusive), zero outside."""
     x = value(a)
     out = np.clip(x, lo, hi)
-    if not _grad_enabled and x is a:
-        return out
-    inside = (x >= lo) & (x <= hi)
-    return node(out, (a,), lambda g: (g * inside,))
+    return node(out, (a,), lambda g: (g * ((x >= lo) & (x <= hi)),))
 
 
 def minimum2(a, b) -> Tensor:
@@ -394,8 +335,6 @@ def minimum2(a, b) -> Tensor:
         raise ShapeError("minimum2", x.shape, y.shape)
     take_a = x <= y
     out = np.where(take_a, x, y)
-    if not _grad_enabled and x is a and y is b:
-        return out
     return node(out, (a, b), lambda g: (g * take_a, g * ~take_a))
 
 
@@ -411,8 +350,6 @@ def layer_norm(x, gain, bias) -> Tensor:
     inv = 1.0 / np.sqrt(var + EPS_LAYERNORM)
     xhat = xc * inv
     out = xhat * gv + bv
-    if not _grad_enabled and xv is x and gv is gain and bv is bias:
-        return out
 
     def vjp(g):
         gy = g * gv
@@ -430,8 +367,6 @@ def softmax(a) -> Tensor:
     z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
-    if not _grad_enabled and x is a:
-        return p
     return node(p, (a,), lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
 
 
@@ -478,8 +413,6 @@ def attention(q, k, v, allow: np.ndarray, sum_buffer: np.ndarray, G: int, H: int
     e = np.exp(z, out=sum_buffer[..., :T])
     p = e / sum_buffer.sum(axis=-1, keepdims=True)
     out = matmul_array(p, v4).transpose(0, 2, 1, 3).reshape(G * R, H * dh)
-    if not _grad_enabled and qv is q and kv is k and vv is v:
-        return out
 
     def vjp(g):
         g = g.reshape(G, R, H, dh).transpose(0, 2, 1, 3)
@@ -509,8 +442,6 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     pre = matmul_array(xv, w1v) + b1v
     t = _gelu_tanh(pre)
     out = matmul_array(_gelu_value(pre, t), w2v) + b2v
-    if not _grad_enabled and xv is x and w1v is w1 and b1v is b1 and w2v is w2 and b2v is b2:
-        return out
 
     def vjp(g):
         h = _gelu_value(pre, t)
@@ -538,8 +469,6 @@ def cosine_rows(a, b) -> Tensor:
     ok = prod >= EPS_COSINE
     den = np.where(ok, prod, EPS_COSINE)
     c = dots / den
-    if not _grad_enabled and x is a and y is b:
-        return c
 
     def vjp(g):
         gg = (g * ok) / den
@@ -567,8 +496,6 @@ def sq_dist(a, b) -> Tensor:
         raise ShapeError("sq_dist", x.shape, y.shape)
     diff = x - y
     out = (diff * diff).sum(axis=-1)
-    if not _grad_enabled and x is a and y is b:
-        return out
 
     def vjp(g):
         g = np.expand_dims(g, -1)
@@ -582,8 +509,6 @@ def dot(a, b) -> Tensor:
     if x.shape != y.shape:
         raise ShapeError("dot", x.shape, y.shape)
     out = (x * y).sum()
-    if not _grad_enabled and x is a and y is b:
-        return out
     return node(out, (a, b), lambda g: (g * y, g * x))
 
 
@@ -604,8 +529,6 @@ def masked_mean_nll(logits, targets: np.ndarray, mask: np.ndarray) -> Tensor:
     ll = z[np.arange(len(targets)), targets] - lse
     count = int(mask.sum())
     out = -(ll * mask).sum() / count
-    if not _grad_enabled and x is logits:
-        return out
 
     def vjp(g):
         p = np.exp(z - lse[:, None])
@@ -627,8 +550,6 @@ def log_prob_row(logits, index) -> Tensor:
     lse = np.log(np.exp(z).sum(axis=-1))
     at = (*np.indices(idx.shape), idx)
     out = z[at] - lse
-    if not _grad_enabled and x is logits:
-        return out
 
     def vjp(g):
         g = np.asarray(g)
@@ -642,16 +563,13 @@ def log_prob_row(logits, index) -> Tensor:
 
 def identity(a) -> Tensor:
     """Pass-through node; useful as an explicit use-site marker."""
-    x = value(a)
-    if not _grad_enabled and x is a:
-        return x
-    return node(x, (a,), lambda g: (g,))
+    return node(value(a), (a,), lambda g: (g,))
 
 
 def stop_gradient(a) -> Tensor:
     """Value-transparent barrier: backward contributes zero to ancestors."""
     x = value(a)
-    if not _grad_enabled and x is a:
+    if not _grad_enabled:
         return x
     return Tensor(x, (as_tensor(a),), None, barrier=True)
 

@@ -86,7 +86,8 @@ def read_manifest(run_dir) -> list:
 
 
 def load_config_file(path) -> dict:
-    """Flat key=value text config; '#' starts a comment line."""
+    """Flat key=value text config; '#' starts a comment line. A key may
+    appear once."""
     out = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -95,7 +96,10 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno} is not key=value")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"{path}: line {lineno} repeats config key {key!r}")
+        out[key] = value.strip()
     return out
 
 

@@ -71,10 +71,10 @@ def _sample_coords(params: dict, rng: np.random.Generator) -> dict:
 
 def _fd_check(name, loss_node, build, params, coords) -> CheckResult:
     """Backward through `loss_node` against central differences of
-    `build(params)`, each evaluated without a graph."""
+    `build` on the parameter arrays, each evaluated under `no_grad`."""
     def value(pvals):
         with ad.no_grad():
-            return build({n: ad.constant(v) for n, v in pvals.items()}).item()
+            return build(pvals).item()
 
     analytic = ad.backward(loss_node, params)
     numeric = ad.finite_difference(value, {n: t.data for n, t in params.items()},

@@ -304,7 +304,7 @@ def _embed(parts: list, params: dict, config: ModelConfig) -> ad.Tensor:
                 if v is None:
                     blocks.append(np.zeros((1, d)))
                 elif isinstance(v, ad.Tensor):
-                    blocks.append(ad.reshape(ad.plain(v), (1, d)))
+                    blocks.append(ad.reshape(v, (1, d)))
                 else:
                     blocks.append(np.asarray(v, dtype=np.float64).reshape(1, d))
     if not (ids or blocks):
@@ -322,8 +322,6 @@ def _select_rows(a, b, row_mask: np.ndarray) -> ad.Tensor:
     """Row-exact select: rows of `b` where row_mask, rows of `a` elsewhere."""
     m = row_mask[:, None]
     out = np.where(m, ad.value(b), ad.value(a))
-    if ad.is_plain(a, b):
-        return out
     return ad.node(out, (a, b), lambda g: (g * ~m, g * m))
 
 
@@ -339,9 +337,9 @@ class ForwardCache:
     it added. Each pass's node chains to the one before it, so a row's
     gradient goes down the chain to the pass that first ran it; a pass that
     reruns the row before its new one writes that row's bits again but
-    passes its gradient down the chain too. A pass on plain arrays (under
-    `no_grad`) writes the buffers and reads views of them, and makes no
-    node; a graph pass after it reads the rows it wrote as constants.
+    passes its gradient down the chain too. A pass under `no_grad` writes
+    the buffers and reads views of them, and makes no node; a graph pass
+    after it reads the rows it wrote as constants.
 
     The buffers start zero-filled, and `rows` may be handed in (a view of a
     group's shared buffer): a group step reads the rows past a sequence's
@@ -359,14 +357,15 @@ class ForwardCache:
 
     def store(self, i: int, new) -> ad.Tensor:
         """Write this pass's rows of buffer `i` and return rows 0..T-1 of it:
-        a plain view for plain rows, else one node whose parents are the new
-        rows and the node that held the rows before them."""
+        a plain view when `new` is an array (under `no_grad`), else one node
+        whose parents are the new rows and the node that held the rows before
+        them."""
         ran, own = self.spans[-1]
         new_rows = ad.value(new)
         T = ran + len(new_rows)
         self.rows[i, ran:T] = new_rows
         held = self.rows[i, :T]
-        if ad.is_plain(new):
+        if not isinstance(new, ad.Tensor):
             self.nodes[i] = None
             return held
 
@@ -408,8 +407,6 @@ def _head(final, w_out) -> ad.Tensor:
         raise ad.ShapeError("head", f.shape, w.shape)
     wide = np.concatenate([w, np.zeros((d, -V % HEAD_COLUMNS))], axis=1)
     out = ad.matmul_array(f, wide)[:, :V]
-    if ad.is_plain(final, w_out):
-        return out
 
     def vjp(g):
         g = np.concatenate([g, np.zeros((len(g), wide.shape[1] - V))], axis=1)
@@ -441,9 +438,8 @@ def forward(layout: SequenceLayout, mask: np.ndarray, params: dict,
     beside the row before it, so that every product has two rows and none
     pays for `ad.matmul`'s one-row padding. With a graph, the cached rows
     are nodes, so backward reaches the passes that made them. Under
-    `no_grad` the parameters are unwrapped once and the pass runs on plain
-    arrays; the logits and each stack entry are wrapped in a node at the
-    end.
+    `no_grad` every op of the pass returns a plain array, and the logits and
+    each stack entry are wrapped in a parentless node at the end.
     """
     T = layout.length
     start = 0
@@ -456,7 +452,6 @@ def forward(layout: SequenceLayout, mask: np.ndarray, params: dict,
         raise LayoutError(f"mask shape {mask.shape} does not match layout length {T} "
                           f"with {R} rows to run")
     allow = mask[None, None, -R:].repeat(config.head_count, axis=1)
-    params = ad.plain_values(params)
     x0 = embed_layout(layout, params, config, start)
     if cache is not None:
         cache.spans.append((start, cache.length))
@@ -478,14 +473,13 @@ def forward_group(layouts: list, params: dict, config: ModelConfig):
     them, and `_head` rounds a logits row alike in any product.
     Returns (logits (G*T, V), final (G*T, d)); padded rows hold finite
     values that no real row reads. Under `no_grad` the pass runs on plain
-    arrays, as `forward`'s does."""
+    arrays and both are wrapped at the end, as in `forward`."""
     G, d = len(layouts), config.hidden_dim
     T = max(layout.length for layout in layouts)
     real, latent_rows = np.zeros(G * T, dtype=bool), np.zeros(G * T, dtype=bool)
     for g, layout in enumerate(layouts):
         real[g * T:g * T + layout.length] = True
         latent_rows[g * T:g * T + layout.length] = layout.latent_mask
-    params = ad.plain_values(params)
     x0 = _embed([(layout, 0) for layout in layouts], params, config)
     if not real.all():
         pad = np.flatnonzero(~real)
@@ -503,9 +497,8 @@ def _blocks(x0: ad.Tensor, latent_rows: np.ndarray, allow: np.ndarray, params: d
     `attend(i, rows)` takes the new rows' keys (i = 2l) or values (i = 2l+1)
     of layer l and returns the (G*T, d) or (G, T, d) rows they attend over.
     Every op but attention is row-wise, so a row gets the same bits in any
-    stack. With plain-array parameters and input under `no_grad`, every
-    entry is a plain array. Returns the stack: x0, each block's residual but
-    the last, and the post-final-norm rows."""
+    stack. Under `no_grad` every entry is a plain array. Returns the stack:
+    x0, each block's residual but the last, and the post-final-norm rows."""
     G, H, R, T = allow.shape
     scale = 1.0 / np.sqrt(config.hidden_dim // H)
     has_latents = bool(latent_rows.any())
@@ -551,8 +544,8 @@ def fill_latents(layout: SequenceLayout, mask: np.ndarray, params: dict,
     ran its source (`ForwardCache.final_row`); the cache holds no final-state
     buffer. A graph, if one is being built, carries through the cache. Prefix
     invariance gives every vector the bits of a full pass. Returns the
-    produced vectors (graph nodes) in slot order; the layout's slots are
-    left holding them.
+    produced vectors in slot order, graph nodes or, under `no_grad`, plain
+    arrays; the layout's slots are left holding them.
     """
     cache = ForwardCache(config)
     produced = []
@@ -766,7 +759,6 @@ def _step(live: list, layouts: list, caches: list, rows: np.ndarray, params: dic
         return rows[block, i, :T]
 
     with ad.no_grad():
-        params = ad.plain_values(params)
         x0 = _embed([(layouts[g], layouts[g].length - 2) for g in live], params, config)
         final = _blocks(x0, latent_rows, allow, params, config, attend)[-1]
         logits = _head(final, params["w_out"])

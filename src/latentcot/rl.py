@@ -256,12 +256,12 @@ def policy_objective(groups, current: dict, config: RlConfig, algo: Algo,
                           weight[rollout])
 
         ratio = text_ratio(scored.new_logp, scored.old_logp)
-        text_ratios.append(ratio.data)
+        text_ratios.append(ad.value(ratio))
         obj = weighted(ratio, scored.text_rollout)
         if with_latents:
             ratio = vlpo_latent_ratio(scored.h_old, scored.h_theta, config.sigma)
-            latent_ratios.append(ratio.data)
-            latents.append((scored.h_old, scored.h_theta.data))
+            latent_ratios.append(ad.value(ratio))
+            latents.append((scored.h_old, ad.value(scored.h_theta)))
             latent_objs.append(weighted(ratio, scored.latent_rollout))
             obj = ad.add(obj, latent_objs[-1])
         group_objs.append(obj)

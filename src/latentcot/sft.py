@@ -206,9 +206,6 @@ class TargetLatentStore:
     def __init__(self, entries: dict | None = None):
         self.entries = dict(entries or {})
 
-    def __contains__(self, sample_id):
-        return int(sample_id) in self.entries
-
     def get(self, sample_id) -> np.ndarray:
         return self.entries[int(sample_id)]
 
@@ -316,12 +313,12 @@ def _train(params: dict, records, stage: StageConfig, seed: int, name: str,
 
 def _teacher_pass(sample, teacher_params, config):
     """The frozen teacher over the CoT with its real auxiliary images.
-    Returns (built, per-layer states as constants)."""
+    Returns (built, per-layer states as parentless nodes)."""
     built = build_teacher(sample)
     with ad.no_grad():
         _, stack = forward(built.layout, build_attention_mask(built.layout, MaskMode.CAUSAL),
                            teacher_params, config)
-    return built, [ad.constant(layer.data) for layer in stack]
+    return built, stack
 
 
 def _student_pass(sample, k_train, with_aux, params, config):

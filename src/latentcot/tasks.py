@@ -554,7 +554,7 @@ def write_dataset(records, path):
 
 
 def read_dataset(path):
-    records = []
+    records, first_line = [], {}  # sample id -> line of its record
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -564,7 +564,12 @@ def read_dataset(path):
                 d = json.loads(line)
                 if not isinstance(d, dict):
                     raise DatasetError(f"a JSON {type(d).__name__}, not an object")
-                records.append(DatasetRecord.from_dict(d))
+                record = DatasetRecord.from_dict(d)
+                if record.sample_id in first_line:
+                    raise DatasetError(f"duplicate id {record.sample_id!r}, first at line "
+                                       f"{first_line[record.sample_id]}")
+                first_line[record.sample_id] = lineno
+                records.append(record)
             except (ValueError, KeyError, TypeError) as e:
                 raise DatasetError(f"{path}: malformed record at line {lineno}: {e}") from e
     return records

@@ -1,9 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentcot import autodiff as ad
+from latentcot import model
 
 
 def test_cosine_identity_and_orthogonality():
@@ -205,41 +208,69 @@ def test_no_grad_values_bit_identical():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(5, 5))
     with ad.no_grad():
-        a = ad.gelu(ad.constant(x)).data
+        a = ad.value(ad.gelu(ad.constant(x)))
     b = ad.gelu(ad.constant(x)).data
     assert np.array_equal(a, b)
 
 
 def test_no_grad_ops_on_arrays_return_arrays_with_the_bits_of_nodes():
-    """With grad off, an op given only float64 arrays returns an ndarray
-    holding its node's bits and takes no creation number; given a node it
-    returns a node."""
+    """With grad off, every op returns an ndarray or numpy scalar holding its
+    node's bits and takes no creation number, whether its operands are
+    float64 arrays or nodes. The table covers every op that records a node,
+    `stop_gradient`, and the model's own ops."""
     rng = np.random.default_rng(29)
     x, y = rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
-    w, g, b = rng.normal(size=(8, 8)), rng.normal(size=8), rng.normal(size=8)
-    w1, b1, w2 = rng.normal(size=(8, 32)), rng.normal(size=32), rng.normal(size=(32, 8))
+    u, v = rng.normal(size=8), rng.normal(size=8)
+    w, w1, b1, w2 = (rng.normal(size=s) for s in ((8, 8), (8, 32), (32,), (32, 8)))
+    w_out = rng.normal(size=(8, 41))
     allow = np.tri(3, dtype=bool)[None, None].repeat(2, axis=1)
-    ops = {
-        "add": lambda a, c: ad.add(a, c),
-        "matmul": lambda a, c: ad.matmul(a, w),
-        "layer_norm": lambda a, c: ad.layer_norm(a, g, b),
-        "attention": lambda a, c: ad.attention(a, c, c, allow, np.zeros((1, 2, 3, 5)), 1, 2, 0.5),
-        "mlp": lambda a, c: ad.mlp(a, w1, b1, w2, b),
-        "gather_rows": lambda a, c: ad.gather_rows(a, [2, 0, 2]),
-        "concat_rows": lambda a, c: ad.concat_rows([a, c], [5, 0, 3, 1, 4, 2]),
-        "log_prob_row": lambda a, c: ad.log_prob_row(a, [1, 2, 3]),
+    ops = {  # name: (op, operands)
+        "add": (ad.add, (x, y)),
+        "sub": (ad.sub, (x, y)),
+        "mul": (ad.mul, (x, y)),
+        "scale": (lambda a: ad.scale(a, 0.3), (x,)),
+        "matmul": (ad.matmul, (x, w)),
+        "reshape": (lambda a: ad.reshape(a, (4, 6)), (x,)),
+        "concat_rows": (lambda a, c: ad.concat_rows([a, c], [5, 0, 3, 1, 4, 2]), (x, y)),
+        "gather_rows": (lambda a: ad.gather_rows(a, [2, 0, 2]), (x,)),
+        "get_row": (lambda a: ad.get_row(a, 1), (x,)),
+        "sum_all": (ad.sum_all, (x,)),
+        "mean_all": (ad.mean_all, (x,)),
+        "exp": (ad.exp, (x,)),
+        "tanh": (ad.tanh, (x,)),
+        "gelu": (ad.gelu, (x,)),
+        "clip": (lambda a: ad.clip(a, -0.5, 0.5), (x,)),
+        "minimum2": (ad.minimum2, (x, y)),
+        "layer_norm": (ad.layer_norm, (x, u, v)),
+        "softmax": (ad.softmax, (x,)),
+        "attention": (lambda q, k: ad.attention(q, k, k, allow, np.zeros((1, 2, 3, 5)), 1, 2, 0.5),
+                      (x, y)),
+        "mlp": (ad.mlp, (x, w1, b1, w2, u)),
+        "cosine_rows": (ad.cosine_rows, (x, y)),
+        "cosine": (ad.cosine, (u, v)),
+        "sq_dist": (ad.sq_dist, (x, y)),
+        "dot": (ad.dot, (x, y)),
+        "masked_mean_nll": (lambda a: ad.masked_mean_nll(a, [1, 2, 3], [True, False, True]), (x,)),
+        "log_prob_row": (lambda a: ad.log_prob_row(a, [1, 2, 3]), (x,)),
+        "identity": (ad.identity, (x,)),
+        "stop_gradient": (ad.stop_gradient, (x,)),
+        "model._head": (model._head, (x, w_out)),
+        "model._select_rows": (lambda a, c: model._select_rows(a, c, np.array([True, False, True])),
+                               (x, y)),
     }
-    for name, op in ops.items():
-        graph = op(ad.constant(x), ad.constant(y))
-        with ad.no_grad():
-            before = next(ad._sequence)
-            plain = op(x, y)
-            made = next(ad._sequence) - before - 1
-            node = op(ad.constant(x), y)
-        assert type(plain) is np.ndarray and made == 0, name
-        assert np.array_equal(plain, graph.data), name
-        assert isinstance(node, ad.Tensor) and not node.parents, name
-        assert np.array_equal(node.data, graph.data), name
+    recording = {name for name, f in vars(ad).items()
+                 if inspect.isfunction(f) and "return node(" in inspect.getsource(f)}
+    assert recording <= ops.keys(), recording - ops.keys()
+    for name, (op, operands) in ops.items():
+        graph = op(*map(ad.constant, operands))
+        assert isinstance(graph, ad.Tensor), name
+        for kind, args in (("arrays", operands), ("nodes", [ad.constant(a) for a in operands])):
+            with ad.no_grad():
+                before = next(ad._sequence)
+                out = op(*args)
+                made = next(ad._sequence) - before - 1
+            assert isinstance(out, (np.ndarray, np.float64)) and made == 0, (name, kind)
+            assert np.array_equal(out, graph.data), (name, kind)
 
 
 def test_concat_rows_places_rows_and_checks_the_order():

@@ -235,13 +235,15 @@ def _run_files(run):
     (["sweep", "--k-tests", "0", "--limit", "0"], None, ["limit"]),
     (RL_GRPO, "kl_coeff=0.1", ["bad.cfg", "kl_coeff"]),
     (RL_GRPO, "temperature=0", ["temperature"]),
+    (RL_GRPO, "sigma=5\nsigma=6", ["bad.cfg", "sigma"]),
 ], ids=["max-steps-flag", "epochs-flag", "grad-accum-flag", "group-size-flag",
         "sigma-file", "clip-eps-file", "unknown-key-file", "bad-int-file", "bad-rl-int-file",
         "rl-learning-rate-flag", "k-train-rl-flag", "sigma-nan-file", "temperature-file",
         "alpha-nan-flag", "train-count-flag", "corrupt-fraction-flag", "heads-flag",
         "hidden-dim-flag", "layers-flag", "max-positions-flag", "rl-epochs-zero-flag",
         "rl-epochs-negative-flag", "eval-limit-zero-flag", "eval-limit-negative-flag",
-        "sweep-limit-zero-flag", "kl-coeff-file", "temperature-zero-file"])
+        "sweep-limit-zero-flag", "kl-coeff-file", "temperature-zero-file",
+        "repeated-key-file"])
 def test_bad_config_values_fail_before_any_checkpoint(tmp_path, capsys, argv,
                                                       config_text, named):
     """A value from a flag or a --config file that its dataclass or command

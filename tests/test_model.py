@@ -281,12 +281,13 @@ def test_head_rows_keep_their_bits_in_any_window_or_prefix(data):
                                                              label="scale"),
                                              size=(d, config.vocab_size)))
     with ad.no_grad():
-        full = model._head(ad.constant(final), w_out).data
+        full = ad.value(model._head(ad.constant(final), w_out))
         for t in range(1, T + 1):
-            assert np.array_equal(model._head(ad.constant(final[:t]), w_out).data, full[:t]), t
+            assert np.array_equal(ad.value(model._head(ad.constant(final[:t]), w_out)),
+                                  full[:t]), t
         for width in (1, 2, data.draw(st.integers(3, T), label="width")):
             for a in range(T - width + 1):
-                rows = model._head(ad.constant(final[a:a + width]), w_out).data
+                rows = ad.value(model._head(ad.constant(final[a:a + width]), w_out))
                 assert np.array_equal(rows, full[a:a + width]), (a, width)
 
 
@@ -569,13 +570,12 @@ def test_no_grad_cached_steps_make_only_the_nodes_forward_returns():
     assert _nodes_made(lambda: model._step([0, 2], layouts, caches, rows, params, CFG)) == 0
     layout = layouts[0]
     with ad.no_grad():
-        plain = ad.plain_values(params)
-        x0 = model.embed_layout(layout, plain, CFG)
+        x0 = model.embed_layout(layout, params, CFG)
         T = layout.length
         allow = np.tri(T, dtype=bool)[None, None].repeat(CFG.head_count, axis=1)
         stack = []
         made = _nodes_made(lambda: stack.extend(model._blocks(
-            x0, layout.latent_mask, allow, plain, CFG, lambda i, kv: kv)))
+            x0, layout.latent_mask, allow, params, CFG, lambda i, kv: kv)))
     assert made == 0
     assert all(type(level) is np.ndarray for level in [x0, *stack])
 

@@ -218,7 +218,7 @@ def test_surrogate_all_zero_when_latents_teacher_forced():
     mask = build_attention_mask(built.layout, built.mask_mode)
     with ad.no_grad():
         produced_vals = fill_latents(built.layout, mask, params, CFG)
-    produced = [ad.constant(v.data) for v in produced_vals]
+    produced = [ad.constant(ad.value(v)) for v in produced_vals]
     sites = bind_use_sites(built.layout, produced)
     logits, stack = forward(built.layout, mask, params, CFG)
     tb = build_teacher(sample)
@@ -253,7 +253,7 @@ def _severed_path_fd(sample, student_params, teacher_params, config, k, coords, 
             produced = fill_latents(built.layout, mask, live, config)
             frozen = build_student(sample, k, with_aux=True)
             for (si, slot, _), v in zip(frozen.layout.latent_slots, produced):
-                frozen.layout.set_latent(si, slot, v.data)
+                frozen.layout.set_latent(si, slot, ad.value(v))
             _, stack = forward(frozen.layout, mask, base, config)
             loss = align_obs_loss(t_consts, stack, tb.obs_positions, frozen.obs_positions)
             return loss.item()

@@ -285,7 +285,8 @@ def test_truncated_line_reports_line_number(tmp_path):
     (lambda d: {**d, "schema_version": 2}, "unsupported schema_version 2"),
     (lambda d: {**d, "cot": 5}, "not iterable"),
     (lambda d: [d], "a JSON list, not an object"),
-], ids=["schema-version", "cot-not-a-list", "array-line"])
+    (lambda d: {**d, "id": 0}, "duplicate id 0, first at line 1"),
+], ids=["schema-version", "cot-not-a-list", "array-line", "duplicate-id"])
 def test_malformed_record_names_the_file_and_line(tmp_path, edit, why):
     records, _ = build_corpus(CurationConfig(sample_count=40, seed=15))
     path = tmp_path / "odd.jsonl"
