@@ -144,17 +144,15 @@ class SequenceLayout:
         return start, start + len(self.segments[si])
 
     def latent_source(self, si: int) -> int:
-        """Position whose layer-L state seeds slot 0 of latent segment `si`:
-        the nearest preceding latent-start marker token, else the position
-        just before the segment."""
-        start = self.seg_starts[si]
-        marker = vocab.TOKEN_TO_ID[vocab.LATENT_START]
-        for p in range(start - 1, -1, -1):
-            if self.token_at[p] == marker:
-                return p
-        if start == 0:
+        """Position whose final state seeds slot 0 of latent segment `si`:
+        the row before the segment, or before the auxiliary image right
+        before it. This is decoding's rule (a latent step at position p
+        reads row p - 1) with the stage-2 aux image skipped."""
+        if si > 0 and self.segments[si - 1].role is SegmentRole.AUX_IMAGE:
+            si -= 1
+        if self.seg_starts[si] == 0:
             raise LayoutError("latent segment at sequence start has no source position")
-        return start - 1
+        return self.seg_starts[si] - 1
 
     def prefix(self, t: int) -> "SequenceLayout":
         """The first `t` positions; the segment that `t` cuts is shortened."""
@@ -331,15 +329,13 @@ class ForwardCache:
 
     `rows[2l]` and `rows[2l + 1]` hold layer l's keys and values; each spans
     `max_positions` rows, the first `length` valid. Beside the buffers the
-    cache keeps, per buffer, the graph node that holds its valid rows
-    (`nodes`, None until a graph pass), and per pass its post-final-norm
-    rows (`finals`) and its `spans`: the first row it ran and the first row
-    it added. Each pass's node chains to the one before it, so a row's
-    gradient goes down the chain to the pass that first ran it; a pass that
-    reruns the row before its new one writes that row's bits again but
-    passes its gradient down the chain too. A pass under `no_grad` writes
-    the buffers and reads views of them, and makes no node; a graph pass
-    after it reads the rows it wrote as constants.
+    cache keeps only, per buffer, the graph node that holds its valid rows
+    (`nodes`, None until a graph pass). Each pass's node chains to the one
+    before it, so a row's gradient goes down the chain to the pass that
+    first ran it; a pass that reruns the row before its new one writes that
+    row's bits again but passes its gradient down the chain too. A pass
+    under `no_grad` writes the buffers and reads views of them, and makes
+    no node; a graph pass after it reads the rows it wrote as constants.
 
     The buffers start zero-filled, and `rows` may be handed in (a view of a
     group's shared buffer): a group step reads the rows past a sequence's
@@ -352,15 +348,13 @@ class ForwardCache:
         self.rows = np.zeros((count, config.max_positions, config.hidden_dim)) \
             if rows is None else rows
         self.nodes = [None] * count
-        self.finals = []
-        self.spans = []
 
-    def store(self, i: int, new) -> ad.Tensor:
-        """Write this pass's rows of buffer `i` and return rows 0..T-1 of it:
-        a plain view when `new` is an array (under `no_grad`), else one node
-        whose parents are the new rows and the node that held the rows before
-        them."""
-        ran, own = self.spans[-1]
+    def store(self, i: int, new, ran: int) -> ad.Tensor:
+        """Write this pass's rows of buffer `i`, which start at row `ran`
+        (at most `length`), and return rows 0..T-1 of it: a plain view when
+        `new` is an array (under `no_grad`), else one node whose parents are
+        the new rows and the node that held the rows before them."""
+        own = self.length
         new_rows = ad.value(new)
         T = ran + len(new_rows)
         self.rows[i, ran:T] = new_rows
@@ -379,12 +373,6 @@ class ForwardCache:
         before = self.rows[i, :own] if self.nodes[i] is None else self.nodes[i]
         self.nodes[i] = ad.node(held, (new, before), vjp)
         return self.nodes[i]
-
-    def final_row(self, pos: int) -> ad.Tensor:
-        """The post-final-norm state at a cached position, as a node of the
-        pass that first ran it."""
-        j = bisect.bisect_right([own for _, own in self.spans], pos) - 1
-        return ad.get_row(self.finals[j], pos - self.spans[j][0])
 
 
 # The vocabulary product runs against `w_out` padded with zero columns to a
@@ -453,14 +441,12 @@ def forward(layout: SequenceLayout, mask: np.ndarray, params: dict,
                           f"with {R} rows to run")
     allow = mask[None, None, -R:].repeat(config.head_count, axis=1)
     x0 = embed_layout(layout, params, config, start)
-    if cache is not None:
-        cache.spans.append((start, cache.length))
     stack = _blocks(x0, layout.latent_mask[start:], allow, params, config,
-                    (lambda i, rows: rows) if cache is None else cache.store)
+                    (lambda i, rows: rows) if cache is None
+                    else (lambda i, rows: cache.store(i, rows, start)))
     logits = ad.as_tensor(_head(stack[-1], params["w_out"]))
     stack = [ad.as_tensor(x) for x in stack]
     if cache is not None:
-        cache.finals.append(stack[-1])
         cache.length = T
     return logits, stack
 
@@ -535,26 +521,24 @@ def fill_latents(layout: SequenceLayout, mask: np.ndarray, params: dict,
                  config: ModelConfig) -> list:
     """Bind every latent slot autoregressively.
 
-    Slot 0 of a segment reads the layer-L state at its latent-start marker,
-    slot k the state at slot k-1. One `ForwardCache` serves all slots: each
-    slot runs a cached pass over the layout's prefix up to its source,
-    only the rows the cache lacks, so each row runs once (a one-row step
-    also reruns the row before it) and no row after the last source runs.
-    Each vector is a row of the post-final-norm node of the pass that first
-    ran its source (`ForwardCache.final_row`); the cache holds no final-state
-    buffer. A graph, if one is being built, carries through the cache. Prefix
-    invariance gives every vector the bits of a full pass. Returns the
-    produced vectors in slot order, graph nodes or, under `no_grad`, plain
-    arrays; the layout's slots are left holding them.
+    Every slot reads the final state of the row before it, as in decoding:
+    slot 0 of a segment the row `latent_source` names, slot k the row of
+    slot k-1. Each source lies at or after the rows the cache holds, so one
+    `ForwardCache` serves all slots with one cached pass per slot, over the
+    layout's prefix up to and including its source: only the rows the cache
+    lacks run (a one-row step also reruns the row before it), and no row
+    after the last source runs. A slot's vector is the last final-state row
+    of its pass. A graph, if one is being built, carries through the cache.
+    Prefix invariance gives every vector the bits of a full pass. Returns
+    the produced vectors in slot order, graph nodes or, under `no_grad`,
+    plain arrays; the layout's slots are left holding them.
     """
     cache = ForwardCache(config)
     produced = []
     for si, slot, pos in layout.latent_slots:
-        src = layout.latent_source(si) if slot == 0 else pos - 1
-        if src >= cache.length:
-            t = src + 1
-            forward(layout.prefix(t), mask[:t, :t], params, config, cache)
-        vec = cache.final_row(src)
+        t = (layout.latent_source(si) if slot == 0 else pos - 1) + 1
+        _, stack = forward(layout.prefix(t), mask[:t, :t], params, config, cache)
+        vec = ad.get_row(stack[-1], -1)
         layout.set_latent(si, slot, vec)
         produced.append(vec)
     return produced

@@ -154,6 +154,8 @@ class DatasetRecord:
     def from_dict(d):
         if d.get("schema_version") != SCHEMA_VERSION:
             raise DatasetError(f"unsupported schema_version {d.get('schema_version')}")
+        if type(d["id"]) is not int:  # not a bool, nor a string the latent store reads as an int
+            raise DatasetError(f"id {d['id']!r} is not an integer")
         return DatasetRecord(d["id"], ToySample.from_dict(d), dict(d.get("provenance", {})))
 
 

@@ -1076,6 +1076,23 @@ def test_fill_latents_sources():
     assert np.array_equal(produced[1].data, stack[-1].data[5])  # slot 1 <- slot 0 state
     assert layout.latent_source(3) == 2  # marker sits at position 2
 
+    # A second segment with no marker before it reads the row right before
+    # it, not the first segment's marker; the fill equals a full pass.
+    layout = SequenceLayout([
+        text_segment(SegmentRole.QUESTION_TEXT, [1, 3]),
+        text_segment(SegmentRole.PLAIN_TEXT, [lat_start]),
+        latent_segment(2),
+        text_segment(SegmentRole.PLAIN_TEXT, [4]),
+        latent_segment(1),
+    ])
+    assert [layout.latent_source(2), layout.latent_source(4)] == [2, 5]
+    mask = build_attention_mask(layout, MaskMode.CAUSAL)
+    with ad.no_grad():
+        produced = fill_latents(layout, mask, params, CFG)
+        _, stack = forward(layout, mask, params, CFG)
+    for vec, src in zip(produced, [2, 3, 5]):
+        assert np.array_equal(vec, stack[-1].data[src])
+
 
 def test_sample_token_rules():
     tok, logp = sample_token(np.array([10.0, 0.0, 0.0]), 0.0, None)

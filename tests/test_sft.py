@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latentcot import autodiff as ad
-from latentcot import sft, vocab
+from latentcot import model, sft, vocab
 from latentcot.layouts import build_interleaved, build_student, build_teacher
 from latentcot.model import (MaskMode, ModelConfig, SegmentRole,
                              SequenceLayout, build_attention_mask,
@@ -307,10 +307,12 @@ _TOKENS = st.one_of(st.just(_LAT_START), st.integers(0, vocab.VOCAB_SIZE - 1))
 @st.composite
 def _fill_layouts(draw):
     """Segments with two or more latent segments, some after an aux image of
-    one or more patches, and random text between that often holds the
-    latent-start marker. The layout opens with <bos> and up to three more
-    tokens, so a latent segment may follow <bos> directly (a source at
-    position 0, whose first fill pass is a single row)."""
+    one or more patches, and random text between, or none, so a segment may
+    follow another directly. The text often holds the latent-start marker,
+    which no source depends on: slot 0 reads the row before its segment or
+    aux image, wherever the markers stand. The layout opens with <bos> and
+    up to three more tokens, so a latent segment may follow <bos> directly
+    (a source at position 0, whose first fill pass is a single row)."""
     segments = [text_segment(SegmentRole.QUESTION_TEXT,
                              [vocab.TOKEN_TO_ID[vocab.BOS]] + draw(st.lists(_TOKENS, max_size=3)))]
     for with_aux in draw(st.lists(st.booleans(), min_size=2, max_size=4)):
@@ -358,6 +360,35 @@ def _fill_samples():
     records = tiny_records(n=9)
     assert [r.sample.family for r in records[7:9]] == ["lookup", "count"]
     return records[7].sample, records[8].sample
+
+
+@pytest.mark.parametrize("with_aux", [True, False], ids=["stage2", "stage3"])
+@pytest.mark.parametrize("k", [1, 2, 8, 16])
+def test_built_layouts_source_each_segment_at_its_marker(monkeypatch, with_aux, k):
+    """The traffic the fill's source rule serves: in `build_student` layouts
+    of both families, every latent segment's source holds the latent-start
+    token, and the fill runs exactly one `forward` per slot, each over a
+    longer prefix."""
+    config = ModelConfig(layer_count=1, hidden_dim=16, head_count=2)
+    params = init_params(config, np.random.default_rng(k))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].length)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", counted)
+    for sample in _fill_samples():
+        built = build_student(sample, k, with_aux)
+        layout = built.layout
+        latent = [si for si, seg in enumerate(layout.segments) if seg.role is SegmentRole.LATENT]
+        assert len(latent) == (1 if sample.family == "lookup" else 2)
+        assert all(layout.token_at[layout.latent_source(si)] == _LAT_START for si in latent)
+        calls.clear()
+        with ad.no_grad():
+            fill_latents(layout, build_attention_mask(layout, built.mask_mode), params, config)
+        assert len(calls) == len(layout.latent_slots) == k * len(latent)
+        assert calls == sorted(set(calls))
 
 
 @settings(max_examples=12, deadline=None)

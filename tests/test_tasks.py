@@ -286,7 +286,10 @@ def test_truncated_line_reports_line_number(tmp_path):
     (lambda d: {**d, "cot": 5}, "not iterable"),
     (lambda d: [d], "a JSON list, not an object"),
     (lambda d: {**d, "id": 0}, "duplicate id 0, first at line 1"),
-], ids=["schema-version", "cot-not-a-list", "array-line", "duplicate-id"])
+    (lambda d: {**d, "id": "0"}, "id '0' is not an integer"),
+    (lambda d: {**d, "id": True}, "id True is not an integer"),
+], ids=["schema-version", "cot-not-a-list", "array-line", "duplicate-id", "string-id",
+        "bool-id"])
 def test_malformed_record_names_the_file_and_line(tmp_path, edit, why):
     records, _ = build_corpus(CurationConfig(sample_count=40, seed=15))
     path = tmp_path / "odd.jsonl"
