@@ -370,8 +370,26 @@ def softmax(a) -> Tensor:
     return node(p, (a,), lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
 
 
+def _pool_rows(x: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Rows `x[at]`, shaped `at.shape + (d,)`; index `len(x)` reads as a
+    zero row."""
+    return np.concatenate([x, np.zeros((1, x.shape[1]))])[at]
+
+
+def _scatter_rows(x: np.ndarray, at: np.ndarray, n: int, add: bool = False) -> np.ndarray:
+    """(n, d) rows, zero but where `at` sends a row of `x` (`x[j]` to row
+    `at[j]`; with `add`, the sum of the rows sent there); rows sent to index
+    n are dropped."""
+    out = np.zeros((n + 1, x.shape[1]))
+    if add:
+        np.add.at(out, at, x)
+    else:
+        out[at] = x
+    return out[:n]
+
+
 def attention(q, k, v, allow: np.ndarray, sum_buffer: np.ndarray, G: int, H: int,
-              scale: float) -> Tensor:
+              scale: float, pool: tuple | None = None) -> Tensor:
     """Multi-head attention over G stacked sequences, as one node.
 
     `q` holds (G*R, d) query rows, R per sequence; `k` and `v` hold (G*T, d)
@@ -381,6 +399,15 @@ def attention(q, k, v, allow: np.ndarray, sum_buffer: np.ndarray, G: int, H: int
     back into (G*R, d) rows. Disallowed keys get probability exactly 0.0;
     every row must keep at least one allowed key.
 
+    With `pool`, a pair of index maps (rows (G, R), keys (G, T)), `q`, `k`
+    and `v` hold one pool of U rows instead, and the G sequences are blocks
+    laid out over it: block b's query j is pool row `rows[b, j]` and its key
+    t pool row `keys[b, t]`, where index U reads as a zero row (padding).
+    The blocks are gathered inside the node, and the result is (U, d): each
+    pool row must be the query of exactly one block, and gets that query's
+    output. Backward scatter-adds each key's gradient into its pool row, so
+    a row that several blocks attend to gets its gradient back once.
+
     `sum_buffer` (shape (G, H, R, W) with W at least T, zero beyond T) fixes
     how each softmax denominator is summed: over all W columns, the trailing
     ones exact zeros. numpy's pairwise sum groups terms by the row width, so
@@ -389,15 +416,26 @@ def attention(q, k, v, allow: np.ndarray, sum_buffer: np.ndarray, G: int, H: int
     columns follow it.
 
     Products go through `matmul_array`. The vjp keeps only the probabilities
-    beside the inputs' own arrays.
+    beside the inputs' own arrays and the maps; with `pool` it gathers the
+    blocks again.
     """
     qv, kv, vv = value(q), value(k), value(v)
     scale = float(scale)
     if allow.dtype != bool:
         allow = allow.astype(bool)
+    if pool is not None:
+        rows, keys = pool
+        if qv.ndim != 2 or kv.shape != qv.shape or len(rows) != G or len(keys) != G:
+            raise ShapeError("attention", qv.shape, kv.shape, rows.shape, keys.shape)
+
+    def split():
+        """q, k and v split into heads: (G, H, R or T, d/H) each."""
+        xs = (qv, kv, vv) if pool is None else \
+            (_pool_rows(qv, rows), _pool_rows(kv, keys), _pool_rows(vv, keys))
+        return [x.reshape(G, -1, H, x.shape[-1] // H).transpose(0, 2, 1, 3) for x in xs]
+
     try:
-        q4, k4, v4 = [x.reshape(G, -1, H, x.shape[-1] // H).transpose(0, 2, 1, 3)
-                      for x in (qv, kv, vv)]
+        q4, k4, v4 = split()
     except ValueError:
         raise ShapeError("attention", qv.shape, kv.shape, vv.shape)
     R, T, dh = q4.shape[2], k4.shape[2], q4.shape[3]
@@ -413,18 +451,29 @@ def attention(q, k, v, allow: np.ndarray, sum_buffer: np.ndarray, G: int, H: int
     e = np.exp(z, out=sum_buffer[..., :T])
     p = e / sum_buffer.sum(axis=-1, keepdims=True)
     out = matmul_array(p, v4).transpose(0, 2, 1, 3).reshape(G * R, H * dh)
+    if pool is not None:
+        out = _scatter_rows(out, rows.ravel(), len(qv))
 
     def vjp(g):
+        q4, k4, v4 = split()
+        if pool is not None:
+            g = _pool_rows(g, rows)
         g = g.reshape(G, R, H, dh).transpose(0, 2, 1, 3)
         gp = matmul_array(g, np.swapaxes(v4, -1, -2))
         gv = np.swapaxes(p, -1, -2) @ g
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
         gq = matmul_array(gs, k4)
         gk = np.swapaxes(np.swapaxes(q4, -1, -2) @ gs, -1, -2)
-        return tuple(gx.transpose(0, 2, 1, 3).reshape(x.shape)
-                     for gx, x in ((gq, qv), (gk, kv), (gv, vv)))
+        if pool is None:
+            return tuple(gx.transpose(0, 2, 1, 3).reshape(x.shape)
+                         for gx, x in ((gq, qv), (gk, kv), (gv, vv)))
+        gq, gk, gv = (gx.transpose(0, 2, 1, 3).reshape(-1, H * dh) for gx in (gq, gk, gv))
+        return (_scatter_rows(gq, rows.ravel(), len(qv)),
+                _scatter_rows(gk, keys.ravel(), len(kv), add=True),
+                _scatter_rows(gv, keys.ravel(), len(vv), add=True))
 
     return node(out, (q, k, v), vjp)
+
 
 
 def mlp(x, w1, b1, w2, b2) -> Tensor:

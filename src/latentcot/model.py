@@ -452,36 +452,97 @@ def forward(layout: SequenceLayout, mask: np.ndarray, params: dict,
 
 
 def forward_group(layouts: list, params: dict, config: ModelConfig):
-    """Causal full passes over G layouts as one stacked pass through the
-    blocks. Each layout's rows are padded with zero rows to the longest
-    length T; layout g holds rows g*T onward. Its rows get the bits of a lone
-    `forward`: padded rows come after its own, so the causal mask hides
-    them, and `_head` rounds a logits row alike in any product.
-    Returns (logits (G*T, V), final (G*T, d)); padded rows hold finite
-    values that no real row reads. Under `no_grad` the pass runs on plain
-    arrays and both are wrapped at the end, as in `forward`."""
-    G, d = len(layouts), config.hidden_dim
+    """Causal full passes over G layouts as one pass through the blocks,
+    which runs each distinct row once.
+
+    A layout's row r is the same as an earlier layout's row r when their
+    input rows 0..r are made of the same things (`_row_keys`): then it has
+    the same embedded bits, latent flag and attention context, so it is
+    read from the earlier layout and not run again. Each layout thus adds
+    the rows from its first unshared position on, and the U distinct rows
+    form one pool: embedded with one `tok_emb` gather, and run through the
+    layer norms, projections, MLP, final norm and head once. Attention lays
+    the pool out in blocks (the rows all layouts share, then each layout's
+    own rows); a block attends over its layout's rows in position order,
+    padded with zero rows to the longest length T, and backward hands each
+    shared row's gradient back once (`ad.attention`'s `pool`).
+
+    Returns (logits (G*T, V), final (G*T, d)), layout g in rows g*T onward:
+    every real row has the bits of a lone `forward` (the row-wise ops and
+    `_head` round a row alike in any stack), and padded rows hold copies of
+    a real row, which no loss term may read. Under `no_grad` the pass runs
+    on plain arrays and both are wrapped at the end, as in `forward`."""
+    G, H = len(layouts), config.head_count
     T = max(layout.length for layout in layouts)
-    real, latent_rows = np.zeros(G * T, dtype=bool), np.zeros(G * T, dtype=bool)
+    keys = [_row_keys(layout) for layout in layouts]
+    at = np.zeros(G * T, dtype=np.int64)  # the pool row of each stacked row
+    starts, U = [], 0  # each layout's first own row; rows pooled so far
     for g, layout in enumerate(layouts):
-        real[g * T:g * T + layout.length] = True
-        latent_rows[g * T:g * T + layout.length] = layout.latent_mask
-    x0 = _embed([(layout, 0) for layout in layouts], params, config)
-    if not real.all():
-        pad = np.flatnonzero(~real)
-        x0 = ad.concat_rows([x0, np.zeros((len(pad), d))], np.append(np.flatnonzero(real), pad))
-    allow = np.broadcast_to(np.tri(T, dtype=bool), (G, config.head_count, T, T))
-    final = _blocks(x0, latent_rows, allow, params, config, lambda i, rows: rows)[-1]
-    return ad.as_tensor(_head(final, params["w_out"])), ad.as_tensor(final)
+        n = layout.length
+        start, src = max(((_shared(keys[g], keys[a]), a) for a in range(g)), default=(0, 0))
+        at[g * T:g * T + start] = at[src * T:src * T + start]
+        at[g * T + start:g * T + n] = np.arange(U, U + n - start)
+        starts.append(start)
+        U += n - start
+    shared = min(starts[1:], default=0)  # the rows all layouts share
+    blocks = [(0, 0, shared)] if shared else []  # (layout, first query row, end)
+    blocks += [(g, max(start, shared), layout.length)
+               for g, (layout, start) in enumerate(zip(layouts, starts))
+               if max(start, shared) < layout.length]
+    R = max(end - first for _, first, end in blocks)
+    rows, key_rows = np.full((len(blocks), R), U), np.full((len(blocks), T), U)
+    query_at = np.zeros((len(blocks), R), dtype=np.int64)
+    for b, (g, first, end) in enumerate(blocks):
+        rows[b, :end - first] = at[g * T + first:g * T + end]
+        key_rows[b, :end] = at[g * T:g * T + end]
+        query_at[b, :end - first] = np.arange(first, end)
+    allow = np.broadcast_to((np.arange(T) <= query_at[..., None])[:, None],
+                            (len(blocks), H, R, T))
+    x0 = _embed(list(zip(layouts, starts)), params, config)
+    latent_rows = np.concatenate([layout.latent_mask[start:]
+                                  for layout, start in zip(layouts, starts)])
+    final = _blocks(x0, latent_rows, allow, params, config, lambda i, rows: rows,
+                    (rows, key_rows))[-1]
+    logits = _head(final, params["w_out"])
+    return ad.as_tensor(ad.gather_rows(logits, at)), ad.as_tensor(ad.gather_rows(final, at))
+
+
+def _row_keys(layout: SequenceLayout) -> list:
+    """One key per position for what its input row is made of: a text row's
+    token id, an image row's feature bytes, a latent row's vector bytes (or
+    the node itself when the slot holds a graph node, so that rows sharing
+    it share its gradient)."""
+    keys = []
+    for seg in layout.segments:
+        if seg.role in TEXT_ROLES:
+            keys += seg.tokens
+        elif seg.role in IMAGE_ROLES:
+            keys += [("image", f.tobytes()) for f in seg.feats]
+        else:
+            keys += [("latent", v if v is None or isinstance(v, ad.Tensor)
+                      else np.asarray(v, dtype=np.float64).tobytes()) for v in seg.latents]
+    return keys
+
+
+def _shared(a: list, b: list) -> int:
+    """How many leading keys `a` and `b` have in common."""
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
 
 
 def _blocks(x0: ad.Tensor, latent_rows: np.ndarray, allow: np.ndarray, params: dict,
-            config: ModelConfig, attend) -> list:
+            config: ModelConfig, attend, pool: tuple | None = None) -> list:
     """The transformer blocks and final norm, over the rows of G sequences
     stacked as one (G*R, d) input `x0`, R rows each. `allow` (G, H, R, T)
     says which of its sequence's T key positions each row sees.
     `attend(i, rows)` takes the new rows' keys (i = 2l) or values (i = 2l+1)
     of layer l and returns the (G*T, d) or (G, T, d) rows they attend over.
+    With `pool` (`ad.attention`'s index maps), `x0` is instead a pool of
+    distinct rows that the G blocks are laid out over.
     Every op but attention is row-wise, so a row gets the same bits in any
     stack. Under `no_grad` every entry is a plain array. Returns the stack:
     x0, each block's residual but the last, and the post-final-norm rows."""
@@ -502,7 +563,7 @@ def _blocks(x0: ad.Tensor, latent_rows: np.ndarray, allow: np.ndarray, params: d
         q = ad.matmul(q_in, params[p + "wq"])
         k = attend(2 * l, ad.matmul(kv_in, params[p + "wk"]))
         v = attend(2 * l + 1, ad.matmul(kv_in, params[p + "wv"]))
-        attn = ad.attention(q, k, v, allow, sum_buffer, G, H, scale)
+        attn = ad.attention(q, k, v, allow, sum_buffer, G, H, scale, pool)
         resid = ad.add(resid, ad.matmul(attn, params[p + "wo"]))
         h = ad.layer_norm(resid, params[p + "ln2_g"], params[p + "ln2_b"])
         resid = ad.add(resid, ad.mlp(h, params[p + "w1"], params[p + "b1"],

@@ -1,3 +1,7 @@
+import functools
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -636,6 +640,176 @@ def test_tok_emb_gradient_with_ids_repeated_across_segments_matches_fd():
     numeric = ad.finite_difference(value, {"tok_emb": params["tok_emb"].data}, coords=coords)
     assert np.all(analytic["tok_emb"][11] == 0.0)
     assert ad.max_rel_error({"tok_emb": analytic["tok_emb"]}, numeric, coords) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the group pass runs each distinct row once
+# ---------------------------------------------------------------------------
+
+def _layout_of(items):
+    """A layout from (kind, content) items, each run of one kind one
+    segment: "q" question and "t" plain text tokens, "i" question-image
+    rows, "l" latent vectors."""
+    segments = []
+    for kind, run in itertools.groupby(items, key=lambda item: item[0]):
+        contents = [content for _, content in run]
+        if kind == "q":
+            segments.append(text_segment(SegmentRole.QUESTION_TEXT, contents))
+        elif kind == "t":
+            segments.append(text_segment(SegmentRole.PLAIN_TEXT, contents))
+        elif kind == "i":
+            segments.append(image_segment(SegmentRole.QUESTION_IMAGE, np.array(contents)))
+        else:
+            segments.append(latent_segment(len(contents), contents))
+    return SequenceLayout(segments)
+
+
+@st.composite
+def _prefix_trees(draw, config=CFG):
+    """Item lists of 1-6 layouts, each after the first derived from an
+    earlier one: a duplicate, a strict prefix, a divergence at a text token,
+    at a latent vector under equal tokens or at an image row, or a fresh
+    layout that shares no row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16), label="vectors"))
+    V, d = config.vocab_size, config.hidden_dim
+
+    def tail(label):
+        kinds = draw(st.lists(st.sampled_from("tl"), max_size=8), label=label)
+        return [("t", int(rng.integers(V))) if k == "t" else ("l", rng.normal(size=d))
+                for k in kinds]
+
+    question = draw(st.lists(st.integers(0, V - 1), min_size=1, max_size=4), label="question")
+    image = [("i", row) for row in rng.normal(size=(draw(st.integers(0, 3), label="patches"),
+                                                    config.patch_features))]
+    trees = [[("q", tok) for tok in question] + image + tail("root")]
+    for _ in range(draw(st.integers(0, 5), label="derived")):
+        parent = trees[draw(st.integers(0, len(trees) - 1), label="parent")]
+        how = draw(st.sampled_from(["duplicate", "prefix", "text", "latent", "image", "fresh"]))
+        t = draw(st.integers(1, len(parent)), label="cut")
+        if how == "duplicate":
+            trees.append(list(parent))
+        elif how == "prefix":
+            trees.append(parent[:t])
+        elif how in ("text", "image"):
+            first = ("i", rng.normal(size=config.patch_features)) if how == "image" else \
+                ("t", (parent[t][1] + 1) % V if t < len(parent) and parent[t][0] == "t"
+                 else int(rng.integers(V)))
+            trees.append(parent[:t] + [first] + tail("after"))
+        elif how == "latent":
+            at = [i for i, (kind, _) in enumerate(parent) if kind == "l"]
+            if at:
+                i = at[draw(st.integers(0, len(at) - 1), label="slot")]
+                trees.append(parent[:i] + [("l", rng.normal(size=d))] + parent[i + 1:])
+        else:
+            firsts = {tree[0][1] for tree in trees}
+            trees.append([("q", min(set(range(V)) - firsts))] + tail("fresh"))
+    return trees
+
+
+def _lone_rows(layout, params):
+    logits, stack = forward(layout, build_attention_mask(layout, MaskMode.CAUSAL), params, CFG)
+    return logits, stack[-1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(trees=_prefix_trees())
+def test_group_pass_runs_each_distinct_row_once(trees):
+    """Over a prefix tree of layouts, `forward_group` runs as many rows
+    through the blocks as there are distinct rows (a row is identified by
+    the latent flags and embedded bits of its rows up to and including it),
+    embeds them with one `tok_emb` gather, and gives every real row the
+    logits and final state of a lone `forward`, bit for bit, with grad on
+    and off."""
+    params = init_params(CFG, np.random.default_rng(31), scale=0.3)
+    layouts = [_layout_of(items) for items in trees]
+    ran, run_blocks = [], model._blocks
+
+    def blocks(x0, *args):
+        ran.append(len(ad.value(x0)))
+        return run_blocks(x0, *args)
+
+    with mock.patch.object(model, "_blocks", blocks):
+        graph = model.forward_group(layouts, params, CFG)
+        with ad.no_grad():
+            plain = model.forward_group(layouts, params, CFG)
+    T = max(layout.length for layout in layouts)
+    distinct = set()
+    for g, layout in enumerate(layouts):
+        rows = slice(g * T, g * T + layout.length)
+        for got, want in zip(graph + plain, 2 * _lone_rows(layout, params)):
+            assert np.array_equal(got.data[rows], want.data)
+        x0 = embed_layout(layout, params, CFG).data
+        rows = [(bool(flag), x.tobytes()) for flag, x in zip(layout.latent_mask, x0)]
+        distinct.update(tuple(rows[:r + 1]) for r in range(layout.length))
+    assert ran == [len(distinct)] * 2
+    assert _tok_emb_gathers(graph[0], params["tok_emb"]) == 1
+
+
+def test_group_pass_gradient_with_shared_rows_matches_lone_passes_and_fd():
+    """A loss over the real rows of layouts that share prefixes (a
+    duplicate, a strict prefix, a text and a latent divergence, all holding
+    one latent node, and a layout holding a twin node of the same value) has
+    the gradient of the same loss over lone passes, to 1e-12 relative, and
+    central differences agree with it: the shared node gets the gradient of
+    every layout that reads it, and the twin its own."""
+    rng = np.random.default_rng(33)
+    params = init_params(CFG, rng, scale=0.3)
+    node = ad.parameter("latent", rng.normal(size=CFG.hidden_dim))
+    base = _image_latent_layout(rng, CFG)
+    base.set_latent(3, 1, node)
+    lat = base.segments[3].latents
+    other = SequenceLayout(base.segments[:3] + [latent_segment(3, [*lat[:2], lat[2] + 1.0])]
+                           + base.segments[4:])
+    twin = ad.parameter("twin", node.data.copy())
+    layouts = [base, SequenceLayout(base.segments), base.prefix(6), other,
+               SequenceLayout(base.prefix(9).segments + [text_segment(SegmentRole.PLAIN_TEXT,
+                                                                      [2, 5])]),
+               SequenceLayout(base.segments[:3] + [latent_segment(3, [lat[0], twin, lat[2]])]
+                              + base.segments[4:])]
+    T = max(layout.length for layout in layouts)
+    weights = [rng.normal(size=(len(layouts) * T, n)) for n in (CFG.vocab_size, CFG.hidden_dim)]
+    real = np.zeros((len(layouts) * T, 1))
+    for g, layout in enumerate(layouts):
+        real[g * T:g * T + layout.length] = 1.0
+    nodes = {"latent": node, "twin": twin}
+    live = {**params, **nodes}
+
+    def group_loss(ps):
+        outs = model.forward_group(layouts, ps, CFG)
+        return functools.reduce(ad.add, [ad.sum_all(ad.mul(out, w * real))
+                                         for out, w in zip(outs, weights)])
+
+    def lone_loss(ps):
+        total = None
+        for g, layout in enumerate(layouts):
+            rows = slice(g * T, g * T + layout.length)
+            for out, w in zip(_lone_rows(layout, ps), weights):
+                term = ad.sum_all(ad.mul(out, w[rows]))
+                total = term if total is None else ad.add(total, term)
+        return total
+
+    grads = ad.backward(group_loss(params), live)
+    lone = ad.backward(lone_loss(params), live)
+    for name in live:
+        scale_ = max(np.abs(lone[name]).max(), 1e-300)
+        assert np.abs(grads[name] - lone[name]).max() <= 1e-12 * scale_, name
+    assert np.abs(grads["latent"]).max() > 0.0 and np.abs(grads["twin"]).max() > 0.0
+
+    def value(p):
+        for name, n in nodes.items():
+            n.data = p[name]
+        with ad.no_grad():
+            out = group_loss({k: ad.constant(v) for k, v in p.items() if k not in nodes})
+        return float(out)
+
+    names = ["tok_emb", "pos_emb", "patch_proj", "block0.wk", "block1.wv", "block1.w1",
+             "lnf_g", "w_out", "latent", "twin"]
+    vals = {k: t.data.copy() for k, t in live.items()}
+    coords = {k: np.random.default_rng(34).choice(vals[k].size, 6, replace=False) for k in names}
+    numeric = ad.finite_difference(value, vals, coords=coords)
+    for name, n in nodes.items():
+        n.data = vals[name]
+    assert ad.max_rel_error(grads, numeric, coords) < 1e-6
 
 
 def _perturb_token(layout, pos, delta=1):

@@ -1,5 +1,6 @@
 import weakref
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentcot import autodiff as ad
-from latentcot import rl, vocab
+from latentcot import model, rl, vocab
 from latentcot.gradcheck import _inject_latent_run
 from latentcot.layouts import build_prompt
 from latentcot.model import (LatentStep, MaskMode, ModelConfig, SegmentRole,
@@ -407,14 +408,15 @@ def test_policy_objective_empty_retained_set():
 # rollouts and the training loop
 # ---------------------------------------------------------------------------
 
-def _latent_start_params():
-    """Zero weights whose head puts LATENT_START 400 logits above every other
-    token: at temperature 0.5 every other probability underflows to 0.0, so
-    each sampled text step opens a latent run."""
+def _latent_start_params(margin=400.0):
+    """Zero weights whose head puts LATENT_START `margin` logits above every
+    other token. At 400 and temperature 0.5 every other probability
+    underflows to 0.0, so each sampled text step opens a latent run and all
+    rollouts of a group are the same; at 2 other tokens are sampled too."""
     params = zero_params(CFG)
     params["lnf_b"].data[:] = 1.0
     w = np.zeros((CFG.hidden_dim, CFG.vocab_size))
-    w[:, vocab.TOKEN_TO_ID[vocab.LATENT_START]] = 400.0 / CFG.hidden_dim
+    w[:, vocab.TOKEN_TO_ID[vocab.LATENT_START]] = margin / CFG.hidden_dim
     params["w_out"].data[:] = w
     return params
 
@@ -520,20 +522,46 @@ def test_on_policy_latent_norm_skips_the_second_backward(monkeypatch):
     assert len(calls) == 3
 
 
-def test_off_policy_latent_norm_runs_the_backward(monkeypatch):
-    """A group scored under params other than the ones that decoded it
-    moves its latent vectors, so the backward runs and the norm is
-    positive."""
-    params = _latent_start_params()
+def _off_policy_latent_norm(monkeypatch, params, seed):
+    """The logged latent gradient norm of a two-rollout group decoded from
+    `params` with generator `seed` and scored under params with `lnf_b`
+    moved, advantages +1 and -1, and the number of backwards it ran."""
     current = copy_params(params)
     current["lnf_b"].data += 0.01 * np.random.default_rng(8).normal(size=CFG.hidden_dim)
     config = RlConfig(group_size=2, k_train_rl=3, temperature=0.5, max_response_length=10)
-    group = rollout_group(lookup_sample(), params, config, CFG, np.random.default_rng(9))
+    group = rollout_group(lookup_sample(), params, config, CFG, np.random.default_rng(seed))
     group.rollouts[0].reward, group.rollouts[0].correct = 1.1, True
     group = compute_advantages(group)
+    assert [roll.advantage for roll in group.rollouts] == [1.0, -1.0]
+    assert all(any(isinstance(s, LatentStep) for s in roll.trajectory.steps)
+               for roll in group.rollouts)
     _, stats = policy_objective([group], current, config, Algo.VLPO, CFG)
     calls, _ = _counting_backward(monkeypatch)
-    assert latent_gradient_norm(stats["latent_part"], current, stats["latents"]) > 0.0
+    return group, latent_gradient_norm(stats["latent_part"], current, stats["latents"]), calls
+
+
+def test_off_policy_latent_norm_runs_the_backward(monkeypatch):
+    """A group scored under params other than the ones that decoded it
+    moves its latent vectors, so the backward runs; its rollouts differ, so
+    their latent terms do not cancel and the norm is positive."""
+    group, norm, calls = _off_policy_latent_norm(monkeypatch, _latent_start_params(2.0), 11)
+    a, b = (roll.layout.token_at.tolist() for roll in group.rollouts)
+    assert a != b
+    assert norm > 0.0
+    assert len(calls) == 1
+
+
+def test_identical_rollouts_with_opposite_advantages_give_a_zero_latent_norm(monkeypatch):
+    """Two identical rollouts with advantages +1 and -1, scored off-policy:
+    the backward runs, and their latent terms, which the group pass sums
+    over one shared set of rows, cancel exactly."""
+    group, norm, calls = _off_policy_latent_norm(monkeypatch, _latent_start_params(), 9)
+    a, b = group.rollouts
+    assert np.array_equal(a.layout.token_at, b.layout.token_at)
+    assert all(np.array_equal(s.vector, t.vector) for s, t in zip(a.trajectory.steps,
+                                                                  b.trajectory.steps)
+               if isinstance(s, LatentStep))
+    assert norm == 0.0
     assert len(calls) == 1
 
 
@@ -676,6 +704,44 @@ def test_policy_objective_matches_the_per_step_reference(algo):
     if algo is Algo.GRPO:
         assert stats["latent_part"] is None and ref_stats["latent_part"] is None
     else:
+        assert _grads_close(ad.backward(stats["latent_part"], current),
+                            ad.backward(ref_stats["latent_part"], current))
+
+
+@pytest.mark.parametrize("algo", [Algo.GRPO, Algo.VLPO])
+def test_policy_objective_matches_the_reference_on_shared_rows(algo):
+    """Groups that hold a repeated rollout and a prefix of a rollout, so
+    the group pass shares their rows: loss, stats and both gradients agree
+    with the per-step objective to 1e-12 relative."""
+    old = init_params(CFG, np.random.default_rng(20))
+    current = init_params(CFG, np.random.default_rng(21))
+    config = RlConfig(group_size=3, k_train_rl=2, temperature=0.7, max_response_length=24)
+    groups = _mixed_groups(config, old, (25, 26))
+    for group in groups:
+        roll, P = group.rollouts[0], group.rollouts[0].trajectory.prompt_len
+        cut = len(roll.trajectory.steps) - 2
+        group.rollouts += [
+            Rollout(roll.layout, roll.trajectory),
+            Rollout(roll.layout.prefix(P + cut), Trajectory(roll.trajectory.steps[:cut], P))]
+        for i, r in enumerate(group.rollouts):
+            r.reward = 1.1 if i % 2 == 0 else 0.1
+        compute_advantages(group)
+    ran, run_blocks = [], model._blocks
+
+    def blocks(x0, *args):
+        ran.append(len(ad.value(x0)))
+        return run_blocks(x0, *args)
+
+    with mock.patch.object(model, "_blocks", blocks):
+        loss, stats = policy_objective(groups, current, config, algo, CFG)
+    stacked = sum(len(g.rollouts) * max(r.layout.length for r in g.rollouts) for g in groups)
+    assert sum(ran) < stacked
+    ref_loss, ref_stats = _reference_objective(groups, current, config, algo, CFG)
+    assert _close(loss.item(), ref_loss.item())
+    for key in ("text_ratio_mean", "latent_ratio_mean"):
+        assert _close(stats[key], ref_stats[key])
+    assert _grads_close(ad.backward(loss, current), ad.backward(ref_loss, current))
+    if algo is Algo.VLPO:
         assert _grads_close(ad.backward(stats["latent_part"], current),
                             ad.backward(ref_stats["latent_part"], current))
 
