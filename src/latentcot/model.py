@@ -484,6 +484,7 @@ def forward_group(layouts: list, params: dict, config: ModelConfig):
         at[g * T + start:g * T + n] = np.arange(U, U + n - start)
         starts.append(start)
         U += n - start
+    x0 = _embed(list(zip(layouts, starts)), params, config)
     shared = min(starts[1:], default=0)  # the rows all layouts share
     blocks = [(0, 0, shared)] if shared else []  # (layout, first query row, end)
     blocks += [(g, max(start, shared), layout.length)
@@ -498,7 +499,6 @@ def forward_group(layouts: list, params: dict, config: ModelConfig):
         query_at[b, :end - first] = np.arange(first, end)
     allow = np.broadcast_to((np.arange(T) <= query_at[..., None])[:, None],
                             (len(blocks), H, R, T))
-    x0 = _embed(list(zip(layouts, starts)), params, config)
     latent_rows = np.concatenate([layout.latent_mask[start:]
                                   for layout, start in zip(layouts, starts)])
     final = _blocks(x0, latent_rows, allow, params, config, lambda i, rows: rows,

@@ -167,9 +167,12 @@ def score_group(params: dict, group: RolloutGroup, config: RlConfig,
                 mconfig: ModelConfig) -> GroupScore:
     """Teacher-force a group's rollouts through the current policy.
 
-    One stacked causal pass over the rollouts' full layouts (`forward_group`;
-    latent slots hold the rollout vectors) gives every rollout the rows of a
-    lone full pass, bit for bit. A step at position p reads row p - 1: the
+    One causal pass over the rollouts' full layouts (`forward_group`; latent
+    slots hold the rollout vectors) gives every rollout the rows of a lone
+    full pass, bit for bit. It runs each row the rollouts share (the prompt,
+    and any steps they took alike) once, and sums the gradient that the
+    rollouts' terms send to such a row before passing it back. A step at
+    position p reads row p - 1: the
     logits of a sampled text step, the regenerated vector h_theta of a
     latent step. Each kind is read through one row gather."""
     layouts = [roll.layout for roll in group.rollouts]

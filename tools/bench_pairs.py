@@ -1,14 +1,15 @@
-"""Benchmark pairs: a parent revision against this checkout, run by run.
+"""Benchmark pairs: a parent revision against a change, run by run.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --seeds 1-10 --held-out 11 \\
         --claim rl-vlpo:peak_rss_mb --out BENCH_<n>.json
 
-Extracts the parent revision with `git archive` into a temporary directory
-outside the repository, then for each seed runs `perfbench/run.py --trace 0`
-of every workload on both sides: the parent's tree and this checkout (its
-working tree, committed or not). The side that runs first alternates by
-seed. Each run's result line gives its end-to-end metrics and failed
-operations, and its `.perfbench-work/<workload>.result.json` its digests.
+Extracts both revisions (the change is HEAD unless `--change` names
+another) with `git archive` into sibling temporary directories outside the
+repository, so both sides run from committed files in alike directories.
+Then for each seed it runs `perfbench/run.py --trace 0` of every workload on
+both sides, the side that runs first alternating by seed. Each run's result
+line gives its end-to-end metrics and failed operations, and its
+`.perfbench-work/<workload>.result.json` its digests.
 
 Writes one JSON object: per workload and end-to-end metric, each side's
 quartiles (q1, median, q3), how many pairs the change is lower in, the ratio
@@ -42,7 +43,7 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
                           cwd=tree, capture_output=True, text=True, check=True)
     line = json.loads(done.stdout.splitlines()[-1])
     info = json.loads((tree / ".perfbench-work" / f"{workload}.result.json").read_text())["info"]
-    run = {**{m: line["metrics"][m] for m in METRICS}, "correct": line["correct"],
+    run = {**{m: line["metrics"][m]["value"] for m in METRICS}, "correct": line["correct"],
            "failed": line["failed"], "attempted": line["attempted"], "digests": info["digests"]}
     return run, info["facts"]
 
@@ -116,6 +117,7 @@ def run_pairs(sides: dict, workloads, seeds, seconds: float, facts: dict) -> dic
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--change", default="HEAD", help="git revision of the change")
     parser.add_argument("--seeds", default="1-10", help="first-last, e.g. 1-10")
     parser.add_argument("--held-out", default="", help="seeds reported apart, e.g. 11")
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
@@ -125,12 +127,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     workloads = args.workloads.split(",")
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp) / "parent"
-        parent.mkdir()
-        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, capture_output=True,
-                                 check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
-        sides, facts = {"parent": parent, "change": ROOT}, {}
+        sides, facts = {}, {}
+        for side in ("parent", "change"):
+            sides[side] = Path(tmp) / side
+            sides[side].mkdir()
+            archive = subprocess.run(["git", "archive", getattr(args, side)], cwd=ROOT,
+                                     capture_output=True, check=True).stdout
+            subprocess.run(["tar", "-x", "-C", str(sides[side])], input=archive, check=True)
         result = {
             "about": "End-to-end benchmark metrics at the parent commit and at this change, "
                      f"from perfbench/run.py --trace 0 with --seconds {args.seconds:g} and one "
@@ -138,9 +141,9 @@ def main(argv=None) -> int:
                      "side and seed, the side that runs first alternating by seed; "
                      "'held_out_pairs' holds seeds not used while the change was written.",
             "parent_commit": git("rev-parse", args.parent),
-            "change_commit": git("rev-parse", "HEAD"),
+            "change_commit": git("rev-parse", args.change),
             "shape": SHAPE,
-            "src_lines": {"parent": src_lines(parent), "change": src_lines(ROOT)},
+            "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
             "pairs": run_pairs(sides, workloads, seed_range(args.seeds), args.seconds, facts)}
         if args.held_out:
             result["held_out_pairs"] = run_pairs(sides, workloads, seed_range(args.held_out),
