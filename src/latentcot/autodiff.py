@@ -475,7 +475,6 @@ def attention(q, k, v, allow: np.ndarray, sum_buffer: np.ndarray, G: int, H: int
     return node(out, (q, k, v), vjp)
 
 
-
 def mlp(x, w1, b1, w2, b2) -> Tensor:
     """`gelu(x @ w1 + b1) @ w2 + b2` over (n, d) rows, as one node.
 

@@ -46,14 +46,17 @@ def test_summary_counts_failures_and_digest_mismatches():
 PARENT = [60.0, 61.0, 62.0, 63.0, 64.0, 65.0, 66.0, 67.0, 68.0, 69.0]
 
 
-@pytest.mark.parametrize("change, met", [
-    ([50.0] * 9 + [70.0], True),  # lower in 9 of 10, median far below
-    ([50.0] * 8 + [70.0] * 2, False),  # lower in only 8 of 10
-    ([p - 1.0 for p in PARENT], False),  # lower in every pair, within the parent's spread
+@pytest.mark.parametrize("change, met, side", [
+    ([50.0] * 9 + [70.0], True, {}),  # lower in 9 of 10, median far below
+    ([50.0] * 8 + [70.0] * 2, False, {}),  # lower in only 8 of 10
+    ([p - 1.0 for p in PARENT], False, {}),  # lower in every pair, within the parent's spread
+    ([50.0] * 10, False, {"failed": 1}),  # lower, but fails operations the parent does not
+    ([50.0] * 10, False, {"digest": "b"}),  # lower, but its outputs differ
 ])
-def test_claim_verdict(change, met):
-    summary = bench_pairs.summarize(_runs(PARENT, change))["summary"]["peak_rss_mb"]
-    verdict = bench_pairs.verdict(summary)
+def test_claim_verdict(change, met, side):
+    workload = bench_pairs.summarize(_runs(PARENT, change, **side))
+    verdict = bench_pairs.verdict(workload, "peak_rss_mb")
+    summary = workload["summary"]["peak_rss_mb"]
     assert verdict["met"] is met
     assert verdict["median_gap"] == summary["parent_q1_median_q3"][1] - \
         summary["change_q1_median_q3"][1]

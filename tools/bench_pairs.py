@@ -3,22 +3,23 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --seeds 1-10 --held-out 11 \\
         --claim rl-vlpo:peak_rss_mb --out BENCH_<n>.json
 
-Extracts both revisions (the change is HEAD unless `--change` names
-another) with `git archive` into sibling temporary directories outside the
-repository, so both sides run from committed files in alike directories.
-Then for each seed it runs `perfbench/run.py --trace 0` of every workload on
-both sides, the side that runs first alternating by seed. Each run's result
-line gives its end-to-end metrics and failed operations, and its
-`.perfbench-work/<workload>.result.json` its digests.
+Extracts `--parent` and HEAD with `git archive` into sibling temporary
+directories outside the repository, so both sides run from committed files in
+alike directories. Then for each seed it runs `perfbench/run.py --trace 0` of
+every workload `BENCHMARK.json` lists, for its `run_seconds`, on both sides,
+the side that runs first alternating by seed. Each run's result line gives its
+end-to-end metrics and failed operations, and its
+`.perfbench-work/<workload>.result.json` its digests and machine facts.
 
 Writes one JSON object: per workload and end-to-end metric, each side's
 quartiles (q1, median, q3), how many pairs the change is lower in, the ratio
 of the medians (change / parent) and the distance between the parent's
 quartiles; whether the digests agreed in every pair; the failed operations;
-and every run. `--claim workload:metric` adds a verdict on a claimed
-reduction: met when the change is lower in at least nine of ten pairs and
-its median lies below the parent's by more than the parent's quartile
-distance. `--held-out` seeds are run and reported apart.
+each side's machine facts; and every run. `--claim workload:metric` adds a
+verdict on a claimed reduction: met when the change is lower in at least nine
+of ten pairs, its median lies below the parent's by more than the parent's
+quartile distance, it fails no more operations than the parent and the digests
+agree in every pair. `--held-out` seeds are run and reported apart.
 """
 
 import argparse
@@ -31,21 +32,26 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("sft", "eval-sweep", "rl-vlpo")
-METRICS = ("setup_s", "wall_s", "peak_rss_mb")
-SHAPE = {"hidden_dim": 64, "layer_count": 3, "head_count": 4, "max_positions": 160, "k": 8}
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
+SECONDS = BENCHMARK["run_seconds"]
+# Facts that describe one run, not the side: the commits are recorded once at
+# the top, and an extracted tree has no git checkout to read one from.
+RUN_FACTS = ("seed", "git_commit")
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
-    """One `perfbench/run.py --trace 0` run in `tree`: (run record, facts)."""
+def run_side(tree: Path, workload: str, seed: int) -> tuple:
+    """One `perfbench/run.py --trace 0` run in `tree`: (run record, the
+    side's machine facts)."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True, check=True)
     line = json.loads(done.stdout.splitlines()[-1])
     info = json.loads((tree / ".perfbench-work" / f"{workload}.result.json").read_text())["info"]
     run = {**{m: line["metrics"][m]["value"] for m in METRICS}, "correct": line["correct"],
            "failed": line["failed"], "attempted": line["attempted"], "digests": info["digests"]}
-    return run, info["facts"]
+    return run, {k: v for k, v in info["facts"].items() if k not in RUN_FACTS}
 
 
 def quartiles(values) -> list:
@@ -74,16 +80,21 @@ def summarize(runs: dict) -> dict:
             "runs": runs}
 
 
-def verdict(summary: dict) -> dict:
-    """Whether a claimed reduction of one metric is met: the change lower in
-    at least nine of ten pairs, and its median below the parent's by more
-    than the parent's quartile distance."""
+def verdict(workload: dict, metric: str) -> dict:
+    """Whether a claimed reduction of `metric` in one workload's summary is
+    met: the change lower in at least nine of ten pairs, its median below the
+    parent's by more than the parent's quartile distance, no more failed
+    operations than the parent, and equal digests in every pair."""
+    summary = workload["summary"][metric]
     pairs, lower = summary["pairs"], summary["change_lower_in_pairs"]
     gap = summary["parent_q1_median_q3"][1] - summary["change_q1_median_q3"][1]
+    failed = workload["failed_ops"]
     return {"change_lower_in_pairs": lower, "pairs": pairs,
             "median_ratio": summary["median_ratio"], "median_gap": gap,
             "parent_quartile_distance": summary["parent_quartile_distance"],
-            "met": lower * 10 >= pairs * 9 and gap > summary["parent_quartile_distance"]}
+            "met": (lower * 10 >= pairs * 9 and gap > summary["parent_quartile_distance"]
+                    and failed["change"] <= failed["parent"]
+                    and workload["digests_equal_in_every_pair"])}
 
 
 def seed_range(text: str) -> list:
@@ -100,14 +111,14 @@ def git(*args) -> str:
                           check=True).stdout.strip()
 
 
-def run_pairs(sides: dict, workloads, seeds, seconds: float, facts: dict) -> dict:
-    out = {w: {} for w in workloads}
+def run_pairs(sides: dict, seeds, facts: dict) -> dict:
+    out = {w: {} for w in WORKLOADS}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for workload in workloads:
+        for workload in WORKLOADS:
             runs = {}
             for side in order:
-                runs[side], facts[side] = run_side(sides[side], workload, seed, seconds)
+                runs[side], facts[side] = run_side(sides[side], workload, seed)
                 print(f"seed {seed} {workload} {side}: "
                       + " ".join(f"{m}={runs[side][m]:.3f}" for m in METRICS), file=sys.stderr)
             out[workload][str(seed)] = {"first": order[0], **runs}
@@ -117,42 +128,37 @@ def run_pairs(sides: dict, workloads, seeds, seconds: float, facts: dict) -> dic
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--change", default="HEAD", help="git revision of the change")
     parser.add_argument("--seeds", default="1-10", help="first-last, e.g. 1-10")
     parser.add_argument("--held-out", default="", help="seeds reported apart, e.g. 11")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--claim", default="", help="workload:metric claimed to go down")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
+    revisions = {"parent": args.parent, "change": "HEAD"}
     with tempfile.TemporaryDirectory() as tmp:
         sides, facts = {}, {}
-        for side in ("parent", "change"):
+        for side, revision in revisions.items():
             sides[side] = Path(tmp) / side
             sides[side].mkdir()
-            archive = subprocess.run(["git", "archive", getattr(args, side)], cwd=ROOT,
+            archive = subprocess.run(["git", "archive", revision], cwd=ROOT,
                                      capture_output=True, check=True).stdout
             subprocess.run(["tar", "-x", "-C", str(sides[side])], input=archive, check=True)
         result = {
             "about": "End-to-end benchmark metrics at the parent commit and at this change, "
-                     f"from perfbench/run.py --trace 0 with --seconds {args.seconds:g} and one "
+                     f"from perfbench/run.py --trace 0 with --seconds {SECONDS:g} and one "
                      "BLAS thread, written by tools/bench_pairs.py. 'pairs' holds one run per "
                      "side and seed, the side that runs first alternating by seed; "
                      "'held_out_pairs' holds seeds not used while the change was written.",
-            "parent_commit": git("rev-parse", args.parent),
-            "change_commit": git("rev-parse", args.change),
-            "shape": SHAPE,
+            "parent_commit": git("rev-parse", revisions["parent"]),
+            "change_commit": git("rev-parse", revisions["change"]),
             "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
-            "pairs": run_pairs(sides, workloads, seed_range(args.seeds), args.seconds, facts)}
+            "facts": facts,
+            "pairs": run_pairs(sides, seed_range(args.seeds), facts)}
         if args.held_out:
-            result["held_out_pairs"] = run_pairs(sides, workloads, seed_range(args.held_out),
-                                                 args.seconds, facts)
-        result["facts"] = facts.get("change", {})
+            result["held_out_pairs"] = run_pairs(sides, seed_range(args.held_out), facts)
     if args.claim:
         workload, metric = args.claim.split(":")
         result["claim"] = {"workload": workload, "metric": metric,
-                           **verdict(result["pairs"][workload]["summary"][metric])}
+                           **verdict(result["pairs"][workload], metric)}
         if args.held_out:
             held = result["held_out_pairs"][workload]["summary"][metric]
             result["claim"]["held_out_ratio"] = held["median_ratio"]
