@@ -457,33 +457,35 @@ def forward_group(layouts: list, params: dict, config: ModelConfig):
 
     A layout's row r is the same as an earlier layout's row r when their
     input rows 0..r are made of the same things (`_row_keys`): then it has
-    the same embedded bits, latent flag and attention context, so it is
-    read from the earlier layout and not run again. Each layout thus adds
-    the rows from its first unshared position on, and the U distinct rows
-    form one pool: embedded with one `tok_emb` gather, and run through the
-    layer norms, projections, MLP, final norm and head once. Attention lays
-    the pool out in blocks (the rows all layouts share, then each layout's
-    own rows); a block attends over its layout's rows in position order,
-    padded with zero rows to the longest length T, and backward hands each
-    shared row's gradient back once (`ad.attention`'s `pool`).
+    the same embedded bits, latent flag and attention context. Each layout
+    walks its keys down one prefix trie; a key the trie lacks makes a new
+    pool row, so a layout adds the rows from its first unshared position
+    on, and the U distinct rows form one pool: embedded with one `tok_emb`
+    gather, and run through the layer norms, projections, MLP, final norm
+    and head once. Attention lays the pool out in blocks (the rows all
+    layouts share, then each layout's own rows); a block attends over its
+    layout's rows in position order, padded with zero rows to the longest
+    length, and backward hands each shared row's gradient back once
+    (`ad.attention`'s `pool`).
 
-    Returns (logits (G*T, V), final (G*T, d)), layout g in rows g*T onward:
-    every real row has the bits of a lone `forward` (the row-wise ops and
-    `_head` round a row alike in any stack), and padded rows hold copies of
-    a real row, which no loss term may read. Under `no_grad` the pass runs
-    on plain arrays and both are wrapped at the end, as in `forward`."""
-    G, H = len(layouts), config.head_count
+    Returns (logits (U, V), final (U, d), at), where `at[g]` holds the pool
+    row of each of layout g's positions: every row has the bits of a lone
+    `forward` (the row-wise ops and `_head` round a row alike in any
+    stack). Under `no_grad` the pass runs on plain arrays and both are
+    wrapped at the end, as in `forward`."""
     T = max(layout.length for layout in layouts)
-    keys = [_row_keys(layout) for layout in layouts]
-    at = np.zeros(G * T, dtype=np.int64)  # the pool row of each stacked row
-    starts, U = [], 0  # each layout's first own row; rows pooled so far
-    for g, layout in enumerate(layouts):
-        n = layout.length
-        start, src = max(((_shared(keys[g], keys[a]), a) for a in range(g)), default=(0, 0))
-        at[g * T:g * T + start] = at[src * T:src * T + start]
-        at[g * T + start:g * T + n] = np.arange(U, U + n - start)
-        starts.append(start)
-        U += n - start
+    trie, at, starts, U = {}, [], [], 0  # trie: key -> (pool row, children)
+    for layout in layouts:
+        node, rows, added = trie, [], U
+        for key in _row_keys(layout):
+            if key not in node:
+                node[key] = (U, {})
+                U += 1
+            row, node = node[key]
+            rows.append(row)
+        at.append(np.array(rows, dtype=np.int64))
+        starts.append(layout.length - (U - added))
+    del trie  # it holds a key per pool row, vector bytes too: not kept through the pass
     x0 = _embed(list(zip(layouts, starts)), params, config)
     shared = min(starts[1:], default=0)  # the rows all layouts share
     blocks = [(0, 0, shared)] if shared else []  # (layout, first query row, end)
@@ -494,17 +496,16 @@ def forward_group(layouts: list, params: dict, config: ModelConfig):
     rows, key_rows = np.full((len(blocks), R), U), np.full((len(blocks), T), U)
     query_at = np.zeros((len(blocks), R), dtype=np.int64)
     for b, (g, first, end) in enumerate(blocks):
-        rows[b, :end - first] = at[g * T + first:g * T + end]
-        key_rows[b, :end] = at[g * T:g * T + end]
+        rows[b, :end - first] = at[g][first:end]
+        key_rows[b, :end] = at[g][:end]
         query_at[b, :end - first] = np.arange(first, end)
     allow = np.broadcast_to((np.arange(T) <= query_at[..., None])[:, None],
-                            (len(blocks), H, R, T))
+                            (len(blocks), config.head_count, R, T))
     latent_rows = np.concatenate([layout.latent_mask[start:]
                                   for layout, start in zip(layouts, starts)])
     final = _blocks(x0, latent_rows, allow, params, config, lambda i, rows: rows,
                     (rows, key_rows))[-1]
-    logits = _head(final, params["w_out"])
-    return ad.as_tensor(ad.gather_rows(logits, at)), ad.as_tensor(ad.gather_rows(final, at))
+    return ad.as_tensor(_head(final, params["w_out"])), ad.as_tensor(final), at
 
 
 def _row_keys(layout: SequenceLayout) -> list:
@@ -522,16 +523,6 @@ def _row_keys(layout: SequenceLayout) -> list:
             keys += [("latent", v if v is None or isinstance(v, ad.Tensor)
                       else np.asarray(v, dtype=np.float64).tobytes()) for v in seg.latents]
     return keys
-
-
-def _shared(a: list, b: list) -> int:
-    """How many leading keys `a` and `b` have in common."""
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
 
 
 def _blocks(x0: ad.Tensor, latent_rows: np.ndarray, allow: np.ndarray, params: dict,
@@ -850,7 +841,8 @@ class CheckpointError(ValueError):
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint, checking its header keys, stage label and blob
-    length before any parameter is read; errors name the file and field."""
+    length before any parameter is read, and each parameter for non-finite
+    values; errors name the file and field."""
 
     def bad(field: str, why: str) -> CheckpointError:
         return CheckpointError(f"{path}: checkpoint field '{field}': {why}")
@@ -899,6 +891,8 @@ def load_checkpoint(path) -> Checkpoint:
     for name, shape in shapes.items():
         n = int(np.prod(shape))
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise bad(name, "holds non-finite values")
         params[name] = ad.parameter(name, arr.copy())
         offset += n * 8
     return Checkpoint(config, meta["stage"], ints["step"], ints["seed"], params)

@@ -172,16 +172,14 @@ def score_group(params: dict, group: RolloutGroup, config: RlConfig,
     full pass, bit for bit. It runs each row the rollouts share (the prompt,
     and any steps they took alike) once, and sums the gradient that the
     rollouts' terms send to such a row before passing it back. A step at
-    position p reads row p - 1: the
-    logits of a sampled text step, the regenerated vector h_theta of a
-    latent step. Each kind is read through one row gather."""
-    layouts = [roll.layout for roll in group.rollouts]
-    T = max(layout.length for layout in layouts)
+    position p of rollout g reads pool row `at[g][p - 1]`: the logits of a
+    sampled text step, the regenerated vector h_theta of a latent step.
+    Each kind is read from the pool through one row gather."""
+    logits, final, at = forward_group([roll.layout for roll in group.rollouts], params, mconfig)
     text_at, tokens, old_logp, text_rollout = [], [], [], []
     latent_at, h_old, latent_rollout = [], [], []
     for g, roll in enumerate(group.rollouts):
-        row = g * T + roll.trajectory.prompt_len - 1
-        for step in roll.trajectory.steps:
+        for row, step in zip(at[g][roll.trajectory.prompt_len - 1:], roll.trajectory.steps):
             if isinstance(step, LatentStep):
                 latent_at.append(row)
                 h_old.append(step.vector)
@@ -191,8 +189,6 @@ def score_group(params: dict, group: RolloutGroup, config: RlConfig,
                 tokens.append(step.token)
                 old_logp.append(step.logp)
                 text_rollout.append(g)
-            row += 1
-    logits, final = forward_group(layouts, params, mconfig)
     new_logp = ad.log_prob_row(
         ad.scale(ad.gather_rows(logits, text_at), 1.0 / config.temperature), tokens)
     return GroupScore(new_logp, np.array(old_logp), np.array(text_rollout, dtype=np.int64),

@@ -62,6 +62,18 @@ def test_claim_verdict(change, met, side):
         summary["change_q1_median_q3"][1]
 
 
+@pytest.mark.parametrize("parent, change, worse, unresolved", [
+    (PARENT, PARENT, False, False),  # within the bound and a narrow parent spread
+    (PARENT, [80.0] * 10, True, False),  # median 80 over 64.5 * 1.2
+    ([40.0, 50.0, 60.0, 70.0, 80.0], [45.0, 55.0, 60.0, 65.0, 75.0], False, True),
+    ([40.0, 50.0, 60.0, 70.0, 80.0], [30.0] * 5, False, False),  # below every parent run
+])
+def test_no_regression_verdict(parent, change, worse, unresolved):
+    peak = bench_pairs.summarize(_runs(parent, change))["summary"]["peak_rss_mb"]
+    assert peak["bound"] == 0.2
+    assert peak["worse"] is worse and peak["unresolved"] is unresolved
+
+
 def test_seed_ranges():
     assert bench_pairs.seed_range("1-10") == list(range(1, 11))
     assert bench_pairs.seed_range("11") == [11]

@@ -1,10 +1,11 @@
 import functools
 import itertools
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latentcot import autodiff as ad
@@ -512,9 +513,11 @@ def test_no_grad_passes_give_the_bits_of_graph_passes():
     assert np.array_equal(plain_cache.rows, graph_cache.rows)
 
     group = [layout, layout.prefix(7), _long_layout(rng, CFG, 20)]
-    graph_logits, graph_final = model.forward_group(group, params, CFG)
+    graph_logits, graph_final, graph_at = model.forward_group(group, params, CFG)
     with ad.no_grad():
-        plain_logits, plain_final = model.forward_group(group, params, CFG)
+        plain_logits, plain_final, plain_at = model.forward_group(group, params, CFG)
+    for a, b in zip(plain_at, graph_at):
+        assert np.array_equal(a, b)
     _same_bits(plain_logits, graph_logits)
     _same_bits(plain_final, graph_final)
 
@@ -613,7 +616,7 @@ def test_a_pass_embeds_its_text_rows_with_one_gather():
             if tok >= 0:
                 want = params["tok_emb"].data[tok] + params["pos_emb"].data[pos]
                 assert np.array_equal(emb.data[pos - start], want)
-    group_logits, _ = model.forward_group([layout, layout.prefix(5)], params, CFG)
+    group_logits, _, _ = model.forward_group([layout, layout.prefix(5)], params, CFG)
     assert _tok_emb_gathers(group_logits, params["tok_emb"]) == 1
 
 
@@ -711,15 +714,23 @@ def _lone_rows(layout, params):
     return logits, stack[-1]
 
 
+_TEXT = [("q", 1), ("q", 2), ("q", 3)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(trees=_prefix_trees())
+@example(trees=[_TEXT + [("t", 4), ("t", 5), ("t", 6), ("t", 7)],
+                _TEXT + [("t", 8), ("t", 9), ("t", 10), ("t", 11)],
+                _TEXT + [("t", 8), ("t", 9), ("t", 10), ("t", 12)]])
 def test_group_pass_runs_each_distinct_row_once(trees):
     """Over a prefix tree of layouts, `forward_group` runs as many rows
     through the blocks as there are distinct rows (a row is identified by
     the latent flags and embedded bits of its rows up to and including it),
-    embeds them with one `tok_emb` gather, and gives every real row the
-    logits and final state of a lone `forward`, bit for bit, with grad on
-    and off."""
+    returns a pool of just those rows, embeds them with one `tok_emb`
+    gather, and maps every layout's positions to strictly increasing pool
+    rows that hold the logits and final state of a lone `forward`, bit for
+    bit, with grad on and off. The example's third layout shares 3 rows
+    with the first and 6 with the second, so it must reuse the second's."""
     params = init_params(CFG, np.random.default_rng(31), scale=0.3)
     layouts = [_layout_of(items) for items in trees]
     ran, run_blocks = [], model._blocks
@@ -732,26 +743,30 @@ def test_group_pass_runs_each_distinct_row_once(trees):
         graph = model.forward_group(layouts, params, CFG)
         with ad.no_grad():
             plain = model.forward_group(layouts, params, CFG)
-    T = max(layout.length for layout in layouts)
     distinct = set()
     for g, layout in enumerate(layouts):
-        rows = slice(g * T, g * T + layout.length)
-        for got, want in zip(graph + plain, 2 * _lone_rows(layout, params)):
-            assert np.array_equal(got.data[rows], want.data)
+        lone = _lone_rows(layout, params)
+        for logits, final, at in (graph, plain):
+            assert len(at[g]) == layout.length and np.all(np.diff(at[g]) > 0)
+            for got, want in zip((logits, final), lone):
+                assert np.array_equal(got.data[at[g]], want.data)
         x0 = embed_layout(layout, params, CFG).data
         rows = [(bool(flag), x.tobytes()) for flag, x in zip(layout.latent_mask, x0)]
         distinct.update(tuple(rows[:r + 1]) for r in range(layout.length))
     assert ran == [len(distinct)] * 2
+    for logits, final, _ in (graph, plain):
+        assert len(logits.data) == len(final.data) == len(distinct)
     assert _tok_emb_gathers(graph[0], params["tok_emb"]) == 1
 
 
 def test_group_pass_gradient_with_shared_rows_matches_lone_passes_and_fd():
-    """A loss over the real rows of layouts that share prefixes (a
-    duplicate, a strict prefix, a text and a latent divergence, all holding
-    one latent node, and a layout holding a twin node of the same value) has
-    the gradient of the same loss over lone passes, to 1e-12 relative, and
-    central differences agree with it: the shared node gets the gradient of
-    every layout that reads it, and the twin its own."""
+    """A loss over the rows of layouts that share prefixes (a duplicate, a
+    strict prefix, a text and a latent divergence, all holding one latent
+    node, and a layout holding a twin node of the same value), read from the
+    pool through each layout's `at`, has the gradient of the same loss over
+    lone passes, to 1e-12 relative, and central differences agree with it:
+    the shared node gets the gradient of every layout that reads it, and the
+    twin its own."""
     rng = np.random.default_rng(33)
     params = init_params(CFG, rng, scale=0.3)
     node = ad.parameter("latent", rng.normal(size=CFG.hidden_dim))
@@ -767,24 +782,23 @@ def test_group_pass_gradient_with_shared_rows_matches_lone_passes_and_fd():
                SequenceLayout(base.segments[:3] + [latent_segment(3, [lat[0], twin, lat[2]])]
                               + base.segments[4:])]
     T = max(layout.length for layout in layouts)
-    weights = [rng.normal(size=(len(layouts) * T, n)) for n in (CFG.vocab_size, CFG.hidden_dim)]
-    real = np.zeros((len(layouts) * T, 1))
-    for g, layout in enumerate(layouts):
-        real[g * T:g * T + layout.length] = 1.0
+    weights = [[w[g * T:g * T + layout.length] for g, layout in enumerate(layouts)]
+               for w in (rng.normal(size=(len(layouts) * T, n))
+                         for n in (CFG.vocab_size, CFG.hidden_dim))]
     nodes = {"latent": node, "twin": twin}
     live = {**params, **nodes}
 
     def group_loss(ps):
-        outs = model.forward_group(layouts, ps, CFG)
-        return functools.reduce(ad.add, [ad.sum_all(ad.mul(out, w * real))
-                                         for out, w in zip(outs, weights)])
+        logits, final, at = model.forward_group(layouts, ps, CFG)
+        return functools.reduce(ad.add, [ad.sum_all(ad.mul(ad.gather_rows(out, at[g]), w[g]))
+                                         for out, w in zip((logits, final), weights)
+                                         for g in range(len(layouts))])
 
     def lone_loss(ps):
         total = None
         for g, layout in enumerate(layouts):
-            rows = slice(g * T, g * T + layout.length)
             for out, w in zip(_lone_rows(layout, ps), weights):
-                term = ad.sum_all(ad.mul(out, w[rows]))
+                term = ad.sum_all(ad.mul(out, w[g]))
                 total = term if total is None else ad.add(total, term)
         return total
 
@@ -1335,6 +1349,19 @@ def test_load_checkpoint_names_the_file_and_the_bad_field(tmp_path, edit, field)
     path.write_bytes(head.encode() + b"\n---\n" + blob)
     with pytest.raises(CheckpointError, match=f"{path.name}.*'{field}'"):
         load_checkpoint(path)
+
+
+def test_load_checkpoint_names_a_parameter_holding_nan(tmp_path):
+    path, head, blob = _saved_checkpoint(tmp_path)
+    shapes = param_shapes(CFG)
+    names = list(shapes)
+    offset = 8 * sum(int(np.prod(shapes[n])) for n in names[:names.index("block1.w1")])
+    blob = blob[:offset + 8 * 5] + np.array([np.nan], dtype="<f8").tobytes() + blob[offset + 8 * 6:]
+    path.write_bytes(head.encode() + b"\n---\n" + blob)
+    with pytest.raises(CheckpointError, match=f"{path.name}.*'block1.w1'.*non-finite"):
+        load_checkpoint(path)
+    fixture = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "stage3.ckpt"
+    assert load_checkpoint(fixture).stage == "sft"
 
 
 def test_load_checkpoint_rejects_a_file_without_a_header(tmp_path):

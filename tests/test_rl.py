@@ -749,20 +749,19 @@ def test_policy_objective_matches_the_reference_on_shared_rows(algo):
 def _check_group_rows(layouts, trajs, params, config, temperature):
     """score_group's log-probabilities and regenerated latent rows equal
     those read from a lone full forward over each rollout, bit for bit; so
-    do all of forward_group's logits and final rows (a last-bit logits
-    difference seldom reaches a log-probability)."""
+    do all of forward_group's logits and final rows, read through each
+    rollout's `at` (a last-bit logits difference seldom reaches a
+    log-probability)."""
     group = RolloutGroup(gold=[], rollouts=[Rollout(l, t) for l, t in zip(layouts, trajs)])
     rl_config = RlConfig(temperature=temperature)
     scored = score_group(params, group, rl_config, config)
-    stacked_logits, stacked_final = forward_group(layouts, params, config)
-    T = max(layout.length for layout in layouts)
+    pool_logits, pool_final, at = forward_group(layouts, params, config)
     logp, h_theta = [], []
     for g, (layout, traj) in enumerate(zip(layouts, trajs)):
         mask = build_attention_mask(layout, MaskMode.CAUSAL)
         logits, stack = forward(layout, mask, params, config)
-        rows = slice(g * T, g * T + layout.length)
-        assert np.array_equal(stacked_logits.data[rows], logits.data)
-        assert np.array_equal(stacked_final.data[rows], stack[-1].data)
+        assert np.array_equal(pool_logits.data[at[g]], logits.data)
+        assert np.array_equal(pool_final.data[at[g]], stack[-1].data)
         for pos, step in enumerate(traj.steps, traj.prompt_len):
             if isinstance(step, LatentStep):
                 h_theta.append(stack[-1].data[pos - 1])

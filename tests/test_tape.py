@@ -52,7 +52,7 @@ def test_vlpo_objective_is_tape_ordered():
 def test_forward_group_pass_is_tape_ordered():
     layouts = [build_interleaved(lookup_sample()).layout,
                build_interleaved(lookup_sample()).layout.prefix(9)]
-    logits, _ = forward_group(layouts, init_params(CFG, np.random.default_rng(52)), CFG)
+    logits, _, _ = forward_group(layouts, init_params(CFG, np.random.default_rng(52)), CFG)
     assert_tape_ordered(ad.sum_all(logits))
 
 

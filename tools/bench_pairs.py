@@ -13,8 +13,11 @@ end-to-end metrics and failed operations, and its
 
 Writes one JSON object: per workload and end-to-end metric, each side's
 quartiles (q1, median, q3), how many pairs the change is lower in, the ratio
-of the medians (change / parent) and the distance between the parent's
-quartiles; whether the digests agreed in every pair; the failed operations;
+of the medians (change / parent), the distance between the parent's quartiles,
+and a no-regression verdict from the metric's `bound`: `worse` when the
+change's median exceeds the parent's by more than the bound, `unresolved` when
+the parent's quartile distance exceeds the bound times its median and not
+every change run is below every parent run; whether the digests agreed in every pair; the failed operations;
 each side's machine facts; and every run. `--claim workload:metric` adds a
 verdict on a claimed reduction: met when the change is lower in at least nine
 of ten pairs, its median lies below the parent's by more than the parent's
@@ -35,6 +38,10 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+if any(m["better"] != "lower" for m in BENCHMARK["end_to_end"]):
+    raise ValueError("BENCHMARK.json: the no-regression verdict reads every end-to-end "
+                     "metric as lower-is-better")
 SECONDS = BENCHMARK["run_seconds"]
 # Facts that describe one run, not the side: the commits are recorded once at
 # the top, and an extracted tree has no git checkout to read one from.
@@ -67,11 +74,14 @@ def summarize(runs: dict) -> dict:
         parent = [pair["parent"][metric] for pair in pairs]
         change = [pair["change"][metric] for pair in pairs]
         pq, cq = quartiles(parent), quartiles(change)
+        bound = BOUNDS[metric]
         summary[metric] = {
             "parent_q1_median_q3": pq, "change_q1_median_q3": cq,
             "change_lower_in_pairs": sum(c < p for p, c in zip(parent, change)),
             "pairs": len(pairs), "median_ratio": cq[1] / pq[1],
-            "parent_quartile_distance": pq[2] - pq[0]}
+            "parent_quartile_distance": pq[2] - pq[0], "bound": bound,
+            "worse": cq[1] > pq[1] * (1 + bound),
+            "unresolved": pq[2] - pq[0] > bound * pq[1] and max(change) >= min(parent)}
     return {"summary": summary,
             "digests_equal_in_every_pair": all(pair["parent"]["digests"] == pair["change"]["digests"]
                                                for pair in pairs),
