@@ -65,6 +65,7 @@ def test_claim_verdict(change, met, side):
 @pytest.mark.parametrize("parent, change, worse, unresolved", [
     (PARENT, PARENT, False, False),  # within the bound and a narrow parent spread
     (PARENT, [80.0] * 10, True, False),  # median 80 over 64.5 * 1.2
+    # the parent's quartile distance, 20, exceeds 0.2 * 60, and no change run is below 40
     ([40.0, 50.0, 60.0, 70.0, 80.0], [45.0, 55.0, 60.0, 65.0, 75.0], False, True),
     ([40.0, 50.0, 60.0, 70.0, 80.0], [30.0] * 5, False, False),  # below every parent run
 ])

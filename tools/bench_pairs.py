@@ -17,12 +17,13 @@ of the medians (change / parent), the distance between the parent's quartiles,
 and a no-regression verdict from the metric's `bound`: `worse` when the
 change's median exceeds the parent's by more than the bound, `unresolved` when
 the parent's quartile distance exceeds the bound times its median and not
-every change run is below every parent run; whether the digests agreed in every pair; the failed operations;
-each side's machine facts; and every run. `--claim workload:metric` adds a
-verdict on a claimed reduction: met when the change is lower in at least nine
-of ten pairs, its median lies below the parent's by more than the parent's
-quartile distance, it fails no more operations than the parent and the digests
-agree in every pair. `--held-out` seeds are run and reported apart.
+every change run is below every parent run; whether the digests agreed in
+every pair; the failed operations; each side's machine facts; and every run.
+`--claim workload:metric` adds a verdict on a claimed reduction: met when the
+change is lower in at least nine of ten pairs, its median lies below the
+parent's by more than the parent's quartile distance, it fails no more
+operations than the parent and the digests agree in every pair. `--held-out`
+seeds are run and reported apart.
 """
 
 import argparse
