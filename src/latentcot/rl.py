@@ -23,7 +23,7 @@ from .layouts import build_prompt
 from .model import (LatentStep, ModelConfig, SequenceLayout, TextStep,
                     Trajectory, copy_params, decode_group, forward_group)
 from .model import forward  # noqa: F401  (perfbench's tracer test rebinds rl.forward)
-from .sft import AdamW, TrainingDiverged
+from .sft import StageConfig, TrainResult, _train
 
 
 @dataclass
@@ -298,52 +298,32 @@ def latent_gradient_norm(latent_part, params: dict, latents=()) -> float:
 # training loop
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RlResult:
-    params: dict
-    log: list = field(default_factory=list)
-
-
 def train_rl(sft_params: dict, records, config: RlConfig, algo: Algo,
-             mconfig: ModelConfig, seed: int, epochs: int = 1) -> RlResult:
-    """One prompt group per update step; rollouts under the pre-update policy."""
-    if not records:
-        raise ValueError("rl: no training records")
-    if not epochs >= 1:
-        raise ValueError(f"rl: epochs must be >= 1, got {epochs}")
+             mconfig: ModelConfig, seed: int, epochs: int = 1) -> TrainResult:
+    """One prompt group per update step, through the loop the SFT stages run
+    (`sft._train`). A step's group is rolled out under the live params
+    before they are updated, so they are the old policy and no copy is
+    needed; the epoch order and the rollouts draw from one generator. A
+    group that is not retained, or leaves no contributing step, is logged
+    and makes no update."""
     params = copy_params(sft_params)
-    opt = AdamW(params, config.learning_rate)
     rng = np.random.default_rng(seed)
-    result = RlResult(params)
-    step = 0
-    for _ in range(epochs):
-        for idx in rng.permutation(len(records)):
-            rec = records[int(idx)]
-            # the group is rolled out before opt.step updates params in place,
-            # so the live params are the old policy; no copy is needed
-            group = compute_advantages(
-                rollout_group(rec.sample, params, config, mconfig, rng))
-            retained = filter_by_accuracy([group], config.accuracy_threshold)
-            row = {"step": step, "sample_id": rec.sample_id,
-                   "mean_reward": group.mean_reward(),
-                   "accuracy": group.accuracy,
-                   "retained": len(retained),
-                   "text_ratio_mean": 1.0, "latent_ratio_mean": 1.0,
-                   "latent_grad_norm": 0.0}
-            if retained:
-                loss, stats = policy_objective(retained, params, config, algo, mconfig)
-                if loss is not None:
-                    if not np.isfinite(loss.item()):
-                        raise TrainingDiverged(f"rl: loss non-finite at step {step}")
-                    grads = ad.backward(loss, params)
-                    row["latent_grad_norm"] = latent_gradient_norm(
-                        stats["latent_part"], params, stats["latents"])
-                    row["text_ratio_mean"] = stats["text_ratio_mean"]
-                    row["latent_ratio_mean"] = stats["latent_ratio_mean"]
-                    opt.step(grads)
-                # else this group's graph (the latent part's too) lives on
-                # through the next rollout
-                del loss, stats
-            result.log.append(row)
-            step += 1
-    return result
+
+    def sample_loss(rec):
+        group = compute_advantages(rollout_group(rec.sample, params, config, mconfig, rng))
+        retained = filter_by_accuracy([group], config.accuracy_threshold)
+        row = {"sample_id": rec.sample_id, "mean_reward": group.mean_reward(),
+               "accuracy": group.accuracy, "retained": len(retained),
+               "text_ratio_mean": 1.0, "latent_ratio_mean": 1.0, "latent_grad_norm": 0.0}
+        if not retained:
+            return None, row
+        loss, stats = policy_objective(retained, params, config, algo, mconfig)
+        if loss is not None:
+            row["latent_grad_norm"] = latent_gradient_norm(
+                stats["latent_part"], params, stats["latents"])
+            row["text_ratio_mean"] = stats["text_ratio_mean"]
+            row["latent_ratio_mean"] = stats["latent_ratio_mean"]
+        return loss, row
+
+    return _train(params, records, StageConfig(config.learning_rate, epochs), rng, "rl",
+                  sample_loss)

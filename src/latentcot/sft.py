@@ -279,12 +279,14 @@ def _epoch_order(n: int, epochs: int, max_steps, rng: np.random.Generator):
 
 def _train(params: dict, records, stage: StageConfig, seed: int, name: str,
            sample_loss, after_step=None) -> TrainResult:
-    """The loop all three SFT stages run, training `params` in place.
+    """The loop the three SFT stages and RL run, training `params` in place.
 
     `sample_loss(record)` returns (node to differentiate, log fields); a
-    non-finite node value stops training. AdamW steps on the mean gradient
-    of each `grad_accum` samples; a last partial window steps on the mean of
-    the samples it holds. `after_step(step)` runs once each step is logged.
+    non-finite node value stops training, and a None node is logged and
+    adds nothing. AdamW steps on the mean gradient of each `grad_accum`
+    samples that gave a node; a last partial window steps on the mean of
+    the samples it holds. `seed` is an int or a `Generator`, which draws the
+    epoch order. `after_step(step)` runs once each step is logged.
     """
     if not records:
         raise ValueError(f"{name}: no training records")
@@ -295,14 +297,15 @@ def _train(params: dict, records, stage: StageConfig, seed: int, name: str,
     acc, in_acc = None, 0
     for step, idx in enumerate(order):
         loss, fields = sample_loss(records[idx])
-        if not np.isfinite(loss.item()):
-            raise TrainingDiverged(f"{name}: loss became non-finite at step {step}")
-        grads = ad.backward(loss, params)
-        del loss  # else this step's graph lives on while the next one is built
-        acc = grads if acc is None else {k: acc[k] + g for k, g in grads.items()}
-        del grads  # else this step's gradients live on through the next backward
-        in_acc += 1
-        if in_acc >= stage.grad_accum or step == len(order) - 1:
+        if loss is not None:
+            if not np.isfinite(loss.item()):
+                raise TrainingDiverged(f"{name}: loss became non-finite at step {step}")
+            grads = ad.backward(loss, params)
+            del loss  # else this step's graph lives on while the next one is built
+            acc = grads if acc is None else {k: acc[k] + g for k, g in grads.items()}
+            del grads  # else this step's gradients live on through the next backward
+            in_acc += 1
+        if in_acc and (in_acc >= stage.grad_accum or step == len(order) - 1):
             opt.step(acc if in_acc == 1 else {k: v / in_acc for k, v in acc.items()})
             acc, in_acc = None, 0
         result.log.append({"step": step, **fields})

@@ -156,7 +156,52 @@ class DatasetRecord:
             raise DatasetError(f"unsupported schema_version {d.get('schema_version')}")
         if type(d["id"]) is not int:  # not a bool, nor a string the latent store reads as an int
             raise DatasetError(f"id {d['id']!r} is not an integer")
-        return DatasetRecord(d["id"], ToySample.from_dict(d), dict(d.get("provenance", {})))
+        sample = ToySample.from_dict(d)
+        _check_buildable(sample)
+        return DatasetRecord(d["id"], sample, dict(d.get("provenance", {})))
+
+
+def _check_buildable(sample: ToySample):
+    """Raise DatasetError, naming the field, on what the layout builders
+    cannot build: a token outside the vocabulary, a cell outside the grid
+    symbols, a question grid that does not pool into MAX_GRID, or an image
+    that runs past it."""
+    texts = [("question_tokens", sample.question_tokens),
+             ("answer_tokens", sample.answer_tokens), ("gold", sample.gold)]
+    grids = [("grid", sample.question_grid)]
+    images = []
+    for i, seg in enumerate(sample.cot):
+        if isinstance(seg, TextSeg):
+            texts.append((f"cot[{i}].tokens", seg.tokens))
+        else:
+            grids.append((f"cot[{i}].grid", seg.grid))
+            images.append((f"cot[{i}]", seg))
+    if sample.aux_crop:
+        grids.append(("aux_crop.cells", sample.aux_crop["cells"]))
+    for name, tokens in texts:
+        for tok in tokens:
+            if tok not in vocab.TOKEN_TO_ID:
+                raise DatasetError(f"{name}: unknown token {tok!r}")
+    for name, grid in grids:
+        for row in grid:
+            for cell in row:
+                if cell not in vocab.CELL_SYMBOLS:
+                    raise DatasetError(f"{name}: {cell!r} is not a grid symbol")
+    side = vocab.MAX_GRID
+    widths = sorted({len(row) for row in sample.question_grid})
+    if len(widths) != 1:
+        raise DatasetError(f"grid: rows of widths {widths} do not form a rectangle")
+    R, C = len(sample.question_grid), widths[0]
+    if not (0 < R <= side and 0 < C <= side and R % POOL == C % POOL == 0):
+        raise DatasetError(f"grid: {R}x{C} is not a grid of sides a multiple of {POOL}, "
+                           f"at most {side}")
+    for name, seg in images:
+        r0, c0 = seg.bbox[:2] if seg.bbox is not None else (0, 0)
+        rows, cols = len(seg.grid), max(map(len, seg.grid), default=0)
+        if not (type(r0) is type(c0) is int and 0 <= r0 and 0 <= c0
+                and r0 + rows <= side and c0 + cols <= side):
+            raise DatasetError(f"{name}: a {rows}x{cols} image at ({r0!r}, {c0!r}) does "
+                               f"not fit in the {side}x{side} grid")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ ARTIFACTS = [
     *(f"fixture/checkpoints/{name}.ckpt" for name in ("rl_grpo", "rl_vlpo", "sft")),
     *(f"fixture/logs/{name}.csv" for name in ("rl_grpo", "rl_vlpo")),
     "fixture/reports/metrics.csv",
+    "fixture-2-epochs/checkpoints/rl_vlpo.ckpt",
+    "fixture-2-epochs/logs/rl_vlpo.csv",
 ]
 
 

@@ -21,6 +21,7 @@ from latentcot.rl import (Algo, RlConfig, Rollout, RolloutGroup,
                           filter_by_accuracy, latent_gradient_norm,
                           policy_objective, rollout_group, score_group,
                           text_ratio, train_rl, vlpo_latent_ratio)
+from latentcot.sft import TrainingDiverged
 from latentcot.tasks import CurationConfig, build_corpus, make_lookup_sample, stage3_tag_observations
 from test_model import LONG, _stopping_params
 
@@ -481,6 +482,20 @@ def test_each_step_graph_is_freed_before_the_next_rollout(monkeypatch):
     monkeypatch.setattr(rl, "policy_objective", objective)
     train_rl(_latent_start_params(), rl_records(3), config, Algo.VLPO, CFG, seed=5)
     assert len(kept) == 6
+
+
+def test_a_non_finite_loss_stops_training(monkeypatch):
+    config = RlConfig(group_size=2, k_train_rl=3, temperature=0.5,
+                      max_response_length=10, learning_rate=1e-4)
+
+    def objective(*args):
+        loss, stats = policy_objective(*args)
+        return ad.scale(loss, np.nan), stats
+
+    monkeypatch.setattr(rl, "filter_by_accuracy", lambda groups, threshold: groups)
+    monkeypatch.setattr(rl, "policy_objective", objective)
+    with pytest.raises(TrainingDiverged, match=r"^rl: loss became non-finite at step \d+$"):
+        train_rl(_latent_start_params(), rl_records(3), config, Algo.VLPO, CFG, seed=5)
 
 
 def _counting_backward(monkeypatch):

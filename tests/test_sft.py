@@ -610,6 +610,46 @@ def test_grad_accum_steps_on_a_last_partial_window(grad_accum, max_steps):
         assert np.array_equal(result.params[name].data, ref[name].data), name
 
 
+def test_a_sample_without_a_loss_is_logged_and_takes_no_step():
+    """A sample whose loss is None is logged, adds nothing to a `grad_accum`
+    window, and leaves a pending last window to step, as a hand-written
+    loop over the samples that gave a loss."""
+    records = tiny_records(n=5)
+    base = init_params(CFG, np.random.default_rng(43))
+    stage = StageConfig(learning_rate=1e-3, epochs=1, grad_accum=2)
+    params = copy_params(base)
+    logged, steps = [], []
+    original = AdamW.step
+
+    def sample_loss(rec):
+        if len(logged) in (1, 4):  # the second and the last sample
+            logged.append(None)
+            return None, {"loss": None}
+        loss = sft.stage1_sample_loss(rec.sample, params, CFG)
+        logged.append(loss.item())
+        return loss, {"loss": loss.item()}
+
+    def counted(opt, grads):
+        steps.append(len(logged))
+        original(opt, grads)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AdamW, "step", counted)
+        result = sft._train(params, records, stage, 5, "stage1", sample_loss)
+    assert result.log == [{"step": i, "loss": v} for i, v in enumerate(logged)]
+    assert steps == [3, 5]
+
+    ref = copy_params(base)
+    opt = AdamW(ref, stage.learning_rate)
+    order = [int(i) for i in np.random.default_rng(5).permutation(len(records))]
+    for window in ([order[0], order[2]], [order[3]]):
+        grads = [ad.backward(sft.stage1_sample_loss(records[idx].sample, ref, CFG), ref)
+                 for idx in window]
+        opt.step({k: sum(g[k] for g in grads) / len(grads) for k in ref})
+    for name in ref:
+        assert np.array_equal(params[name].data, ref[name].data), name
+
+
 def test_each_step_graph_is_freed_before_the_next_is_built():
     records = tiny_records(n=4)
     params = init_params(CFG, np.random.default_rng(42))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -297,6 +298,31 @@ def test_malformed_record_names_the_file_and_line(tmp_path, edit, why):
     lines[2] = json.dumps(edit(records[2].to_dict()), sort_keys=True)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(tasks.DatasetError, match=f"odd.jsonl: malformed record at line 3: .*{why}"):
+        read_dataset(path)
+
+
+def _first_image(d):
+    return next(seg for seg in d["cot"] if seg["type"] == "image")
+
+
+@pytest.mark.parametrize("edit, why", [
+    (lambda d: d["question_tokens"].append("bogus"), "question_tokens: unknown token 'bogus'"),
+    (lambda d: d["grid"][0].__setitem__(0, "z"), "grid: 'z' is not a grid symbol"),
+    (lambda d: d.update(grid=[row[:3] for row in d["grid"][:3]]),
+     "grid: 3x3 is not a grid of sides a multiple of 2, at most 8"),
+    (lambda d: _first_image(d).update(bbox=[7, 7, 8, 8]),
+     r"cot\[\d\]: a \dx\d image at \(7, 7\) does not fit in the 8x8 grid"),
+], ids=["unknown-token", "unknown-symbol", "unpoolable-grid", "image-past-the-grid"])
+def test_unbuildable_record_names_the_file_line_and_field(tmp_path, edit, why):
+    """A record the layout builders cannot build fails at read time, not at
+    training time, naming the file, the line and the field."""
+    records, _ = build_corpus(CurationConfig(sample_count=40, seed=15))
+    path = tmp_path / "odd.jsonl"
+    lines = [r.to_dict() for r in records[:3]]
+    edit(lines[1])
+    path.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in lines))
+    where = re.escape(f"{path}: malformed record at line 2: ")
+    with pytest.raises(tasks.DatasetError, match=f"^{where}{why}$"):
         read_dataset(path)
 
 

@@ -10,11 +10,14 @@ Runs in a temporary directory, with one BLAS thread:
   - eval of the SFT checkpoint;
   - on the same data, train-rl vlpo and grpo from the committed stage-3
     fixture, where most groups are retained and RL gradients flow, then
-    eval of the fixture and of its VLPO checkpoint.
+    eval of the fixture and of its VLPO checkpoint;
+  - in a third run dir with the same data and fixture, train-rl vlpo over
+    two epochs, so a second epoch rolls out from updated params.
 
 Prints one `sha256  path` line per `data/*.jsonl` file, checkpoint,
-`latent_store.npz` and `logs/*.csv` file of both run dirs, and one for each
-`reports/metrics.csv` with its wall-clock column dropped. Command output goes
+`latent_store.npz` and `logs/*.csv` file of the first two run dirs, and one
+for each `reports/metrics.csv` with its wall-clock column dropped; of the
+third, one line each for the RL checkpoint and log. Command output goes
 to standard error. Digests depend on the BLAS build, so none are committed:
 compare the output of two checkouts on one machine. A refactor that claims
 to keep numerics leaves every line unchanged.
@@ -46,11 +49,15 @@ def run(run_dir: Path, *argv: str):
             raise SystemExit(f"golden: {' '.join(argv)} failed")
 
 
+def file_digests(files) -> list:
+    return [(hashlib.sha256(f.read_bytes()).hexdigest(), f) for f in files]
+
+
 def digests(run_dir: Path) -> list:
     """(sha256, path) of every artifact of one run dir."""
-    files = [*sorted(run_dir.glob("data/*.jsonl")), *sorted(run_dir.glob("checkpoints/*")),
-             *sorted(run_dir.glob("logs/*.csv"))]
-    out = [(hashlib.sha256(f.read_bytes()).hexdigest(), f) for f in files]
+    out = file_digests([*sorted(run_dir.glob("data/*.jsonl")),
+                        *sorted(run_dir.glob("checkpoints/*")),
+                        *sorted(run_dir.glob("logs/*.csv"))])
     metrics = run_dir / "reports" / "metrics.csv"
     if metrics.exists():
         with open(metrics, newline="") as f:
@@ -61,7 +68,7 @@ def digests(run_dir: Path) -> list:
 
 
 def golden(work: Path) -> list:
-    pipe, fix = work / "pipeline", work / "fixture"
+    pipe, fix, two = work / "pipeline", work / "fixture", work / "fixture-2-epochs"
     run(pipe, "gen-data", "--seed", "3", "--train-count", "24", "--eval-count", "8",
         "--rl-count", "10")
     run(pipe, "train-sft", "--stage", "1", "--seed", "1", "--max-steps", "7",
@@ -74,14 +81,17 @@ def golden(work: Path) -> list:
             "--k-train-rl", "2")
     run(pipe, "eval", "--checkpoint", "sft.ckpt", "--k-test", "2", "--limit", "8")
 
-    shutil.copytree(pipe / "data", fix / "data")
-    (fix / "checkpoints").mkdir()
-    shutil.copyfile(FIXTURE, fix / "checkpoints" / "sft.ckpt")
+    for run_dir in (fix, two):
+        shutil.copytree(pipe / "data", run_dir / "data")
+        (run_dir / "checkpoints").mkdir()
+        shutil.copyfile(FIXTURE, run_dir / "checkpoints" / "sft.ckpt")
     for algo in ("vlpo", "grpo"):
         run(fix, "train-rl", "--algo", algo, "--seed", "4", "--k-train-rl", "8")
     for ckpt in ("sft.ckpt", "rl_vlpo.ckpt"):
         run(fix, "eval", "--checkpoint", ckpt, "--k-test", "4", "--limit", "4")
-    return digests(pipe) + digests(fix)
+    run(two, "train-rl", "--algo", "vlpo", "--seed", "4", "--k-train-rl", "8", "--epochs", "2")
+    return digests(pipe) + digests(fix) + file_digests(
+        [two / "checkpoints" / "rl_vlpo.ckpt", two / "logs" / "rl_vlpo.csv"])
 
 
 if __name__ == "__main__":
