@@ -86,11 +86,14 @@ def read_manifest(run_dir) -> list:
 
 
 def load_config_file(path) -> dict:
-    """Flat key=value text config; '#' starts a comment line. A key may
+    """Flat key=value UTF-8 text config; '#' starts a comment line. A key may
     appear once."""
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = line.decode().strip()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: line {lineno} is not UTF-8 text") from None
         if not line or line.startswith("#"):
             continue
         if "=" not in line:

@@ -132,7 +132,7 @@ def check_stage_total(kind, config, params, teacher_params, store, sample, k, we
     return _fd_check(f"{kind}-total", total, build, params, coords)
 
 
-def _make_groups(sample, old_params, config, rl_config, rng, need_latents):
+def _make_group(sample, old_params, config, rl_config, rng, need_latents):
     group = rollout_group(sample, old_params, rl_config, config, rng)
     has_latents = any(isinstance(s, LatentStep)
                       for r in group.rollouts for s in r.trajectory.steps)
@@ -141,7 +141,7 @@ def _make_groups(sample, old_params, config, rl_config, rng, need_latents):
     group.rollouts[0].reward, group.rollouts[0].correct = 1.1, True
     for roll in group.rollouts[1:]:
         roll.reward, roll.correct = 0.1, False
-    return [compute_advantages(group)]
+    return compute_advantages(group)
 
 
 def _inject_latent_run(roll, k, config, rng):
@@ -165,11 +165,11 @@ def check_policy(algo, config, params, old_params, sample, coords, seed):
     rl_config = RlConfig(group_size=2, k_train_rl=2, temperature=0.7,
                          max_response_length=20, clip_eps=0.2)
     rng = np.random.default_rng(seed)
-    groups = _make_groups(sample, old_params, config, rl_config, rng,
-                          need_latents=algo is Algo.VLPO)
+    group = _make_group(sample, old_params, config, rl_config, rng,
+                        need_latents=algo is Algo.VLPO)
 
     def build(pdict):
-        loss, _ = policy_objective(groups, pdict, rl_config, algo, config)
+        loss, _ = policy_objective(group, pdict, rl_config, algo, config)
         return loss
 
     return _fd_check(algo.value, build(params), build, params, coords)

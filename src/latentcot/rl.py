@@ -1,18 +1,18 @@
 """Group-based policy optimization over text and latent steps.
 
 Rollouts mix discrete text steps (token + rollout log-probability) and
-continuous latent steps (the fed-back vector). The clipped-ratio objective
-uses group-normalized outcome advantages. Under the plain group algorithm
-only text steps carry ratio terms; the latent-aware variant adds a Gaussian
-probability ratio exp(-||h_old - h_theta||^2 / (2 sigma^2)) for latent steps,
-with the rollout vector fixed and the current policy's regenerated vector as
-the only live side.
+continuous latent steps (the fed-back vector). Each update step rolls out
+one prompt's group, and the clipped-ratio objective scores that group
+against its own group-normalized outcome advantages. Under the plain group
+algorithm only text steps carry ratio terms; the latent-aware variant adds a
+Gaussian probability ratio exp(-||h_old - h_theta||^2 / (2 sigma^2)) for
+latent steps, with the rollout vector fixed and the current policy's
+regenerated vector as the only live side.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +64,6 @@ class Rollout:
 
 @dataclass
 class RolloutGroup:
-    gold: list  # gold answer token ids
     rollouts: list = field(default_factory=list)
     excluded: bool = False
 
@@ -88,7 +87,7 @@ def rollout_group(sample, old_params: dict, config: RlConfig,
     max_new = min(config.max_response_length,
                   mconfig.max_positions - prompt.length - 1)
     gold = vocab.encode(sample.gold)
-    group = RolloutGroup(gold=gold)
+    group = RolloutGroup()
     for layout, traj in decode_group(prompt, config.k_train_rl, old_params, mconfig,
                                      rng.spawn(config.group_size), config.temperature,
                                      max_new):
@@ -201,7 +200,7 @@ def score_trajectory(params: dict, rollout: Rollout, config: RlConfig,
                      mconfig: ModelConfig) -> GroupScore:
     """`score_group` of a group holding just `rollout` (the name the
     benchmark's tracer wraps)."""
-    return score_group(params, RolloutGroup(gold=[], rollouts=[rollout]), config, mconfig)
+    return score_group(params, RolloutGroup([rollout]), config, mconfig)
 
 
 # ---------------------------------------------------------------------------
@@ -221,74 +220,58 @@ def _clipped_term(ratio: ad.Tensor, advantage, eps: float) -> ad.Tensor:
     return ad.minimum2(left, right)
 
 
-def policy_objective(groups, current: dict, config: RlConfig, algo: Algo,
+def policy_objective(group: RolloutGroup, current: dict, config: RlConfig, algo: Algo,
                      mconfig: ModelConfig):
-    """Negated clipped-surrogate objective over the retained groups.
+    """Negated clipped-surrogate objective over one retained group.
 
     Per trajectory the step terms are averaged over the steps that contribute
     (text only for the plain algorithm, text plus latent for the latent-aware
-    one; forced steps never contribute), then averaged over the group and
-    across groups. Each group is scored by `score_group`, and its terms are
-    summed as one weighted vector per step kind: a step of a rollout with n
-    contributing steps in a group of G weighs 1 / (n G). Returns (loss,
-    stats) or (None, stats) when nothing is retained."""
-    stats = {"retained_groups": len(groups), "text_ratio_mean": 0.0,
-             "latent_ratio_mean": 0.0}
-    if not groups:
+    one; forced steps never contribute), then averaged over the group. The
+    group is scored by `score_group`, and its terms are summed as one
+    weighted vector per step kind: a step of a rollout with n contributing
+    steps in a group of G weighs 1 / (n G). Returns (loss, stats), or
+    (None, stats) when no step contributes."""
+    stats = {"text_ratio_mean": 0.0, "latent_ratio_mean": 0.0}
+    scored = score_group(current, group, config, mconfig)
+    G = len(group.rollouts)
+    advantage = np.array([roll.advantage for roll in group.rollouts])
+    with_latents = algo is Algo.VLPO and scored.latent_rollout.size > 0
+    counts = np.bincount(scored.text_rollout, minlength=G)
+    if with_latents:
+        counts = counts + np.bincount(scored.latent_rollout, minlength=G)
+    if not counts.any():
         return None, stats
-    group_objs, latent_objs, latents = [], [], []
-    text_ratios, latent_ratios = [], []
-    for group in groups:
-        scored = score_group(current, group, config, mconfig)
-        G = len(group.rollouts)
-        advantage = np.array([roll.advantage for roll in group.rollouts])
-        with_latents = algo is Algo.VLPO and scored.latent_rollout.size > 0
-        counts = np.bincount(scored.text_rollout, minlength=G)
-        if with_latents:
-            counts = counts + np.bincount(scored.latent_rollout, minlength=G)
-        if not counts.any():
-            continue
-        weight = 1.0 / (np.maximum(counts, 1) * G)
+    weight = 1.0 / (np.maximum(counts, 1) * G)
 
-        def weighted(ratio, rollout):
-            return ad.dot(_clipped_term(ratio, advantage[rollout], config.clip_eps),
-                          weight[rollout])
+    def weighted(ratio, rollout):
+        return ad.dot(_clipped_term(ratio, advantage[rollout], config.clip_eps),
+                      weight[rollout])
 
-        ratio = text_ratio(scored.new_logp, scored.old_logp)
-        text_ratios.append(ad.value(ratio))
-        obj = weighted(ratio, scored.text_rollout)
-        if with_latents:
-            ratio = vlpo_latent_ratio(scored.h_old, scored.h_theta, config.sigma)
-            latent_ratios.append(ad.value(ratio))
-            latents.append((scored.h_old, ad.value(scored.h_theta)))
-            latent_objs.append(weighted(ratio, scored.latent_rollout))
-            obj = ad.add(obj, latent_objs[-1])
-        group_objs.append(obj)
-    if not group_objs:
-        return None, stats
-    objective = ad.scale(functools.reduce(ad.add, group_objs), 1.0 / len(group_objs))
-    loss = ad.scale(objective, -1.0)
-    text_ratios = np.concatenate(text_ratios)
-    if text_ratios.size:
-        stats["text_ratio_mean"] = float(np.mean(text_ratios))
-    if latent_ratios:
-        stats["latent_ratio_mean"] = float(np.mean(np.concatenate(latent_ratios)))
-    latent_part = None
-    if latent_objs:
-        latent_part = ad.scale(functools.reduce(ad.add, latent_objs), -1.0 / len(group_objs))
-    return loss, {**stats, "latent_part": latent_part, "latents": latents}
+    ratio = text_ratio(scored.new_logp, scored.old_logp)
+    if scored.text_rollout.size:
+        stats["text_ratio_mean"] = float(np.mean(ad.value(ratio)))
+    objective = weighted(ratio, scored.text_rollout)
+    latent_part = latents = None
+    if with_latents:
+        ratio = vlpo_latent_ratio(scored.h_old, scored.h_theta, config.sigma)
+        stats["latent_ratio_mean"] = float(np.mean(ad.value(ratio)))
+        latents = (scored.h_old, ad.value(scored.h_theta))
+        latent_obj = weighted(ratio, scored.latent_rollout)
+        objective = ad.add(objective, latent_obj)
+        latent_part = ad.scale(latent_obj, -1.0)
+    return ad.scale(objective, -1.0), {**stats, "latent_part": latent_part, "latents": latents}
 
 
-def latent_gradient_norm(latent_part, params: dict, latents=()) -> float:
+def latent_gradient_norm(latent_part, params: dict, latents=None) -> float:
     """Norm of the parameter gradient attributable to latent ratio terms.
 
-    `latents` may hold each scored group's (h_old, h_theta) arrays (the
-    `latents` entry of `policy_objective`'s stats). When every pair is equal
+    `latents` may hold the scored group's (h_old, h_theta) arrays (the
+    `latents` entry of `policy_objective`'s stats). When they are equal
     elementwise, as under on-policy scoring, every latent term's gradient
     is a multiple of h_old - h_theta = 0, so the norm is 0.0 and no backward
     runs. The test is on the vectors, not on the squared distance, which
     can underflow to 0 for vectors that differ."""
-    if latent_part is None or (latents and all(np.array_equal(a, b) for a, b in latents)):
+    if latent_part is None or (latents is not None and np.array_equal(*latents)):
         return 0.0
     grads = ad.backward(latent_part, params)
     return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
@@ -317,7 +300,7 @@ def train_rl(sft_params: dict, records, config: RlConfig, algo: Algo,
                "text_ratio_mean": 1.0, "latent_ratio_mean": 1.0, "latent_grad_norm": 0.0}
         if not retained:
             return None, row
-        loss, stats = policy_objective(retained, params, config, algo, mconfig)
+        loss, stats = policy_objective(group, params, config, algo, mconfig)
         if loss is not None:
             row["latent_grad_norm"] = latent_gradient_norm(
                 stats["latent_part"], params, stats["latents"])

@@ -19,6 +19,7 @@ through the latent-only surrogate, plus NTP.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,12 +234,19 @@ class TargetLatentStore:
     @staticmethod
     def load(path) -> "TargetLatentStore":
         """Read a store; each key must be an integer sample id and each entry
-        a finite 3-d array. Errors name the file and the sample id."""
+        a finite 3-d array. Errors name the file, and the sample id where
+        there is one."""
         def bad(key, why):
             return LatentStoreError(f"{path}: sample {key!r}: {why}")
 
+        try:
+            archive = np.load(path)
+        except (EOFError, ValueError, zipfile.BadZipFile) as e:
+            raise LatentStoreError(f"{path}: not a readable .npz archive: {e}") from e
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise LatentStoreError(f"{path}: a single .npy array, not a .npz archive")
         entries = {}
-        with np.load(path) as data:
+        with archive as data:
             for key in data.files:
                 try:
                     sample_id = int(key)
@@ -246,7 +254,10 @@ class TargetLatentStore:
                     raise bad(key, "key is not an integer sample id") from None
                 if sample_id in entries:
                     raise bad(key, "repeated sample id")
-                entry = data[key]
+                try:
+                    entry = data[key]
+                except (EOFError, ValueError, zipfile.BadZipFile) as e:
+                    raise bad(key, f"entry cannot be read: {e}") from e
                 if entry.ndim != 3:
                     raise bad(key, f"entry shape {entry.shape} is not (layers, slots, hidden)")
                 if entry.dtype.kind not in "fiu" or not np.isfinite(entry).all():

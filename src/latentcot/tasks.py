@@ -602,12 +602,12 @@ def write_dataset(records, path):
 
 def read_dataset(path):
     records, first_line = [], {}  # sample id -> line of its record
-    with open(path) as f:
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode().strip()
+                if not line:
+                    continue
                 d = json.loads(line)
                 if not isinstance(d, dict):
                     raise DatasetError(f"a JSON {type(d).__name__}, not an object")

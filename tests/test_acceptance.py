@@ -228,8 +228,8 @@ def test_criterion_5_vlpo_grpo_relationship():
     config = RlConfig(group_size=2, k_train_rl=2, temperature=0.8,
                       max_response_length=16)
     group = text_only_group()
-    loss_g, _ = policy_objective([group], params, config, Algo.GRPO, SMALL)
-    loss_v, _ = policy_objective([group], params, config, Algo.VLPO, SMALL)
+    loss_g, _ = policy_objective(group, params, config, Algo.GRPO, SMALL)
+    loss_v, _ = policy_objective(group, params, config, Algo.VLPO, SMALL)
     assert abs(loss_g.item() - loss_v.item()) < 1e-12
     gg = ad.backward(loss_g, params)
     gv = ad.backward(loss_v, params)
@@ -253,8 +253,8 @@ def test_criterion_5_vlpo_grpo_relationship():
     lat_group.rollouts[1].reward, lat_group.rollouts[1].correct = 0.1, False
     lat_group = compute_advantages(lat_group)
     cfg = RlConfig(group_size=2, k_train_rl=2, temperature=0.8, max_response_length=24)
-    _, stats_g = policy_objective([lat_group], current, cfg, Algo.GRPO, SMALL)
-    _, stats_v = policy_objective([lat_group], current, cfg, Algo.VLPO, SMALL)
+    _, stats_g = policy_objective(lat_group, current, cfg, Algo.GRPO, SMALL)
+    _, stats_v = policy_objective(lat_group, current, cfg, Algo.VLPO, SMALL)
     norm_g = latent_gradient_norm(stats_g["latent_part"], current)
     norm_v = latent_gradient_norm(stats_v["latent_part"], current)
     assert norm_g == 0.0 and norm_v > 0.0
@@ -267,7 +267,7 @@ def test_criterion_5_vlpo_grpo_relationship():
 # ---------------------------------------------------------------------------
 
 def _group(rewards, correct):
-    g = RolloutGroup(gold=[0])
+    g = RolloutGroup()
     for r, c in zip(rewards, correct):
         roll = Rollout(layout=None, trajectory=None)
         roll.reward, roll.correct = float(r), bool(c)

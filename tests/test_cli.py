@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,13 @@ def test_gradcheck_command(capsys):
     out = capsys.readouterr().out
     assert "worst relative error" in out
     assert out.count("[pass]") == 7
+
+
+def test_config_file_names_the_line_of_a_non_utf8_byte(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"# stage settings\r\nepochs=2\r\nlearning_rate=0.\xff2\r\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: line 3 is not UTF-8 text$"):
+        load_config_file(bad)
 
 
 def test_config_file_round_trip(tmp_path):

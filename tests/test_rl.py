@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentcot import autodiff as ad
-from latentcot import model, rl, vocab
+from latentcot import model, rl, sft, vocab
 from latentcot.gradcheck import _inject_latent_run
 from latentcot.layouts import build_prompt
 from latentcot.model import (LatentStep, MaskMode, ModelConfig, SegmentRole,
                              SequenceLayout, TextStep, Trajectory,
                              build_attention_mask, copy_params, decode_group, forward,
-                             forward_group, image_segment, init_params, params_allclose,
-                             text_segment, zero_params)
+                             forward_group, image_segment, init_params, latent_segment,
+                             params_allclose, text_segment, zero_params)
 from latentcot.rl import (Algo, RlConfig, Rollout, RolloutGroup,
                           compute_advantages, compute_reward,
                           filter_by_accuracy, latent_gradient_norm,
@@ -118,7 +118,7 @@ def test_latent_steps_not_rewarded():
 # ---------------------------------------------------------------------------
 
 def group_with_rewards(rewards, correct=None):
-    group = RolloutGroup(gold=[0])
+    group = RolloutGroup()
     for i, r in enumerate(rewards):
         roll = Rollout(layout=None, trajectory=text_traj([0]))
         roll.reward = float(r)
@@ -242,7 +242,7 @@ def test_zero_advantage_gives_zero_objective():
     group = rolled_group(params, lookup_sample(), config)
     for roll in group.rollouts:
         roll.advantage = 0.0
-    loss, stats = policy_objective([group], params, config, Algo.VLPO, CFG)
+    loss, stats = policy_objective(group, params, config, Algo.VLPO, CFG)
     assert loss.item() == pytest.approx(0.0, abs=1e-15)
 
 
@@ -250,7 +250,7 @@ def text_only_group(seed=6):
     """Synthetic group of two text-only trajectories with recorded old logps."""
     from latentcot.model import SegmentRole, SequenceLayout, text_segment
     prompt = build_prompt(lookup_sample())
-    group = RolloutGroup(gold=vocab.encode(["b"]))
+    group = RolloutGroup()
     rng = np.random.default_rng(seed)
     for reward, toks in ((1.1, boxed_tokens(["b"])), (0.1, boxed_tokens(["c"]))):
         segs = list(prompt.segments) + [text_segment(SegmentRole.PLAIN_TEXT, toks)]
@@ -267,8 +267,8 @@ def test_text_only_grpo_equals_vlpo():
     config = RlConfig(group_size=2, k_train_rl=2, temperature=0.8,
                       max_response_length=16)
     group = text_only_group()
-    loss_g, _ = policy_objective([group], params, config, Algo.GRPO, CFG)
-    loss_v, stats_v = policy_objective([group], params, config, Algo.VLPO, CFG)
+    loss_g, _ = policy_objective(group, params, config, Algo.GRPO, CFG)
+    loss_v, stats_v = policy_objective(group, params, config, Algo.VLPO, CFG)
     assert loss_g.item() == loss_v.item()
     g_g = ad.backward(loss_g, params)
     g_v = ad.backward(loss_v, params)
@@ -286,7 +286,7 @@ def test_current_equals_old_gives_mean_advantage():
     group.rollouts[0].reward, group.rollouts[0].correct = 1.1, True
     group.rollouts[1].reward, group.rollouts[1].correct = 0.1, False
     group = compute_advantages(group)
-    loss, stats = policy_objective([group], params, config, Algo.VLPO, CFG)
+    loss, stats = policy_objective(group, params, config, Algo.VLPO, CFG)
     # ratios are 1 up to teacher-forcing round-off, so the objective collapses
     # to the mean advantage, which is zero by normalization
     assert loss.item() == pytest.approx(0.0, abs=1e-9)
@@ -307,23 +307,23 @@ def test_on_policy_ratios_are_exactly_one(algo):
     params = _stopping_params(mconfig, 5, 0.5, 0.0, 0.4)
     config = RlConfig(group_size=4, k_train_rl=3, temperature=0.7, max_response_length=40)
     rng = np.random.default_rng(6)
-    groups, text_steps, latent_steps = [], 0, 0
+    text_steps, latent_steps = 0, 0
     for rec in rl_records(4):
         group = rollout_group(rec.sample, params, config, mconfig, rng)
         for i, roll in enumerate(group.rollouts):
             roll.reward, roll.correct = (1.1, True) if i == 0 else (0.1, False)
-        groups.append(compute_advantages(group))
+        compute_advantages(group)
         scored = score_group(params, group, config, mconfig)
         text = text_ratio(scored.new_logp, scored.old_logp).data
         latent = vlpo_latent_ratio(scored.h_old, scored.h_theta, config.sigma).data
         assert (text == 1.0).all() and (latent == 1.0).all()
         text_steps, latent_steps = text_steps + text.size, latent_steps + latent.size
+        _, stats = policy_objective(group, params, config, algo, mconfig)
+        assert stats["text_ratio_mean"] == 1.0
+        assert stats["latent_ratio_mean"] == (1.0 if algo is Algo.VLPO else 0.0)
+        assert (stats["latent_part"] is None) == (algo is Algo.GRPO)
+        assert latent_gradient_norm(stats["latent_part"], params) == 0.0
     assert text_steps >= 100 and latent_steps >= 20
-    _, stats = policy_objective(groups, params, config, algo, mconfig)
-    assert stats["text_ratio_mean"] == 1.0
-    assert stats["latent_ratio_mean"] == (1.0 if algo is Algo.VLPO else 0.0)
-    assert (stats["latent_part"] is None) == (algo is Algo.GRPO)
-    assert latent_gradient_norm(stats["latent_part"], params) == 0.0
 
 
 def test_clipping_kills_gradient_when_ratio_far():
@@ -359,7 +359,7 @@ def test_positive_advantage_pulls_latents_closer():
     roll.advantage = 1.0
 
     def distance(ps):
-        scored = score_group(ps, RolloutGroup(group.gold, [roll]), config, CFG)
+        scored = score_group(ps, RolloutGroup([roll]), config, CFG)
         return sum(float(ad.sq_dist(ad.constant(s.vector), ad.constant(h.data)).data)
                    for s, h in _latent_pairs(roll, scored)), scored
 
@@ -391,18 +391,11 @@ def test_grpo_latent_gradients_zero_vlpo_nonzero():
     group.rollouts[0].reward, group.rollouts[0].correct = 1.1, True
     group.rollouts[1].reward, group.rollouts[1].correct = 0.1, False
     group = compute_advantages(group)
-    _, stats_g = policy_objective([group], current, config, Algo.GRPO, CFG)
+    _, stats_g = policy_objective(group, current, config, Algo.GRPO, CFG)
     assert stats_g["latent_part"] is None
     assert latent_gradient_norm(stats_g["latent_part"], current) == 0.0
-    _, stats_v = policy_objective([group], current, config, Algo.VLPO, CFG)
+    _, stats_v = policy_objective(group, current, config, Algo.VLPO, CFG)
     assert latent_gradient_norm(stats_v["latent_part"], current) > 0.0
-
-
-def test_policy_objective_empty_retained_set():
-    params = init_params(CFG, np.random.default_rng(15))
-    config = RlConfig(group_size=2)
-    loss, stats = policy_objective([], params, config, Algo.VLPO, CFG)
-    assert loss is None and stats["retained_groups"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +543,7 @@ def _off_policy_latent_norm(monkeypatch, params, seed):
     assert [roll.advantage for roll in group.rollouts] == [1.0, -1.0]
     assert all(any(isinstance(s, LatentStep) for s in roll.trajectory.steps)
                for roll in group.rollouts)
-    _, stats = policy_objective([group], current, config, Algo.VLPO, CFG)
+    _, stats = policy_objective(group, current, config, Algo.VLPO, CFG)
     calls, _ = _counting_backward(monkeypatch)
     return group, latent_gradient_norm(stats["latent_part"], current, stats["latents"]), calls
 
@@ -578,6 +571,54 @@ def test_identical_rollouts_with_opposite_advantages_give_a_zero_latent_norm(mon
                if isinstance(s, LatentStep))
     assert norm == 0.0
     assert len(calls) == 1
+
+
+def _forced_and_latent_group():
+    """A group whose rollouts hold only forced markers around a latent run,
+    with one correct rollout, so it is retained but GRPO has no term."""
+    prompt = build_prompt(lookup_sample())
+    lat_start = vocab.TOKEN_TO_ID[vocab.LATENT_START]
+    lat_end = vocab.TOKEN_TO_ID[vocab.LATENT_END]
+    rng = np.random.default_rng(19)
+    group = RolloutGroup()
+    for reward in (1.1, 0.1):
+        vecs = list(rng.normal(size=(2, CFG.hidden_dim)))
+        layout = SequenceLayout(list(prompt.segments) + [
+            text_segment(SegmentRole.PLAIN_TEXT, [lat_start]), latent_segment(2, vecs),
+            text_segment(SegmentRole.PLAIN_TEXT, [lat_end])])
+        steps = [TextStep(lat_start, 0.0, forced=True), *map(LatentStep, vecs),
+                 TextStep(lat_end, 0.0, forced=True)]
+        roll = Rollout(layout, Trajectory(steps, prompt.length))
+        roll.reward, roll.correct = reward, reward > 1.0
+        group.rollouts.append(roll)
+    return compute_advantages(group)
+
+
+def test_a_retained_group_with_no_contributing_step_takes_no_step(monkeypatch):
+    """GRPO over a retained group of forced and latent steps only: the
+    objective returns no loss, and train_rl logs the group's row with the
+    skipped-group ratios and runs no AdamW step."""
+    params = init_params(CFG, np.random.default_rng(22))
+    config = RlConfig(group_size=2, k_train_rl=2, learning_rate=1e-2)
+    group = _forced_and_latent_group()
+    assert filter_by_accuracy([group], config.accuracy_threshold) == [group]
+    loss, stats = policy_objective(group, params, config, Algo.GRPO, CFG)
+    assert loss is None
+    assert stats == {"text_ratio_mean": 0.0, "latent_ratio_mean": 0.0}
+    assert policy_objective(group, params, config, Algo.VLPO, CFG)[0] is not None
+
+    steps = []
+    monkeypatch.setattr(rl, "rollout_group", lambda *args: _forced_and_latent_group())
+    monkeypatch.setattr(sft.AdamW, "step", lambda self, grads: steps.append(grads))
+    records = rl_records(2)
+    result = train_rl(params, records, config, Algo.GRPO, CFG, seed=3)
+    assert steps == []
+    assert params_allclose(result.params, params)
+    assert sorted(row["sample_id"] for row in result.log) == [rec.sample_id for rec in records]
+    assert result.log == [
+        {"step": i, "sample_id": row["sample_id"], "mean_reward": group.mean_reward(),
+         "accuracy": 0.5, "retained": 1, "text_ratio_mean": 1.0, "latent_ratio_mean": 1.0,
+         "latent_grad_norm": 0.0} for i, row in enumerate(result.log)]
 
 
 def test_train_rl_deterministic():
@@ -620,7 +661,7 @@ def _per_step(scored, roll, g, config):
     return out
 
 
-def _reference_objective(groups, current, config, algo, mconfig):
+def _reference_objective(group, current, config, algo, mconfig):
     """The per-step objective `policy_objective` vectorizes: one full forward
     per rollout and a chain of scalar nodes per step (the scorer that
     `score_group` replaced), as an oracle for the stacked pass."""
@@ -635,41 +676,37 @@ def _reference_objective(groups, current, config, algo, mconfig):
             out = ad.add(out, n)
         return out
 
-    group_objs, latent_terms = [], []
+    traj_objs, latent_terms = [], []
     text_ratios, latent_ratios = [], []
-    for group in groups:
-        traj_objs = []
-        for roll in group.rollouts:
-            mask = build_attention_mask(roll.layout, MaskMode.CAUSAL)
-            logits, stack = forward(roll.layout, mask, current, mconfig)
-            terms, lat_local = [], []
-            for pos, step in enumerate(roll.trajectory.steps, roll.trajectory.prompt_len):
-                if isinstance(step, LatentStep):
-                    if algo is Algo.GRPO:
-                        continue
-                    ratio = vlpo_latent_ratio(step.vector, ad.get_row(stack[-1], pos - 1),
-                                              config.sigma)
-                    latent_ratios.append(ratio.item())
-                    lat_local.append(clipped(ratio, roll.advantage))
-                    terms.append(lat_local[-1])
-                elif not step.forced:
-                    row = ad.scale(ad.get_row(logits, pos - 1), 1.0 / config.temperature)
-                    new_logp = ad.log_prob_row(row, step.token)
-                    ratio = ad.exp(ad.sub(new_logp, step.logp))
-                    text_ratios.append(ratio.item())
-                    terms.append(clipped(ratio, roll.advantage))
-            if not terms:
-                continue
-            inv = 1.0 / len(terms)
-            traj_objs.append(ad.scale(total(terms), inv))
-            if lat_local:
-                latent_terms.append(ad.scale(total(lat_local), inv / len(group.rollouts)))
-        if traj_objs:
-            group_objs.append(ad.scale(total(traj_objs), 1.0 / len(group.rollouts)))
-    loss = ad.scale(total(group_objs), -1.0 / len(group_objs))
+    for roll in group.rollouts:
+        mask = build_attention_mask(roll.layout, MaskMode.CAUSAL)
+        logits, stack = forward(roll.layout, mask, current, mconfig)
+        terms, lat_local = [], []
+        for pos, step in enumerate(roll.trajectory.steps, roll.trajectory.prompt_len):
+            if isinstance(step, LatentStep):
+                if algo is Algo.GRPO:
+                    continue
+                ratio = vlpo_latent_ratio(step.vector, ad.get_row(stack[-1], pos - 1),
+                                          config.sigma)
+                latent_ratios.append(ratio.item())
+                lat_local.append(clipped(ratio, roll.advantage))
+                terms.append(lat_local[-1])
+            elif not step.forced:
+                row = ad.scale(ad.get_row(logits, pos - 1), 1.0 / config.temperature)
+                new_logp = ad.log_prob_row(row, step.token)
+                ratio = ad.exp(ad.sub(new_logp, step.logp))
+                text_ratios.append(ratio.item())
+                terms.append(clipped(ratio, roll.advantage))
+        if not terms:
+            continue
+        inv = 1.0 / len(terms)
+        traj_objs.append(ad.scale(total(terms), inv))
+        if lat_local:
+            latent_terms.append(ad.scale(total(lat_local), inv / len(group.rollouts)))
+    loss = ad.scale(total(traj_objs), -1.0 / len(group.rollouts))
     stats = {"text_ratio_mean": float(np.mean(text_ratios)),
              "latent_ratio_mean": float(np.mean(latent_ratios)) if latent_ratios else 0.0}
-    latent_part = ad.scale(total(latent_terms), -1.0 / len(group_objs)) if latent_terms else None
+    latent_part = ad.scale(total(latent_terms), -1.0) if latent_terms else None
     return loss, {**stats, "latent_part": latent_part}
 
 
@@ -703,24 +740,24 @@ def _mixed_groups(config, old, seeds):
 @pytest.mark.parametrize("algo", [Algo.GRPO, Algo.VLPO])
 def test_policy_objective_matches_the_per_step_reference(algo):
     """Loss, stats, and the gradients of the loss and of the latent part
-    agree with the per-step objective to 1e-12 relative, across two groups
-    of uneven rollouts, off-policy (so ratios clip)."""
+    agree with the per-step objective to 1e-12 relative, in each of two
+    groups of uneven rollouts, off-policy (so ratios clip)."""
     old = init_params(CFG, np.random.default_rng(20))
     current = init_params(CFG, np.random.default_rng(21))
     config = RlConfig(group_size=3, k_train_rl=2, temperature=0.7, max_response_length=24)
-    groups = _mixed_groups(config, old, (23, 24))
-    loss, stats = policy_objective(groups, current, config, algo, CFG)
-    ref_loss, ref_stats = _reference_objective(groups, current, config, algo, CFG)
-    assert _close(loss.item(), ref_loss.item())
-    for key in ("text_ratio_mean", "latent_ratio_mean"):
-        assert _close(stats[key], ref_stats[key])
-    assert stats["latent_ratio_mean"] != 1.0 or algo is Algo.GRPO
-    assert _grads_close(ad.backward(loss, current), ad.backward(ref_loss, current))
-    if algo is Algo.GRPO:
-        assert stats["latent_part"] is None and ref_stats["latent_part"] is None
-    else:
-        assert _grads_close(ad.backward(stats["latent_part"], current),
-                            ad.backward(ref_stats["latent_part"], current))
+    for group in _mixed_groups(config, old, (23, 24)):
+        loss, stats = policy_objective(group, current, config, algo, CFG)
+        ref_loss, ref_stats = _reference_objective(group, current, config, algo, CFG)
+        assert _close(loss.item(), ref_loss.item())
+        for key in ("text_ratio_mean", "latent_ratio_mean"):
+            assert _close(stats[key], ref_stats[key])
+        assert stats["latent_ratio_mean"] != 1.0 or algo is Algo.GRPO
+        assert _grads_close(ad.backward(loss, current), ad.backward(ref_loss, current))
+        if algo is Algo.GRPO:
+            assert stats["latent_part"] is None and ref_stats["latent_part"] is None
+        else:
+            assert _grads_close(ad.backward(stats["latent_part"], current),
+                                ad.backward(ref_stats["latent_part"], current))
 
 
 @pytest.mark.parametrize("algo", [Algo.GRPO, Algo.VLPO])
@@ -747,18 +784,19 @@ def test_policy_objective_matches_the_reference_on_shared_rows(algo):
         ran.append(len(ad.value(x0)))
         return run_blocks(x0, *args)
 
-    with mock.patch.object(model, "_blocks", blocks):
-        loss, stats = policy_objective(groups, current, config, algo, CFG)
-    stacked = sum(len(g.rollouts) * max(r.layout.length for r in g.rollouts) for g in groups)
-    assert sum(ran) < stacked
-    ref_loss, ref_stats = _reference_objective(groups, current, config, algo, CFG)
-    assert _close(loss.item(), ref_loss.item())
-    for key in ("text_ratio_mean", "latent_ratio_mean"):
-        assert _close(stats[key], ref_stats[key])
-    assert _grads_close(ad.backward(loss, current), ad.backward(ref_loss, current))
-    if algo is Algo.VLPO:
-        assert _grads_close(ad.backward(stats["latent_part"], current),
-                            ad.backward(ref_stats["latent_part"], current))
+    for group in groups:
+        ran.clear()
+        with mock.patch.object(model, "_blocks", blocks):
+            loss, stats = policy_objective(group, current, config, algo, CFG)
+        assert sum(ran) < len(group.rollouts) * max(r.layout.length for r in group.rollouts)
+        ref_loss, ref_stats = _reference_objective(group, current, config, algo, CFG)
+        assert _close(loss.item(), ref_loss.item())
+        for key in ("text_ratio_mean", "latent_ratio_mean"):
+            assert _close(stats[key], ref_stats[key])
+        assert _grads_close(ad.backward(loss, current), ad.backward(ref_loss, current))
+        if algo is Algo.VLPO:
+            assert _grads_close(ad.backward(stats["latent_part"], current),
+                                ad.backward(ref_stats["latent_part"], current))
 
 
 def _check_group_rows(layouts, trajs, params, config, temperature):
@@ -767,7 +805,7 @@ def _check_group_rows(layouts, trajs, params, config, temperature):
     do all of forward_group's logits and final rows, read through each
     rollout's `at` (a last-bit logits difference seldom reaches a
     log-probability)."""
-    group = RolloutGroup(gold=[], rollouts=[Rollout(l, t) for l, t in zip(layouts, trajs)])
+    group = RolloutGroup([Rollout(l, t) for l, t in zip(layouts, trajs)])
     rl_config = RlConfig(temperature=temperature)
     scored = score_group(params, group, rl_config, config)
     pool_logits, pool_final, at = forward_group(layouts, params, config)

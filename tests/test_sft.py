@@ -748,6 +748,34 @@ def test_store_load_names_the_file_and_the_bad_sample(tmp_path, key, entry, why)
     assert str(path) in str(err.value) and repr(key) in str(err.value)
 
 
+def _write_broken_store(path, kind):
+    if kind == "object-array":
+        np.savez(path, **{"0": np.array([None, 1.0], dtype=object)})
+    elif kind == "npy":
+        with open(path, "wb") as f:
+            np.save(f, np.ones((2, 3, 8)))
+    else:
+        np.savez(path, **{"0": np.ones((2, 3, 8))})
+        raw = path.read_bytes()
+        path.write_bytes({"truncated": raw[:len(raw) // 2], "empty": b"",
+                          "not-a-zip": b"not a zip archive\n"}[kind])
+
+
+@pytest.mark.parametrize("kind, why", [
+    ("truncated", "not a readable .npz archive"),
+    ("empty", "not a readable .npz archive"),
+    ("not-a-zip", "not a readable .npz archive"),
+    ("object-array", "sample '0': entry cannot be read"),
+    ("npy", "not a .npz archive"),
+], ids=["truncated", "empty", "not-a-zip", "object-array", "npy"])
+def test_store_load_names_the_file_of_an_unreadable_archive(tmp_path, kind, why):
+    path = tmp_path / "latents.npz"
+    _write_broken_store(path, kind)
+    with pytest.raises(LatentStoreError, match=why) as err:
+        TargetLatentStore.load(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 @pytest.mark.parametrize("bad_entry", ["shape", "nan"])
 def test_stage3_checks_store_entries_before_step_0(bad_entry):
     records = tiny_records(n=3)

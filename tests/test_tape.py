@@ -44,7 +44,7 @@ def test_vlpo_objective_is_tape_ordered():
     group.rollouts[0].reward, group.rollouts[0].correct = 1.1, True
     group = compute_advantages(group)
     params = init_params(CFG, np.random.default_rng(51))
-    loss, stats = policy_objective([group], params, config, Algo.VLPO, CFG)
+    loss, stats = policy_objective(group, params, config, Algo.VLPO, CFG)
     assert stats["latent_part"] is not None
     assert_tape_ordered(loss)
 

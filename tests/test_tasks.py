@@ -282,6 +282,17 @@ def test_truncated_line_reports_line_number(tmp_path):
         read_dataset(path)
 
 
+def test_non_utf8_byte_names_the_file_and_line(tmp_path):
+    records, _ = build_corpus(CurationConfig(sample_count=40, seed=15))
+    path = tmp_path / "odd.jsonl"
+    lines = [json.dumps(r.to_dict(), sort_keys=True).encode() for r in records[:3]]
+    lines[1] = lines[1].replace(b'"gold"', b'"g\xffld"')
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    where = re.escape(f"{path}: malformed record at line 2: ")
+    with pytest.raises(tasks.DatasetError, match=f"^{where}'utf-8' codec can't decode byte 0xff"):
+        read_dataset(path)
+
+
 @pytest.mark.parametrize("edit, why", [
     (lambda d: {**d, "schema_version": 2}, "unsupported schema_version 2"),
     (lambda d: {**d, "cot": 5}, "not iterable"),
