@@ -31,7 +31,7 @@ GRID_SIZE = 4  # rows and columns of every generated grid
 CROP_SIZE = 2  # side of a lookup task's crop, one pooling block
 COUNT_REMOVALS = 2  # row/column removal steps of a count task
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 Grid = list  # list of rows, each a list of symbol strings
 
@@ -74,15 +74,19 @@ class ToySample:
     family: str
     question_tokens: list
     question_grid: Grid
-    cot: list  # TextSeg | ImageSeg, interleaved
+    cot: list  # TextSeg | ImageSeg, interleaved; a lookup's one image is its crop
     observation_spans: list  # [start, end) ranges over the concatenated cot text
-    answer_tokens: list
-    gold: list  # tokens inside the boxed span
+    answer_tokens: list  # the boxed span holds the gold answer
     lookup: dict | None = None  # {"bbox": (r0,c0,r1,c1), "cell": (r,c)}
     count: dict | None = None  # {"target": sym, "steps": [(kind, arg), ...]}
-    aux_crop: dict | None = None  # {"bbox": ..., "cells": grid} as shown in the CoT
     corrupted: bool = False
-    tagged: bool = False
+
+    @property
+    def gold(self) -> list | None:
+        """Tokens inside the last closed boxed span of the answer, the span
+        rewards and evaluation judge; None when there is none."""
+        inner = vocab.extract_boxed(vocab.encode(self.answer_tokens))
+        return None if inner is None else vocab.decode(inner)
 
     def cot_text(self) -> list:
         out = []
@@ -99,28 +103,21 @@ class ToySample:
             "cot": [seg.to_dict() for seg in self.cot],
             "observation_spans": [list(s) for s in self.observation_spans],
             "answer_tokens": list(self.answer_tokens),
-            "gold": list(self.gold),
             "lookup": None,
             "count": None,
-            "aux_crop": None,
             "corrupted": self.corrupted,
-            "tagged": self.tagged,
         }
         if self.lookup:
             d["lookup"] = {"bbox": list(self.lookup["bbox"]), "cell": list(self.lookup["cell"])}
         if self.count:
             d["count"] = {"target": self.count["target"],
                           "steps": [[k, a] for k, a in self.count["steps"]]}
-        if self.aux_crop:
-            d["aux_crop"] = {"bbox": list(self.aux_crop["bbox"]),
-                             "cells": [list(r) for r in self.aux_crop["cells"]]}
         return d
 
     @staticmethod
     def from_dict(d):
         lk = d.get("lookup")
         ct = d.get("count")
-        ac = d.get("aux_crop")
         return ToySample(
             family=d["family"],
             question_tokens=list(d["question_tokens"]),
@@ -128,12 +125,9 @@ class ToySample:
             cot=[_seg_from_dict(s) for s in d["cot"]],
             observation_spans=[tuple(s) for s in d["observation_spans"]],
             answer_tokens=list(d["answer_tokens"]),
-            gold=list(d["gold"]),
             lookup={"bbox": tuple(lk["bbox"]), "cell": tuple(lk["cell"])} if lk else None,
             count={"target": ct["target"], "steps": [(k, a) for k, a in ct["steps"]]} if ct else None,
-            aux_crop={"bbox": tuple(ac["bbox"]), "cells": [list(r) for r in ac["cells"]]} if ac else None,
             corrupted=bool(d.get("corrupted", False)),
-            tagged=bool(d.get("tagged", False)),
         )
 
 
@@ -162,26 +156,37 @@ class DatasetRecord:
 
 
 def _check_buildable(sample: ToySample):
-    """Raise DatasetError, naming the field, on what the layout builders
-    cannot build: a token outside the vocabulary, a cell outside the grid
-    symbols, a question grid that does not pool into MAX_GRID, or an image
-    that runs past it."""
+    """Raise DatasetError, naming the field, on what the layout builders or
+    the trainers cannot use: a token outside the vocabulary, an answer with
+    no closed boxed span, a cell outside the grid symbols, a question grid
+    that does not pool into MAX_GRID, an image that runs past it, or a CoT
+    with no image or no observed token."""
     texts = [("question_tokens", sample.question_tokens),
-             ("answer_tokens", sample.answer_tokens), ("gold", sample.gold)]
+             ("answer_tokens", sample.answer_tokens)]
     grids = [("grid", sample.question_grid)]
-    images = []
+    images, observed = [], False
     for i, seg in enumerate(sample.cot):
         if isinstance(seg, TextSeg):
             texts.append((f"cot[{i}].tokens", seg.tokens))
+            inside = False  # delimiters pair within a segment, as layouts reads them
+            for tok in seg.tokens:
+                if tok in (vocab.OBS_START, vocab.OBS_END):
+                    inside = tok == vocab.OBS_START
+                else:
+                    observed = observed or inside
         else:
             grids.append((f"cot[{i}].grid", seg.grid))
             images.append((f"cot[{i}]", seg))
-    if sample.aux_crop:
-        grids.append(("aux_crop.cells", sample.aux_crop["cells"]))
     for name, tokens in texts:
         for tok in tokens:
             if tok not in vocab.TOKEN_TO_ID:
                 raise DatasetError(f"{name}: unknown token {tok!r}")
+    if sample.gold is None:
+        raise DatasetError("answer_tokens: no closed boxed span")
+    if not images:
+        raise DatasetError("cot: no image")
+    if not observed:
+        raise DatasetError("cot: no token between observation delimiters")
     for name, grid in grids:
         for row in grid:
             for cell in row:
@@ -273,9 +278,7 @@ def make_lookup_sample(grid: Grid, bbox, cell) -> ToySample:
         cot=[rationale, ImageSeg(crop, tuple(bbox)), obs_text],
         observation_spans=[(span_start, span_start + len(flat))],
         answer_tokens=["answer", "is", vocab.BOXED, answer, vocab.BOX_CLOSE, vocab.EOS],
-        gold=[answer],
         lookup={"bbox": tuple(bbox), "cell": (qr, qc)},
-        aux_crop={"bbox": tuple(bbox), "cells": crop},
     )
 
 
@@ -311,7 +314,6 @@ def make_count_sample(grid: Grid, steps, target: str) -> ToySample:
         cot=cot,
         observation_spans=spans,
         answer_tokens=["answer", "is", vocab.BOXED, d(final), vocab.BOX_CLOSE, vocab.EOS],
-        gold=[d(final)],
         count={"target": target, "steps": [(k, a) for k, a in steps]},
     )
 
@@ -377,22 +379,18 @@ def generate_count_task(rng: np.random.Generator) -> ToySample:
 
 
 def corrupt_sample(sample: ToySample, rng: np.random.Generator) -> ToySample:
-    """Flip one cell of the decisive auxiliary image so the strong judge fails."""
+    """Flip one cell of the decisive (last) CoT image so the strong judge fails."""
     s = ToySample.from_dict(sample.to_dict())
     s.corrupted = True
+    last = [seg for seg in s.cot if isinstance(seg, ImageSeg)][-1]
     if s.family == "lookup":
-        r0, c0, _, _ = s.lookup["bbox"]
+        r0, c0 = last.bbox[:2]
         qr, qc = s.lookup["cell"]
-        truth = s.aux_crop["cells"][qr - r0][qc - c0]
-        others = [x for x in vocab.SYMBOLS if x != truth]
-        flip = others[int(rng.integers(len(others)))]
-        s.aux_crop["cells"][qr - r0][qc - c0] = flip
-        for seg in s.cot:
-            if isinstance(seg, ImageSeg):
-                seg.grid[qr - r0][qc - c0] = flip
+        row = last.grid[qr - r0]
+        others = [x for x in vocab.SYMBOLS if x != row[qc - c0]]
+        row[qc - c0] = others[int(rng.integers(len(others)))]
     else:
         target = s.count["target"]
-        last = [seg for seg in s.cot if isinstance(seg, ImageSeg)][-1]
         cells = [(i, j) for i, row in enumerate(last.grid) for j, x in enumerate(row)
                  if x == target]
         if cells:
@@ -446,20 +444,19 @@ def weak_judge_answer(sample: ToySample):
 
 
 def strong_judge_answer(sample: ToySample):
-    """Aux-image judge: reads the shown auxiliary images, nothing else."""
-    if sample.family == "lookup":
-        shown = sample.aux_crop
-        if not shown or not shown["cells"]:
-            return None
-        r0, c0, r1, c1 = shown["bbox"]
-        qr, qc = sample.lookup["cell"]
-        if not (r0 <= qr <= r1 and c0 <= qc <= c1):
-            return None
-        return shown["cells"][qr - r0][qc - c0]
+    """Aux-image judge: reads the last CoT image, nothing else."""
     images = [seg for seg in sample.cot if isinstance(seg, ImageSeg)]
     if not images:
         return None
-    return str(count_symbol(images[-1].grid, sample.count["target"]))
+    shown = images[-1]
+    if sample.family == "count":
+        return str(count_symbol(shown.grid, sample.count["target"]))
+    r0, c0 = shown.bbox[:2] if shown.bbox is not None else (0, 0)
+    qr, qc = sample.lookup["cell"]
+    i, j = qr - r0, qc - c0
+    if not (0 <= i < len(shown.grid) and 0 <= j < len(shown.grid[i])):
+        return None
+    return shown.grid[i][j]
 
 
 def _solves(answer, sample: ToySample) -> bool:
@@ -487,9 +484,6 @@ def stage3_tag_observations(sample: ToySample) -> ToySample:
         if b0 < a1:
             raise ValueError(f"overlapping observation spans {(a0, a1)} and {(b0, b1)}")
     s = ToySample.from_dict(sample.to_dict())
-    if not spans:
-        s.tagged = True
-        return s
     new_spans = []
     offset = 0  # tokens inserted so far
     span_iter = iter(spans)
@@ -515,7 +509,6 @@ def stage3_tag_observations(sample: ToySample) -> ToySample:
     if cur is not None:
         raise ValueError(f"observation span {cur} crosses a segment boundary")
     s.observation_spans = new_spans
-    s.tagged = True
     return s
 
 

@@ -44,6 +44,10 @@ GRID4 = [
 ]
 
 
+def _images(sample):
+    return [seg.grid for seg in sample.cot if isinstance(seg, ImageSeg)]
+
+
 def test_lookup_sample_by_construction():
     grid = [
         ["a", "b", "e", "f"],
@@ -55,14 +59,14 @@ def test_lookup_sample_by_construction():
     assert s.gold == ["b"]
     span = s.observation_spans[0]
     assert s.cot_text()[span[0]:span[1]] == ["a", "b", "c", "d"]
-    assert s.aux_crop["cells"] == [["a", "b"], ["c", "d"]]
+    assert _images(s) == [[["a", "b"], ["c", "d"]]]
 
 
 def test_lookup_degenerate_single_cell_crop():
     grid = [["a", "b"], ["c", "d"]]
     s = make_lookup_sample(grid, (1, 1, 1, 1), (1, 1))
     assert s.gold == ["d"]
-    assert s.aux_crop["cells"] == [["d"]]
+    assert _images(s) == [[["d"]]]
 
 
 def test_aux_crop_matches_question_grid():
@@ -71,7 +75,7 @@ def test_aux_crop_matches_question_grid():
         s = generate_lookup_task(rng)
         r0, c0, r1, c1 = s.lookup["bbox"]
         expect = [row[c0:c1 + 1] for row in s.question_grid[r0:r1 + 1]]
-        assert s.aux_crop["cells"] == expect
+        assert _images(s) == [expect]
 
 
 def test_pooled_pool_is_chance_level_for_weak_judge():
@@ -159,7 +163,7 @@ def test_stage2_keeps_uncorrupted_drops_corrupted():
 
 def test_stage2_drops_empty_crop():
     s = make_lookup_sample(GRID4, (0, 0, 1, 1), (0, 0))
-    s.aux_crop = {"bbox": (0, 0, 1, 1), "cells": []}
+    s.cot[1].grid = []
     assert strong_judge_answer(s) is None
     assert not stage2_filter(s)
 
@@ -263,6 +267,10 @@ def test_dataset_round_trip(tmp_path):
     write_dataset(records, path)
     back = read_dataset(path)
     assert [r.to_dict() for r in back] == [r.to_dict() for r in records]
+    for rec, orig in zip(back, records):  # the judges read only what the file holds
+        assert stage1_filter(rec.sample) and stage2_filter(rec.sample)
+        assert rec.sample.gold == orig.sample.gold
+        assert rec.sample.gold
 
 
 def test_empty_dataset_file(tmp_path):
@@ -286,7 +294,7 @@ def test_non_utf8_byte_names_the_file_and_line(tmp_path):
     records, _ = build_corpus(CurationConfig(sample_count=40, seed=15))
     path = tmp_path / "odd.jsonl"
     lines = [json.dumps(r.to_dict(), sort_keys=True).encode() for r in records[:3]]
-    lines[1] = lines[1].replace(b'"gold"', b'"g\xffld"')
+    lines[1] = lines[1].replace(b'"answer_tokens"', b'"answer_\xfftokens"')
     path.write_bytes(b"\n".join(lines) + b"\n")
     where = re.escape(f"{path}: malformed record at line 2: ")
     with pytest.raises(tasks.DatasetError, match=f"^{where}'utf-8' codec can't decode byte 0xff"):
@@ -294,7 +302,7 @@ def test_non_utf8_byte_names_the_file_and_line(tmp_path):
 
 
 @pytest.mark.parametrize("edit, why", [
-    (lambda d: {**d, "schema_version": 2}, "unsupported schema_version 2"),
+    (lambda d: {**d, "schema_version": 1}, "unsupported schema_version 1"),
     (lambda d: {**d, "cot": 5}, "not iterable"),
     (lambda d: [d], "a JSON list, not an object"),
     (lambda d: {**d, "id": 0}, "duplicate id 0, first at line 1"),
@@ -323,10 +331,16 @@ def _first_image(d):
      "grid: 3x3 is not a grid of sides a multiple of 2, at most 8"),
     (lambda d: _first_image(d).update(bbox=[7, 7, 8, 8]),
      r"cot\[\d\]: a \dx\d image at \(7, 7\) does not fit in the 8x8 grid"),
-], ids=["unknown-token", "unknown-symbol", "unpoolable-grid", "image-past-the-grid"])
+    (lambda d: d["answer_tokens"].remove(vocab.BOX_CLOSE), "answer_tokens: no closed boxed span"),
+    (lambda d: d.update(cot=[seg for seg in d["cot"] if seg["type"] == "text"]), "cot: no image"),
+    (lambda d: [seg.update(tokens=strip_observation_tags(seg["tokens"]))
+                for seg in d["cot"] if seg["type"] == "text"],
+     "cot: no token between observation delimiters"),
+], ids=["unknown-token", "unknown-symbol", "unpoolable-grid", "image-past-the-grid",
+        "unboxed-answer", "no-image", "no-observation"])
 def test_unbuildable_record_names_the_file_line_and_field(tmp_path, edit, why):
-    """A record the layout builders cannot build fails at read time, not at
-    training time, naming the file, the line and the field."""
+    """A record the layout builders or trainers cannot use fails at read
+    time, not at training time, naming the file, the line and the field."""
     records, _ = build_corpus(CurationConfig(sample_count=40, seed=15))
     path = tmp_path / "odd.jsonl"
     lines = [r.to_dict() for r in records[:3]]
