@@ -23,7 +23,7 @@ from .sft import (LossWeights, _latent_stage_loss, _student_pass, _teacher_pass,
                   align_latent_loss, align_obs_loss, emit_target_latents,
                   latent_only_surrogate, ntp_loss, stage1_sample_loss,
                   stage2_sample_losses, stage3_sample_losses)
-from .tasks import DatasetRecord, make_lookup_sample, stage3_tag_observations
+from .tasks import DatasetRecord, make_lookup_sample
 
 TOLERANCE = 1e-4  # largest relative error a check passes with
 
@@ -51,7 +51,7 @@ def _tiny_sample():
         ["e", "f", "a", "b"],
         ["g", "h", "c", "d"],
     ]
-    return stage3_tag_observations(make_lookup_sample(grid, (1, 1, 2, 2), (2, 1)))
+    return make_lookup_sample(grid, (1, 1, 2, 2), (2, 1))
 
 
 def _sample_coords(params: dict, rng: np.random.Generator) -> dict:
@@ -205,4 +205,4 @@ def run_gradcheck(seed: int = 0) -> list:
 
 
 def _records_for(sample):
-    return [DatasetRecord(0, sample, {})]
+    return [DatasetRecord(0, sample)]

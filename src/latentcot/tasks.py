@@ -1,4 +1,4 @@
-"""Synthetic grid tasks and the three-stage curation pipeline.
+"""Synthetic grid tasks and the two-judge curation pipeline.
 
 Two families:
 
@@ -10,16 +10,16 @@ Two families:
   step showing the updated grid, per-step counts of a target symbol as
   observations, final count as the answer.
 
+The generators wrap each observation in the observation delimiter tokens.
 Curation: stage 1 keeps samples a pooled-view exhaustive judge cannot answer,
 stage 2 keeps samples an aux-image judge answers correctly (deliberately
-corrupted images fail here), stage 3 wraps the observation spans in
-delimiter tokens.
+corrupted images fail here).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -31,7 +31,7 @@ GRID_SIZE = 4  # rows and columns of every generated grid
 CROP_SIZE = 2  # side of a lookup task's crop, one pooling block
 COUNT_REMOVALS = 2  # row/column removal steps of a count task
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 Grid = list  # list of rows, each a list of symbol strings
 
@@ -62,11 +62,14 @@ class ImageSeg:
                 "bbox": list(self.bbox) if self.bbox is not None else None}
 
 
-def _seg_from_dict(d):
+def _seg_from_dict(name, d):
     if d["type"] == "text":
         return TextSeg(list(d["tokens"]))
-    return ImageSeg([list(r) for r in d["grid"]],
-                    tuple(d["bbox"]) if d["bbox"] is not None else None)
+    bbox = d["bbox"]
+    if not (bbox is None or (isinstance(bbox, list) and len(bbox) == 4
+                             and all(type(v) is int for v in bbox))):
+        raise DatasetError(f"{name}: bbox {bbox!r} is not null or four integers")
+    return ImageSeg([list(r) for r in d["grid"]], None if bbox is None else tuple(bbox))
 
 
 @dataclass
@@ -75,9 +78,8 @@ class ToySample:
     question_tokens: list
     question_grid: Grid
     cot: list  # TextSeg | ImageSeg, interleaved; a lookup's one image is its crop
-    observation_spans: list  # [start, end) ranges over the concatenated cot text
     answer_tokens: list  # the boxed span holds the gold answer
-    lookup: dict | None = None  # {"bbox": (r0,c0,r1,c1), "cell": (r,c)}
+    lookup: dict | None = None  # {"cell": (r,c)}
     count: dict | None = None  # {"target": sym, "steps": [(kind, arg), ...]}
     corrupted: bool = False
 
@@ -101,14 +103,13 @@ class ToySample:
             "question_tokens": list(self.question_tokens),
             "grid": [list(r) for r in self.question_grid],
             "cot": [seg.to_dict() for seg in self.cot],
-            "observation_spans": [list(s) for s in self.observation_spans],
             "answer_tokens": list(self.answer_tokens),
             "lookup": None,
             "count": None,
             "corrupted": self.corrupted,
         }
         if self.lookup:
-            d["lookup"] = {"bbox": list(self.lookup["bbox"]), "cell": list(self.lookup["cell"])}
+            d["lookup"] = {"cell": list(self.lookup["cell"])}
         if self.count:
             d["count"] = {"target": self.count["target"],
                           "steps": [[k, a] for k, a in self.count["steps"]]}
@@ -122,37 +123,45 @@ class ToySample:
             family=d["family"],
             question_tokens=list(d["question_tokens"]),
             question_grid=[list(r) for r in d["grid"]],
-            cot=[_seg_from_dict(s) for s in d["cot"]],
-            observation_spans=[tuple(s) for s in d["observation_spans"]],
+            cot=[_seg_from_dict(f"cot[{i}]", s) for i, s in enumerate(d["cot"])],
             answer_tokens=list(d["answer_tokens"]),
-            lookup={"bbox": tuple(lk["bbox"]), "cell": tuple(lk["cell"])} if lk else None,
+            lookup={"cell": tuple(lk["cell"])} if lk else None,
             count={"target": ct["target"], "steps": [(k, a) for k, a in ct["steps"]]} if ct else None,
-            corrupted=bool(d.get("corrupted", False)),
+            corrupted=d["corrupted"],
         )
+
+
+RECORD_KEYS = ("id", "schema_version", "family", "question_tokens", "grid", "cot",
+               "answer_tokens", "lookup", "count", "corrupted")
 
 
 @dataclass
 class DatasetRecord:
     sample_id: int
     sample: ToySample
-    provenance: dict = field(default_factory=dict)
 
     def to_dict(self):
         d = self.sample.to_dict()
         d["schema_version"] = SCHEMA_VERSION
         d["id"] = self.sample_id
-        d["provenance"] = dict(self.provenance)
         return d
 
     @staticmethod
     def from_dict(d):
         if d.get("schema_version") != SCHEMA_VERSION:
             raise DatasetError(f"unsupported schema_version {d.get('schema_version')}")
+        odd = sorted(set(RECORD_KEYS) ^ set(d))
+        if odd:
+            raise DatasetError(f"{'missing' if odd[0] in RECORD_KEYS else 'unknown'} key {odd[0]!r}")
         if type(d["id"]) is not int:  # not a bool, nor a string the latent store reads as an int
             raise DatasetError(f"id {d['id']!r} is not an integer")
+        if d["family"] not in ("lookup", "count"):
+            raise DatasetError(f"family {d['family']!r} is not 'lookup' or 'count'")
+        if type(d["corrupted"]) is not bool:
+            raise DatasetError(f"corrupted {d['corrupted']!r} is not true or false")
         sample = ToySample.from_dict(d)
         _check_buildable(sample)
-        return DatasetRecord(d["id"], sample, dict(d.get("provenance", {})))
+        return DatasetRecord(d["id"], sample)
 
 
 def _check_buildable(sample: ToySample):
@@ -203,8 +212,7 @@ def _check_buildable(sample: ToySample):
     for name, seg in images:
         r0, c0 = seg.bbox[:2] if seg.bbox is not None else (0, 0)
         rows, cols = len(seg.grid), max(map(len, seg.grid), default=0)
-        if not (type(r0) is type(c0) is int and 0 <= r0 and 0 <= c0
-                and r0 + rows <= side and c0 + cols <= side):
+        if not (0 <= r0 and 0 <= c0 and r0 + rows <= side and c0 + cols <= side):
             raise DatasetError(f"{name}: a {rows}x{cols} image at ({r0!r}, {c0!r}) does "
                                f"not fit in the {side}x{side} grid")
 
@@ -267,18 +275,14 @@ def make_lookup_sample(grid: Grid, bbox, cell) -> ToySample:
     question = [vocab.BOS, "lookup", "region", d(r0), d(c0), d(r1), d(c1),
                 "cell", d(qr), d(qc)]
     flat = [s for row in crop for s in row]
-    rationale = TextSeg(["inspect", "region"])
-    obs_text = TextSeg(["crop", "shows"] + flat)
-    span_start = len(rationale.tokens) + 2
-    answer = grid[qr][qc]
     return ToySample(
         family="lookup",
         question_tokens=question,
         question_grid=[list(r) for r in grid],
-        cot=[rationale, ImageSeg(crop, tuple(bbox)), obs_text],
-        observation_spans=[(span_start, span_start + len(flat))],
-        answer_tokens=["answer", "is", vocab.BOXED, answer, vocab.BOX_CLOSE, vocab.EOS],
-        lookup={"bbox": tuple(bbox), "cell": (qr, qc)},
+        cot=[TextSeg(["inspect", "region"]), ImageSeg(crop, tuple(bbox)),
+             TextSeg(["crop", "shows", vocab.OBS_START, *flat, vocab.OBS_END])],
+        answer_tokens=["answer", "is", vocab.BOXED, grid[qr][qc], vocab.BOX_CLOSE, vocab.EOS],
+        lookup={"cell": (qr, qc)},
     )
 
 
@@ -294,25 +298,20 @@ def make_count_sample(grid: Grid, steps, target: str) -> ToySample:
         else:
             question += ["remove", kind, d(arg)]
     states = apply_removals(grid, steps)
-    cot, spans, cursor = [], [], 0
+    cot = []
     for (kind, arg), state in zip(steps, states):
-        step_tokens = ["remove", arg] if kind == "sym" else ["remove", kind, d(arg)]
-        cot.append(TextSeg(step_tokens))
-        cursor += len(step_tokens)
+        cot.append(TextSeg(["remove", arg] if kind == "sym" else ["remove", kind, d(arg)]))
         cot.append(ImageSeg(state, None))
         cnt = count_symbol(state, target)
         if cnt > 9:
             raise ValueError(f"count {cnt} exceeds single-digit answers")
-        cot.append(TextSeg(["now", d(cnt)]))
-        spans.append((cursor + 1, cursor + 2))
-        cursor += 2
+        cot.append(TextSeg(["now", vocab.OBS_START, d(cnt), vocab.OBS_END]))
     final = count_symbol(states[-1], target)
     return ToySample(
         family="count",
         question_tokens=question,
         question_grid=[list(r) for r in grid],
         cot=cot,
-        observation_spans=spans,
         answer_tokens=["answer", "is", vocab.BOXED, d(final), vocab.BOX_CLOSE, vocab.EOS],
         count={"target": target, "steps": [(k, a) for k, a in steps]},
     )
@@ -473,45 +472,6 @@ def stage2_filter(sample: ToySample) -> bool:
     return _solves(strong_judge_answer(sample), sample)
 
 
-def stage3_tag_observations(sample: ToySample) -> ToySample:
-    """Insert observation delimiters around the constructed spans.
-
-    Only delimiter tokens are added; every other token stays put. Spans are
-    re-indexed to the tagged stream.
-    """
-    spans = sorted(sample.observation_spans)
-    for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
-        if b0 < a1:
-            raise ValueError(f"overlapping observation spans {(a0, a1)} and {(b0, b1)}")
-    s = ToySample.from_dict(sample.to_dict())
-    new_spans = []
-    offset = 0  # tokens inserted so far
-    span_iter = iter(spans)
-    cur = next(span_iter, None)
-    cursor = 0  # position in the original text stream
-    for seg in s.cot:
-        if not isinstance(seg, TextSeg):
-            continue
-        out = []
-        for i, tok in enumerate(seg.tokens):
-            g = cursor + i
-            if cur and g == cur[0]:
-                out.append(vocab.OBS_START)
-                offset += 1
-                new_spans.append((g + offset, g + offset + (cur[1] - cur[0])))
-            out.append(tok)
-            if cur and g == cur[1] - 1:
-                out.append(vocab.OBS_END)
-                offset += 1
-                cur = next(span_iter, None)
-        cursor += len(seg.tokens)
-        seg.tokens = out
-    if cur is not None:
-        raise ValueError(f"observation span {cur} crosses a segment boundary")
-    s.observation_spans = new_spans
-    return s
-
-
 def strip_observation_tags(tokens: list) -> list:
     return [t for t in tokens if t not in (vocab.OBS_START, vocab.OBS_END)]
 
@@ -552,28 +512,15 @@ def generate_raw(cfg: CurationConfig) -> list:
 
 
 def curate(samples):
-    """Run the three filter/tag stages, judging each sample once per judge;
-    returns (records, stats)."""
+    """Run the two judge filters; returns (records, stats)."""
     records, stats = [], {"raw": len(samples), "stage1_dropped": 0, "stage2_dropped": 0}
     for s in samples:
-        weak_ans = weak_judge_answer(s)
-        if _solves(weak_ans, s):
+        if not stage1_filter(s):
             stats["stage1_dropped"] += 1
-            continue
-        if not _solves(strong_judge_answer(s), s):
+        elif not stage2_filter(s):
             stats["stage2_dropped"] += 1
-            continue
-        tagged = stage3_tag_observations(s)
-        records.append(DatasetRecord(
-            sample_id=len(records),
-            sample=tagged,
-            provenance={
-                "generator": s.family,
-                "corrupted": s.corrupted,
-                "weak": "abstain" if weak_ans is None else "wrong",
-                "strong": "correct",
-            },
-        ))
+        else:
+            records.append(DatasetRecord(len(records), s))
     stats["curated"] = len(records)
     return records, stats
 

@@ -42,8 +42,7 @@ from latentcot.sft import (LossWeights, StageConfig, measure_obs_accuracy,
                            train_stage3)
 from latentcot.tasks import (CurationConfig, build_corpus, curate,
                              generate_raw, make_lookup_sample,
-                             stage1_filter, stage2_filter,
-                             stage3_tag_observations, write_dataset)
+                             stage1_filter, stage2_filter, write_dataset)
 
 from test_model import brute_force_mask, random_layout
 from test_sft import _severed_path_fd
@@ -63,7 +62,7 @@ def _report(criterion, detail):
 
 
 def tagged_lookup():
-    return stage3_tag_observations(make_lookup_sample(GRID, (0, 0, 1, 1), (0, 1)))
+    return make_lookup_sample(GRID, (0, 0, 1, 1), (0, 1))
 
 
 # ---------------------------------------------------------------------------

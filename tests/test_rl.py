@@ -22,7 +22,7 @@ from latentcot.rl import (Algo, RlConfig, Rollout, RolloutGroup,
                           policy_objective, rollout_group, score_group,
                           text_ratio, train_rl, vlpo_latent_ratio)
 from latentcot.sft import TrainingDiverged
-from latentcot.tasks import CurationConfig, build_corpus, make_lookup_sample, stage3_tag_observations
+from latentcot.tasks import CurationConfig, build_corpus, make_lookup_sample
 from test_model import LONG, _stopping_params
 
 CFG = ModelConfig(layer_count=2, hidden_dim=16, head_count=2, max_positions=96)
@@ -36,7 +36,7 @@ GRID = [
 
 
 def lookup_sample():
-    return stage3_tag_observations(make_lookup_sample(GRID, (0, 0, 1, 1), (0, 1)))
+    return make_lookup_sample(GRID, (0, 0, 1, 1), (0, 1))
 
 
 def text_traj(tokens, logps=None, prompt_len=10):

@@ -36,8 +36,7 @@ GRID = [
 
 
 def lookup_sample():
-    from latentcot.tasks import stage3_tag_observations
-    return stage3_tag_observations(make_lookup_sample(GRID, (0, 0, 1, 1), (0, 1)))
+    return make_lookup_sample(GRID, (0, 0, 1, 1), (0, 1))
 
 
 def tiny_records(n=24, seed=21):

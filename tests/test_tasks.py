@@ -6,12 +6,11 @@ import pytest
 
 from latentcot import tasks, vocab
 from latentcot.tasks import (CurationConfig, DatasetRecord, ImageSeg, TextSeg,
-                             ToySample, build_corpus, corrupt_sample, curate,
+                             build_corpus, corrupt_sample, count_symbol, curate,
                              generate_count_task, generate_lookup_task,
                              generate_raw, make_count_sample,
                              make_lookup_sample, read_dataset,
-                             stage1_filter, stage2_filter,
-                             stage3_tag_observations, strip_observation_tags,
+                             stage1_filter, stage2_filter, strip_observation_tags,
                              strong_judge_answer, weak_candidates,
                              weak_judge_answer, write_dataset)
 
@@ -48,6 +47,27 @@ def _images(sample):
     return [seg.grid for seg in sample.cot if isinstance(seg, ImageSeg)]
 
 
+def _observed(tokens):
+    """Whether each token lies between observation delimiters."""
+    inside, out = False, []
+    for tok in tokens:
+        if tok in (vocab.OBS_START, vocab.OBS_END):
+            inside = tok == vocab.OBS_START
+        out.append(inside and tok != vocab.OBS_START)
+    return out
+
+
+def _observations(sample):
+    """(cot index, observed tokens) of each text segment that observes."""
+    out = []
+    for i, seg in enumerate(sample.cot):
+        if isinstance(seg, TextSeg):
+            observed = [t for t, o in zip(seg.tokens, _observed(seg.tokens)) if o]
+            if observed:
+                out.append((i, observed))
+    return out
+
+
 def test_lookup_sample_by_construction():
     grid = [
         ["a", "b", "e", "f"],
@@ -57,8 +77,9 @@ def test_lookup_sample_by_construction():
     ]
     s = make_lookup_sample(grid, (0, 0, 1, 1), (0, 1))
     assert s.gold == ["b"]
-    span = s.observation_spans[0]
-    assert s.cot_text()[span[0]:span[1]] == ["a", "b", "c", "d"]
+    assert s.cot[2].tokens == ["crop", "shows", vocab.OBS_START, "a", "b", "c", "d",
+                               vocab.OBS_END]
+    assert _observations(s) == [(2, ["a", "b", "c", "d"])]
     assert _images(s) == [[["a", "b"], ["c", "d"]]]
 
 
@@ -73,9 +94,11 @@ def test_aux_crop_matches_question_grid():
     rng = np.random.default_rng(0)
     for _ in range(20):
         s = generate_lookup_task(rng)
-        r0, c0, r1, c1 = s.lookup["bbox"]
-        expect = [row[c0:c1 + 1] for row in s.question_grid[r0:r1 + 1]]
-        assert _images(s) == [expect]
+        (crop,) = [seg for seg in s.cot if isinstance(seg, ImageSeg)]
+        r0, c0, r1, c1 = crop.bbox
+        qr, qc = s.lookup["cell"]
+        assert r0 <= qr <= r1 and c0 <= qc <= c1
+        assert crop.grid == [row[c0:c1 + 1] for row in s.question_grid[r0:r1 + 1]]
 
 
 def test_pooled_pool_is_chance_level_for_weak_judge():
@@ -95,6 +118,8 @@ def test_count_simple_symbol_removal():
     # 4 a's and 2 b's; removing all b leaves count a = 4
     s = make_count_sample(grid, [("sym", "b")], "a")
     assert s.gold == ["4"]
+    assert s.cot[2].tokens == ["now", vocab.OBS_START, "4", vocab.OBS_END]
+    assert _observations(s) == [(2, ["4"])]
 
 
 def test_count_remove_everything_boundary():
@@ -115,18 +140,22 @@ def test_count_matches_brute_force_simulator():
 
 
 def test_observation_spans_follow_their_images():
+    # each observation states what the image right before it shows: a
+    # lookup's crop cells, a count step's target count
     rng = np.random.default_rng(2)
     for _ in range(10):
         for s in (generate_lookup_task(rng), generate_count_task(rng)):
-            cursor = 0
-            image_seen_before = []
-            for seg in s.cot:
-                if isinstance(seg, TextSeg):
-                    cursor += len(seg.tokens)
+            observations = _observations(s)
+            assert len(observations) == len(_images(s))
+            for i, tokens in observations:
+                shown = s.cot[i - 1]
+                assert isinstance(shown, ImageSeg)
+                if s.family == "lookup":
+                    assert tokens == [x for row in shown.grid for x in row]
                 else:
-                    image_seen_before.append(cursor)
-            for start, _ in s.observation_spans:
-                assert any(start >= pos for pos in image_seen_before)
+                    assert tokens == [vocab.digit(count_symbol(shown.grid, s.count["target"]))]
+            if s.family == "count":
+                assert observations[-1][1] == s.gold
 
 
 def test_stage1_keeps_pool_hidden_sample():
@@ -175,38 +204,6 @@ def test_corrupted_count_sample_dropped():
     assert not stage2_filter(bad)
 
 
-def test_tagging_wraps_exact_spans():
-    s = make_lookup_sample(GRID4, (0, 0, 1, 1), (0, 1))
-    tagged = stage3_tag_observations(s)
-    text = tagged.cot_text()
-    start, end = tagged.observation_spans[0]
-    assert text[start - 1] == vocab.OBS_START
-    assert text[end] == vocab.OBS_END
-    assert text[start:end] == s.cot_text()[s.observation_spans[0][0]:s.observation_spans[0][1]]
-
-
-def test_tagging_no_spans_leaves_text_unchanged():
-    s = make_lookup_sample(GRID4, (0, 0, 1, 1), (0, 1))
-    s.observation_spans = []
-    tagged = stage3_tag_observations(s)
-    assert tagged.cot_text() == s.cot_text()
-
-
-def test_tagging_is_invertible():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        for s in (generate_lookup_task(rng), generate_count_task(rng)):
-            tagged = stage3_tag_observations(s)
-            assert strip_observation_tags(tagged.cot_text()) == s.cot_text()
-
-
-def test_tagging_rejects_overlapping_spans():
-    s = make_lookup_sample(GRID4, (0, 0, 1, 1), (0, 1))
-    s.observation_spans = [(2, 5), (4, 6)]
-    with pytest.raises(ValueError, match="overlap"):
-        stage3_tag_observations(s)
-
-
 def test_curated_set_soundness():
     cfg = CurationConfig(sample_count=300, seed=11)
     records, stats = build_corpus(cfg)
@@ -244,7 +241,7 @@ def test_curation_config_rejects_out_of_range_values_naming_the_field(field, val
 
 def test_observation_spans_are_aux_local():
     # permuting cells inside pooling blocks leaves the pooled view unchanged,
-    # so only span tokens (and the answer) may differ
+    # so only observed tokens (and the answer) may differ
     grid = [row[:] for row in GRID4]
     s = make_lookup_sample(grid, (0, 0, 1, 1), (0, 0))
     permuted = [row[:] for row in grid]
@@ -254,9 +251,10 @@ def test_observation_spans_are_aux_local():
     s2 = make_lookup_sample(permuted, (0, 0, 1, 1), (0, 0))
     assert tasks.pooled_blocks(grid) == tasks.pooled_blocks(permuted)
     t1, t2 = s.cot_text(), s2.cot_text()
-    span = s.observation_spans[0]
+    observed = _observed(t1)
+    assert _observed(t2) == observed
     changed = [i for i, (x, y) in enumerate(zip(t1, t2)) if x != y]
-    assert changed and all(span[0] <= i < span[1] for i in changed)
+    assert changed and all(observed[i] for i in changed)
     assert s.question_tokens == s2.question_tokens
 
 
@@ -303,13 +301,19 @@ def test_non_utf8_byte_names_the_file_and_line(tmp_path):
 
 @pytest.mark.parametrize("edit, why", [
     (lambda d: {**d, "schema_version": 1}, "unsupported schema_version 1"),
+    (lambda d: {**d, "schema_version": 2}, "unsupported schema_version 2"),
     (lambda d: {**d, "cot": 5}, "not iterable"),
     (lambda d: [d], "a JSON list, not an object"),
     (lambda d: {**d, "id": 0}, "duplicate id 0, first at line 1"),
     (lambda d: {**d, "id": "0"}, "id '0' is not an integer"),
     (lambda d: {**d, "id": True}, "id True is not an integer"),
-], ids=["schema-version", "cot-not-a-list", "array-line", "duplicate-id", "string-id",
-        "bool-id"])
+    (lambda d: {k: v for k, v in d.items() if k != "corrupted"}, "missing key 'corrupted'"),
+    (lambda d: {**d, "corupted": False}, "unknown key 'corupted'"),
+    (lambda d: {**d, "family": "lookpu"}, "family 'lookpu' is not 'lookup' or 'count'"),
+    (lambda d: {**d, "corrupted": "no"}, "corrupted 'no' is not true or false"),
+], ids=["schema-version", "schema-version-2", "cot-not-a-list", "array-line", "duplicate-id",
+        "string-id", "bool-id", "missing-key", "unknown-key", "unknown-family",
+        "string-corrupted"])
 def test_malformed_record_names_the_file_and_line(tmp_path, edit, why):
     records, _ = build_corpus(CurationConfig(sample_count=40, seed=15))
     path = tmp_path / "odd.jsonl"
@@ -331,13 +335,16 @@ def _first_image(d):
      "grid: 3x3 is not a grid of sides a multiple of 2, at most 8"),
     (lambda d: _first_image(d).update(bbox=[7, 7, 8, 8]),
      r"cot\[\d\]: a \dx\d image at \(7, 7\) does not fit in the 8x8 grid"),
+    (lambda d: _first_image(d).update(bbox=[1]),
+     r"cot\[\d\]: bbox \[1\] is not null or four integers"),
+    (lambda d: _first_image(d).update(bbox=5), r"cot\[\d\]: bbox 5 is not null or four integers"),
     (lambda d: d["answer_tokens"].remove(vocab.BOX_CLOSE), "answer_tokens: no closed boxed span"),
     (lambda d: d.update(cot=[seg for seg in d["cot"] if seg["type"] == "text"]), "cot: no image"),
     (lambda d: [seg.update(tokens=strip_observation_tags(seg["tokens"]))
                 for seg in d["cot"] if seg["type"] == "text"],
      "cot: no token between observation delimiters"),
 ], ids=["unknown-token", "unknown-symbol", "unpoolable-grid", "image-past-the-grid",
-        "unboxed-answer", "no-image", "no-observation"])
+        "short-bbox", "int-bbox", "unboxed-answer", "no-image", "no-observation"])
 def test_unbuildable_record_names_the_file_line_and_field(tmp_path, edit, why):
     """A record the layout builders or trainers cannot use fails at read
     time, not at training time, naming the file, the line and the field."""
