@@ -2,25 +2,32 @@
 
 Two families:
 
-* lookup: the question names a crop region and a cell inside it; the pooled
-  question image only reveals per-block symbol multisets, so the exact cell
-  content is hidden. The CoT shows the full-resolution crop and states its
-  contents (the observation).
-* count: row/column removal steps applied to a grid, one auxiliary image per
-  step showing the updated grid, per-step counts of a target symbol as
+* lookup (`<bos> lookup region r0 c0 r1 c1 cell r c`): the question names a
+  crop region and a cell inside it; the pooled question image only reveals
+  per-block symbol multisets, so the exact cell content is hidden. The CoT
+  shows the full-resolution crop and states its contents (the observation).
+* count (`<bos> count t after remove row i remove col j`, or `remove s` for
+  a symbol): removal steps applied to a grid, one auxiliary image per step
+  showing the updated grid, per-step counts of the target symbol as
   observations, final count as the answer.
 
-The generators wrap each observation in the observation delimiter tokens.
-Curation: stage 1 keeps samples a pooled-view exhaustive judge cannot answer,
-stage 2 keeps samples an aux-image judge answers correctly (deliberately
-corrupted images fail here).
+The question tokens are the only store of the task: `lookup_question` and
+`count_question` write them, and `parse_question` reads the family, region,
+cell, target and steps back. The generators wrap each observation in the
+observation delimiter tokens. Curation: stage 1 keeps samples a pooled-view
+exhaustive judge cannot answer, stage 2 keeps samples an aux-image judge
+answers correctly (deliberately corrupted images fail here). A dataset
+record (schema 4) holds `id`, `schema_version`, `question_tokens`, `grid`,
+`cot` and `answer_tokens`; it reads only if the layouts can build it and
+both curation stages would keep it.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+from collections import namedtuple
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -31,7 +38,7 @@ GRID_SIZE = 4  # rows and columns of every generated grid
 CROP_SIZE = 2  # side of a lookup task's crop, one pooling block
 COUNT_REMOVALS = 2  # row/column removal steps of a count task
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 Grid = list  # list of rows, each a list of symbol strings
 
@@ -62,26 +69,56 @@ class ImageSeg:
                 "bbox": list(self.bbox) if self.bbox is not None else None}
 
 
+def _check_keys(where, keys, d):
+    odd = sorted(set(keys) ^ set(d))
+    if odd:
+        raise DatasetError(f"{where}{'missing' if odd[0] in keys else 'unknown'} key {odd[0]!r}")
+
+
+def _array(name, value) -> list:
+    if not isinstance(value, list):
+        raise DatasetError(f"{name}: a JSON {type(value).__name__}, not an array")
+    return list(value)
+
+
+def _grid(name, value) -> Grid:
+    return [_array(f"{name}[{i}]", row) for i, row in enumerate(_array(name, value))]
+
+
+_SEG_KEYS = {"text": ("type", "tokens"), "image": ("type", "grid", "bbox")}
+
+
 def _seg_from_dict(name, d):
+    if not isinstance(d, dict):
+        raise DatasetError(f"{name}: a JSON {type(d).__name__}, not an object")
+    if d.get("type") not in ("text", "image"):
+        raise DatasetError(f"{name}: type {d.get('type')!r} is not 'text' or 'image'")
+    _check_keys(f"{name}: ", _SEG_KEYS[d["type"]], d)
     if d["type"] == "text":
-        return TextSeg(list(d["tokens"]))
+        return TextSeg(_array(f"{name}.tokens", d["tokens"]))
     bbox = d["bbox"]
     if not (bbox is None or (isinstance(bbox, list) and len(bbox) == 4
                              and all(type(v) is int for v in bbox))):
         raise DatasetError(f"{name}: bbox {bbox!r} is not null or four integers")
-    return ImageSeg([list(r) for r in d["grid"]], None if bbox is None else tuple(bbox))
+    return ImageSeg(_grid(f"{name}.grid", d["grid"]), None if bbox is None else tuple(bbox))
 
 
 @dataclass
 class ToySample:
-    family: str
-    question_tokens: list
+    question_tokens: list  # the task: family, lookup region and cell, count target and steps
     question_grid: Grid
     cot: list  # TextSeg | ImageSeg, interleaved; a lookup's one image is its crop
     answer_tokens: list  # the boxed span holds the gold answer
-    lookup: dict | None = None  # {"cell": (r,c)}
-    count: dict | None = None  # {"target": sym, "steps": [(kind, arg), ...]}
-    corrupted: bool = False
+    corrupted: bool = False  # set by corrupt_sample; curation drops every such sample
+
+    @property
+    def question(self) -> Question:
+        """The task `question_tokens` asks."""
+        return parse_question(self.question_tokens)
+
+    @property
+    def family(self) -> str:
+        return self.question.family
 
     @property
     def gold(self) -> list | None:
@@ -97,42 +134,8 @@ class ToySample:
                 out.extend(seg.tokens)
         return out
 
-    def to_dict(self):
-        d = {
-            "family": self.family,
-            "question_tokens": list(self.question_tokens),
-            "grid": [list(r) for r in self.question_grid],
-            "cot": [seg.to_dict() for seg in self.cot],
-            "answer_tokens": list(self.answer_tokens),
-            "lookup": None,
-            "count": None,
-            "corrupted": self.corrupted,
-        }
-        if self.lookup:
-            d["lookup"] = {"cell": list(self.lookup["cell"])}
-        if self.count:
-            d["count"] = {"target": self.count["target"],
-                          "steps": [[k, a] for k, a in self.count["steps"]]}
-        return d
 
-    @staticmethod
-    def from_dict(d):
-        lk = d.get("lookup")
-        ct = d.get("count")
-        return ToySample(
-            family=d["family"],
-            question_tokens=list(d["question_tokens"]),
-            question_grid=[list(r) for r in d["grid"]],
-            cot=[_seg_from_dict(f"cot[{i}]", s) for i, s in enumerate(d["cot"])],
-            answer_tokens=list(d["answer_tokens"]),
-            lookup={"cell": tuple(lk["cell"])} if lk else None,
-            count={"target": ct["target"], "steps": [(k, a) for k, a in ct["steps"]]} if ct else None,
-            corrupted=d["corrupted"],
-        )
-
-
-RECORD_KEYS = ("id", "schema_version", "family", "question_tokens", "grid", "cot",
-               "answer_tokens", "lookup", "count", "corrupted")
+RECORD_KEYS = ("id", "schema_version", "question_tokens", "grid", "cot", "answer_tokens")
 
 
 @dataclass
@@ -141,26 +144,28 @@ class DatasetRecord:
     sample: ToySample
 
     def to_dict(self):
-        d = self.sample.to_dict()
-        d["schema_version"] = SCHEMA_VERSION
-        d["id"] = self.sample_id
-        return d
+        s = self.sample
+        return {"id": self.sample_id, "schema_version": SCHEMA_VERSION,
+                "question_tokens": list(s.question_tokens), "grid": [list(r) for r in s.question_grid],
+                "cot": [seg.to_dict() for seg in s.cot], "answer_tokens": list(s.answer_tokens)}
 
     @staticmethod
     def from_dict(d):
         if d.get("schema_version") != SCHEMA_VERSION:
             raise DatasetError(f"unsupported schema_version {d.get('schema_version')}")
-        odd = sorted(set(RECORD_KEYS) ^ set(d))
-        if odd:
-            raise DatasetError(f"{'missing' if odd[0] in RECORD_KEYS else 'unknown'} key {odd[0]!r}")
+        _check_keys("", RECORD_KEYS, d)
         if type(d["id"]) is not int:  # not a bool, nor a string the latent store reads as an int
             raise DatasetError(f"id {d['id']!r} is not an integer")
-        if d["family"] not in ("lookup", "count"):
-            raise DatasetError(f"family {d['family']!r} is not 'lookup' or 'count'")
-        if type(d["corrupted"]) is not bool:
-            raise DatasetError(f"corrupted {d['corrupted']!r} is not true or false")
-        sample = ToySample.from_dict(d)
+        cot = _array("cot", d["cot"])
+        sample = ToySample(_array("question_tokens", d["question_tokens"]), _grid("grid", d["grid"]),
+                           [_seg_from_dict(f"cot[{i}]", s) for i, s in enumerate(cot)],
+                           _array("answer_tokens", d["answer_tokens"]))
         _check_buildable(sample)
+        # last: a record reads only if curation would keep it
+        if not stage1_filter(sample):
+            raise DatasetError("stage 1: the weak judge answers it from the pooled question image")
+        if not stage2_filter(sample):
+            raise DatasetError("stage 2: the strong judge does not answer it from the last CoT image")
         return DatasetRecord(d["id"], sample)
 
 
@@ -168,8 +173,9 @@ def _check_buildable(sample: ToySample):
     """Raise DatasetError, naming the field, on what the layout builders or
     the trainers cannot use: a token outside the vocabulary, an answer with
     no closed boxed span, a cell outside the grid symbols, a question grid
-    that does not pool into MAX_GRID, an image that runs past it, or a CoT
-    with no image or no observed token."""
+    that does not pool into MAX_GRID, a question `parse_question` refuses or
+    that names a row or column outside the grid, an image that runs past
+    MAX_GRID, or a CoT with no image or no observed token."""
     texts = [("question_tokens", sample.question_tokens),
              ("answer_tokens", sample.answer_tokens)]
     grids = [("grid", sample.question_grid)]
@@ -188,7 +194,7 @@ def _check_buildable(sample: ToySample):
             images.append((f"cot[{i}]", seg))
     for name, tokens in texts:
         for tok in tokens:
-            if tok not in vocab.TOKEN_TO_ID:
+            if type(tok) is not str or tok not in vocab.TOKEN_TO_ID:
                 raise DatasetError(f"{name}: unknown token {tok!r}")
     if sample.gold is None:
         raise DatasetError("answer_tokens: no closed boxed span")
@@ -209,6 +215,10 @@ def _check_buildable(sample: ToySample):
     if not (0 < R <= side and 0 < C <= side and R % POOL == C % POOL == 0):
         raise DatasetError(f"grid: {R}x{C} is not a grid of sides a multiple of {POOL}, "
                            f"at most {side}")
+    q = sample.question
+    for kind, arg in [("row", q.region[2]), ("col", q.region[3])] if q.region else q.steps:
+        if kind != "sym" and arg >= (R if kind == "row" else C):
+            raise DatasetError(f"question_tokens: {kind} {arg} lies outside the {R}x{C} grid")
     for name, seg in images:
         r0, c0 = seg.bbox[:2] if seg.bbox is not None else (0, 0)
         rows, cols = len(seg.grid), max(map(len, seg.grid), default=0)
@@ -220,11 +230,6 @@ def _check_buildable(sample: ToySample):
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
-
-def crop_grid(grid: Grid, bbox) -> Grid:
-    r0, c0, r1, c1 = bbox
-    return [row[c0:c1 + 1] for row in grid[r0:r1 + 1]]
-
 
 def pooled_blocks(grid: Grid) -> dict:
     """Per 2x2 block multiset of symbols, keyed by block coordinates."""
@@ -248,10 +253,8 @@ def apply_removals(grid: Grid, steps) -> list:
         elif kind == "row":
             cur = [([vocab.EMPTY] * len(row) if i == arg else list(row))
                    for i, row in enumerate(cur)]
-        elif kind == "col":
-            cur = [[vocab.EMPTY if j == arg else s for j, s in enumerate(row)] for row in cur]
         else:
-            raise ValueError(f"unknown removal step kind: {kind}")
+            cur = [[vocab.EMPTY if j == arg else s for j, s in enumerate(row)] for row in cur]
         states.append([list(r) for r in cur])
     return states
 
@@ -264,56 +267,86 @@ def count_symbol(grid: Grid, sym: str) -> int:
 # sample assembly
 # ---------------------------------------------------------------------------
 
+# A question's task: "lookup" with its crop region (r0, c0, r1, c1) and queried (r, c) cell,
+# or "count" with its target symbol and ((kind, arg), ...) removal steps; see parse_question.
+Question = namedtuple("Question", "family region cell target steps", defaults=(None,) * 4)
+
+
+def lookup_question(bbox, cell) -> list:
+    (r0, c0, r1, c1), (qr, qc) = bbox, cell
+    if not (r0 <= qr <= r1 and c0 <= qc <= c1):
+        raise ValueError(f"cell {cell} outside crop {bbox}")
+    return [vocab.BOS, "lookup", "region", *map(vocab.digit, bbox), "cell", *map(vocab.digit, cell)]
+
+
+def _step_tokens(kind, arg) -> list:
+    if kind == "sym" and arg in vocab.SYMBOLS:
+        return ["remove", arg]
+    if kind in ("row", "col"):
+        return ["remove", kind, vocab.digit(arg)]
+    raise ValueError(f"bad removal step {(kind, arg)}")
+
+
+def count_question(target, steps) -> list:
+    if target not in vocab.SYMBOLS or not steps:
+        raise ValueError(f"count question needs a symbol target ({target!r}) and a removal step")
+    return [vocab.BOS, "count", target, "after", *(t for step in steps for t in _step_tokens(*step))]
+
+
+def parse_question(tokens) -> Question:
+    """The inverse of `lookup_question` and `count_question`, which check
+    what they are given; DatasetError naming question_tokens on any token
+    sequence they do not write."""
+    tokens = list(tokens)
+    try:
+        if tokens[1] == "lookup":
+            n = tuple(map(int, tokens[3:7] + tokens[8:]))
+            q, asked = Question("lookup", region=n[:4], cell=n[4:]), lookup_question(n[:4], n[4:])
+        else:
+            cuts = [i for i, t in enumerate(tokens) if t == "remove"] + [len(tokens)]
+            steps = tuple(("sym", *w) if len(w) == 1 else (w[0], int(w[1]))
+                          for w in (tokens[a + 1:b] for a, b in zip(cuts, cuts[1:])))
+            q = Question("count", target=tokens[2], steps=steps)
+            asked = count_question(q.target, steps)
+    except (IndexError, ValueError):
+        asked = None
+    if asked != tokens:
+        raise DatasetError(f"question_tokens: {' '.join(map(str, tokens))!r} is not a question")
+    return q
+
+
 def make_lookup_sample(grid: Grid, bbox, cell) -> ToySample:
     """Deterministic lookup sample from explicit grid, crop bbox, queried cell."""
-    r0, c0, r1, c1 = bbox
-    qr, qc = cell
-    if not (0 <= r0 <= qr <= r1 < len(grid) and 0 <= c0 <= qc <= c1 < len(grid[0])):
-        raise ValueError(f"cell {cell} outside crop {bbox} or grid")
-    crop = crop_grid(grid, bbox)
-    d = vocab.digit
-    question = [vocab.BOS, "lookup", "region", d(r0), d(c0), d(r1), d(c1),
-                "cell", d(qr), d(qc)]
+    (r0, c0, r1, c1), (qr, qc) = bbox, cell
+    if not (r1 < len(grid) and c1 < len(grid[0])):
+        raise ValueError(f"crop {bbox} runs past the grid")
+    crop = [row[c0:c1 + 1] for row in grid[r0:r1 + 1]]
     flat = [s for row in crop for s in row]
     return ToySample(
-        family="lookup",
-        question_tokens=question,
+        question_tokens=lookup_question(bbox, cell),
         question_grid=[list(r) for r in grid],
         cot=[TextSeg(["inspect", "region"]), ImageSeg(crop, tuple(bbox)),
              TextSeg(["crop", "shows", vocab.OBS_START, *flat, vocab.OBS_END])],
         answer_tokens=["answer", "is", vocab.BOXED, grid[qr][qc], vocab.BOX_CLOSE, vocab.EOS],
-        lookup={"cell": (qr, qc)},
     )
 
 
 def make_count_sample(grid: Grid, steps, target: str) -> ToySample:
     """Deterministic count sample from explicit grid, removal steps, target."""
-    if not steps:
-        raise ValueError("count sample needs at least one removal step")
-    d = vocab.digit
-    question = [vocab.BOS, "count", target, "after"]
-    for kind, arg in steps:
-        if kind == "sym":
-            question += ["remove", arg]
-        else:
-            question += ["remove", kind, d(arg)]
-    states = apply_removals(grid, steps)
+    question = count_question(target, steps)
     cot = []
-    for (kind, arg), state in zip(steps, states):
-        cot.append(TextSeg(["remove", arg] if kind == "sym" else ["remove", kind, d(arg)]))
+    for step, state in zip(steps, apply_removals(grid, steps)):
+        cot.append(TextSeg(_step_tokens(*step)))
         cot.append(ImageSeg(state, None))
         cnt = count_symbol(state, target)
         if cnt > 9:
             raise ValueError(f"count {cnt} exceeds single-digit answers")
-        cot.append(TextSeg(["now", vocab.OBS_START, d(cnt), vocab.OBS_END]))
-    final = count_symbol(states[-1], target)
+        cot.append(TextSeg(["now", vocab.OBS_START, vocab.digit(cnt), vocab.OBS_END]))
     return ToySample(
-        family="count",
         question_tokens=question,
         question_grid=[list(r) for r in grid],
         cot=cot,
-        answer_tokens=["answer", "is", vocab.BOXED, d(final), vocab.BOX_CLOSE, vocab.EOS],
-        count={"target": target, "steps": [(k, a) for k, a in steps]},
+        answer_tokens=["answer", "is", vocab.BOXED, vocab.digit(cnt), vocab.BOX_CLOSE, vocab.EOS],
     )
 
 
@@ -379,17 +412,18 @@ def generate_count_task(rng: np.random.Generator) -> ToySample:
 
 def corrupt_sample(sample: ToySample, rng: np.random.Generator) -> ToySample:
     """Flip one cell of the decisive (last) CoT image so the strong judge fails."""
-    s = ToySample.from_dict(sample.to_dict())
+    s = copy.deepcopy(sample)
     s.corrupted = True
     last = [seg for seg in s.cot if isinstance(seg, ImageSeg)][-1]
-    if s.family == "lookup":
+    q = s.question
+    if q.family == "lookup":
         r0, c0 = last.bbox[:2]
-        qr, qc = s.lookup["cell"]
+        qr, qc = q.cell
         row = last.grid[qr - r0]
         others = [x for x in vocab.SYMBOLS if x != row[qc - c0]]
         row[qc - c0] = others[int(rng.integers(len(others)))]
     else:
-        target = s.count["target"]
+        target = q.target
         cells = [(i, j) for i, row in enumerate(last.grid) for j, x in enumerate(row)
                  if x == target]
         if cells:
@@ -409,28 +443,20 @@ def corrupt_sample(sample: ToySample, rng: np.random.Generator) -> ToySample:
 def weak_candidates(sample: ToySample) -> set:
     """All answers consistent with the question plus the pooled question image."""
     blocks = pooled_blocks(sample.question_grid)
-    if sample.family == "lookup":
-        qr, qc = sample.lookup["cell"]
+    q = sample.question
+    if q.family == "lookup":
+        qr, qc = q.cell
         return set(blocks[(qr // POOL, qc // POOL)])
-    target = sample.count["target"]
-    steps = sample.count["steps"]
-    sym_removed = {a for k, a in steps if k == "sym"}
-    rows_removed = {a for k, a in steps if k == "row"}
-    cols_removed = {a for k, a in steps if k == "col"}
+    removed = set(q.steps)
     totals = {0}
     for (bi, bj), multiset in blocks.items():
-        contribs = set()
-        for arr in set(permutations(multiset)):
-            n = 0
-            for k, (di, dj) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-                r, c = bi * POOL + di, bj * POOL + dj
-                if arr[k] != target or arr[k] in sym_removed:
-                    continue
-                if r in rows_removed or c in cols_removed:
-                    continue
-                n += 1
-            contribs.add(n)
-        totals = {t + c for t in totals for c in contribs}
+        # the block's t targets can sit in any of its cells: anywhere from
+        # max(0, t - gone) to min(t, kept) of them in the cells no step blanks
+        t = 0 if ("sym", q.target) in removed else multiset.count(q.target)
+        gone = sum(("row", bi * POOL + di) in removed or ("col", bj * POOL + dj) in removed
+                   for di in range(POOL) for dj in range(POOL))
+        kept = POOL * POOL - gone
+        totals = {n + c for n in totals for c in range(max(0, t - gone), min(t, kept) + 1)}
     return {str(t) for t in totals}
 
 
@@ -443,16 +469,18 @@ def weak_judge_answer(sample: ToySample):
 
 
 def strong_judge_answer(sample: ToySample):
-    """Aux-image judge: reads the last CoT image, nothing else."""
+    """Aux-image judge: reads the last CoT image, nothing else; a lookup
+    crop must show the question's region."""
     images = [seg for seg in sample.cot if isinstance(seg, ImageSeg)]
     if not images:
         return None
     shown = images[-1]
-    if sample.family == "count":
-        return str(count_symbol(shown.grid, sample.count["target"]))
-    r0, c0 = shown.bbox[:2] if shown.bbox is not None else (0, 0)
-    qr, qc = sample.lookup["cell"]
-    i, j = qr - r0, qc - c0
+    q = sample.question
+    if q.family == "count":
+        return str(count_symbol(shown.grid, q.target))
+    if shown.bbox != q.region:
+        return None
+    i, j = q.cell[0] - q.region[0], q.cell[1] - q.region[1]
     if not (0 <= i < len(shown.grid) and 0 <= j < len(shown.grid[i])):
         return None
     return shown.grid[i][j]

@@ -1,10 +1,15 @@
+import copy
+import functools
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latentcot import tasks, vocab
+from latentcot.layouts import build_interleaved, build_prompt, build_student
 from latentcot.tasks import (CurationConfig, DatasetRecord, ImageSeg, TextSeg,
                              build_corpus, corrupt_sample, count_symbol, curate,
                              generate_count_task, generate_lookup_task,
@@ -96,7 +101,7 @@ def test_aux_crop_matches_question_grid():
         s = generate_lookup_task(rng)
         (crop,) = [seg for seg in s.cot if isinstance(seg, ImageSeg)]
         r0, c0, r1, c1 = crop.bbox
-        qr, qc = s.lookup["cell"]
+        qr, qc = s.question.cell
         assert r0 <= qr <= r1 and c0 <= qc <= c1
         assert crop.grid == [row[c0:c1 + 1] for row in s.question_grid[r0:r1 + 1]]
 
@@ -132,11 +137,11 @@ def test_count_matches_brute_force_simulator():
     rng = np.random.default_rng(1)
     for _ in range(25):
         s = generate_count_task(rng)
-        steps = s.count["steps"]
+        steps = s.question.steps
         expect = brute_force_removals(s.question_grid, steps)
         shown = [seg.grid for seg in s.cot if isinstance(seg, ImageSeg)]
         assert shown == expect
-        assert s.gold == [str(sum(row.count(s.count["target"]) for row in expect[-1]))]
+        assert s.gold == [str(sum(row.count(s.question.target) for row in expect[-1]))]
 
 
 def test_observation_spans_follow_their_images():
@@ -153,7 +158,7 @@ def test_observation_spans_follow_their_images():
                 if s.family == "lookup":
                     assert tokens == [x for row in shown.grid for x in row]
                 else:
-                    assert tokens == [vocab.digit(count_symbol(shown.grid, s.count["target"]))]
+                    assert tokens == [vocab.digit(count_symbol(shown.grid, s.question.target))]
             if s.family == "count":
                 assert observations[-1][1] == s.gold
 
@@ -302,18 +307,23 @@ def test_non_utf8_byte_names_the_file_and_line(tmp_path):
 @pytest.mark.parametrize("edit, why", [
     (lambda d: {**d, "schema_version": 1}, "unsupported schema_version 1"),
     (lambda d: {**d, "schema_version": 2}, "unsupported schema_version 2"),
-    (lambda d: {**d, "cot": 5}, "not iterable"),
+    (lambda d: {**d, "schema_version": 3}, "unsupported schema_version 3"),
+    (lambda d: {**d, "cot": 5}, "cot: a JSON int, not an array"),
     (lambda d: [d], "a JSON list, not an object"),
     (lambda d: {**d, "id": 0}, "duplicate id 0, first at line 1"),
     (lambda d: {**d, "id": "0"}, "id '0' is not an integer"),
     (lambda d: {**d, "id": True}, "id True is not an integer"),
-    (lambda d: {k: v for k, v in d.items() if k != "corrupted"}, "missing key 'corrupted'"),
+    (lambda d: {k: v for k, v in d.items() if k != "cot"}, "missing key 'cot'"),
     (lambda d: {**d, "corupted": False}, "unknown key 'corupted'"),
-    (lambda d: {**d, "family": "lookpu"}, "family 'lookpu' is not 'lookup' or 'count'"),
-    (lambda d: {**d, "corrupted": "no"}, "corrupted 'no' is not true or false"),
-], ids=["schema-version", "schema-version-2", "cot-not-a-list", "array-line", "duplicate-id",
-        "string-id", "bool-id", "missing-key", "unknown-key", "unknown-family",
-        "string-corrupted"])
+    (lambda d: {**d, "question_tokens": [{"count": "lookup"}.get(t, t) for t in d["question_tokens"]]},
+     "question_tokens: '<bos> lookup h after remove col 3 remove row 1' is not a question"),
+    (lambda d: {**d, "question_tokens": "abc"}, "question_tokens: a JSON str, not an array"),
+    (lambda d: {**d, "family": "lookup"}, "unknown key 'family'"),
+    (lambda d: {**d, "question_tokens": [*d["question_tokens"][:6], "9", *d["question_tokens"][7:]]},
+     "question_tokens: col 9 lies outside the 4x4 grid"),
+], ids=["schema-version", "schema-version-2", "schema-version-3", "cot-not-a-list", "array-line",
+        "duplicate-id", "string-id", "bool-id", "missing-key", "unknown-key", "unknown-family",
+        "string-corrupted", "stored-family", "line-outside-the-grid"])
 def test_malformed_record_names_the_file_and_line(tmp_path, edit, why):
     records, _ = build_corpus(CurationConfig(sample_count=40, seed=15))
     path = tmp_path / "odd.jsonl"
@@ -343,8 +353,32 @@ def _first_image(d):
     (lambda d: [seg.update(tokens=strip_observation_tags(seg["tokens"]))
                 for seg in d["cot"] if seg["type"] == "text"],
      "cot: no token between observation delimiters"),
+    (lambda d: d["question_tokens"].__setitem__(1, ["lookup"]),
+     r"question_tokens: unknown token \['lookup'\]"),
+    (lambda d: d["grid"].__setitem__(0, "dehg"), r"grid\[0\]: a JSON str, not an array"),
+    (lambda d: d["cot"].__setitem__(0, "inspect"), r"cot\[0\]: a JSON str, not an object"),
+    (lambda d: d["cot"][0].update(tokens="inspect"), r"cot\[0\].tokens: a JSON str, not an array"),
+    (lambda d: _first_image(d).update(grid=["dc", "cc"]),
+     r"cot\[1\].grid\[0\]: a JSON str, not an array"),
+    (lambda d: d["cot"][0].update(type="txt"), r"cot\[0\]: type 'txt' is not 'text' or 'image'"),
+    (lambda d: _first_image(d).update(type="picture"),
+     r"cot\[1\]: type 'picture' is not 'text' or 'image'"),
+    (lambda d: _first_image(d).update(scale=1), r"cot\[1\]: unknown key 'scale'"),
+    (lambda d: d["question_tokens"].__setitem__(8, "1"),
+     "question_tokens: '<bos> lookup region 2 2 3 3 cell 1 2' is not a question"),
+    (lambda d: d["question_tokens"].__setitem__(slice(3, 9), ["4", "2", "5", "3", "cell", "5"]),
+     "question_tokens: row 5 lies outside the 4x4 grid"),
+    (lambda d: d["grid"][2].__setitem__(2, "c"),
+     "stage 1: the weak judge answers it from the pooled question image"),
+    (lambda d: d["question_tokens"].__setitem__(8, "2"),
+     "stage 2: the strong judge does not answer it from the last CoT image"),
+    (lambda d: _first_image(d).update(bbox=[0, 2, 1, 3]),
+     "stage 2: the strong judge does not answer it from the last CoT image"),
 ], ids=["unknown-token", "unknown-symbol", "unpoolable-grid", "image-past-the-grid",
-        "short-bbox", "int-bbox", "unboxed-answer", "no-image", "no-observation"])
+        "short-bbox", "int-bbox", "unboxed-answer", "no-image", "no-observation", "list-token",
+        "string-grid-row", "string-segment", "string-segment-tokens", "string-image-row",
+        "txt-segment", "picture-segment", "extra-segment-key", "cell-off-the-region",
+        "region-past-the-grid", "pooled-solvable", "moved-cell", "crop-off-the-region"])
 def test_unbuildable_record_names_the_file_line_and_field(tmp_path, edit, why):
     """A record the layout builders or trainers cannot use fails at read
     time, not at training time, naming the file, the line and the field."""
@@ -361,3 +395,81 @@ def test_unbuildable_record_names_the_file_line_and_field(tmp_path, edit, why):
 def test_record_schema_version_checked():
     with pytest.raises(tasks.DatasetError):
         DatasetRecord.from_dict({"schema_version": 99})
+
+
+@functools.lru_cache(maxsize=None)
+def _boundary_records():
+    """JSON objects of a lookup record, a count record and a count record
+    with a symbol removal step, keyed by kind."""
+    records, _ = build_corpus(CurationConfig(sample_count=40, seed=15))
+    out = {f: next(r.to_dict() for r in records if r.sample.family == f)
+           for f in ("lookup", "count")}
+    out["symbol count"] = DatasetRecord(99, make_count_sample(GRID4, [("sym", "b"), ("row", 0)],
+                                                              "a")).to_dict()
+    return out
+
+
+def _mutate(d, path, op, value):
+    """Drop, or set to `value`, the node `path` leads to in the JSON object
+    `d`. In a dict a string step picks that key (a set adds a missing one)
+    and an integer step the key of that rank; in a list an integer step
+    picks an item. Indices wrap; the path ends at the first step that does
+    not fit."""
+    parent, key, node = None, None, d
+    for step in path:
+        if isinstance(node, dict) and (isinstance(step, str) or node):
+            parent, key = node, step if isinstance(step, str) else sorted(node)[step % len(node)]
+        elif isinstance(node, list) and isinstance(step, int) and node:
+            parent, key = node, step % len(node)
+        else:
+            break
+        node = parent.get(key) if isinstance(parent, dict) else parent[key]
+    if parent is None:
+        return
+    if op == "set":
+        parent[key] = value
+    elif isinstance(parent, dict):
+        parent.pop(key, None)
+    else:
+        del parent[key]
+
+
+_KEYS = ["id", "schema_version", "question_tokens", "grid", "cot", "answer_tokens", "type",
+         "tokens", "bbox", "family", "lookup", "count", "corrupted", "cell", "target", "steps"]
+_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-1, 9), st.just(1.5),
+                    st.sampled_from(vocab.TOKENS + ["text", "image", "picture", ""]),
+                    st.lists(st.integers(0, 3), max_size=4), st.just({}),
+                    st.lists(st.sampled_from(vocab.SYMBOLS), max_size=4))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(kind=st.sampled_from(["lookup", "count", "symbol count"]),
+       path=st.lists(st.one_of(st.sampled_from(_KEYS), st.integers(0, 11)), min_size=1, max_size=4),
+       op=st.sampled_from(["set", "drop"]), value=_VALUES)
+@example(kind="lookup", path=["family"], op="set", value="count")
+@example(kind="lookup", path=["lookup", "cell"], op="set", value=[0])
+@example(kind="lookup", path=["question_tokens", 8], op="set", value="2")
+@example(kind="count", path=["question_tokens"], op="set", value="count")
+def test_a_changed_record_reads_whole_or_names_the_file_and_line(tmp_path_factory, kind, path,
+                                                                 op, value):
+    """Change one field of a valid record: drop or add a key, change a
+    value's type, or change one token, cell or bbox value. Either the record
+    reads, builds every layout and passes both curation filters, or reading
+    raises a DatasetError of its own, naming the file and line."""
+    records = _boundary_records()
+    d = copy.deepcopy(records[kind])
+    _mutate(d, path, op, value)
+    file = tmp_path_factory.mktemp("boundary") / "data.jsonl"
+    lines = [records["count" if kind == "lookup" else "lookup"], d]
+    file.write_text("".join(json.dumps(x, sort_keys=True) + "\n" for x in lines))
+    try:
+        sample = read_dataset(file)[1].sample
+    except tasks.DatasetError as e:
+        assert str(e).startswith(f"{file}: malformed record at line 2: ")
+        assert isinstance(e.__cause__, tasks.DatasetError), f"an unnamed {e.__cause__!r}"
+        return
+    build_prompt(sample)
+    build_interleaved(sample)
+    for with_aux in (True, False):
+        build_student(sample, 2, with_aux)
+    assert stage1_filter(sample) and stage2_filter(sample)
