@@ -1,6 +1,6 @@
 """Builders from task samples to model sequence layouts.
 
-Observation delimiter tokens exist in the dataset records but are stripped
+Observation delimiter tokens exist in the samples' CoT text but are stripped
 from the sequences themselves; the builders convert them into explicit
 observation positions instead. A from-scratch model has no prior to decode
 across tokens that are never training targets, so any token a rollout must

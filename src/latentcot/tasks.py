@@ -11,15 +11,17 @@ Two families:
   showing the updated grid, per-step counts of the target symbol as
   observations, final count as the answer.
 
-The question tokens are the only store of the task: `lookup_question` and
-`count_question` write them, and `parse_question` reads the family, region,
-cell, target and steps back. The generators wrap each observation in the
-observation delimiter tokens. Curation: stage 1 keeps samples a pooled-view
-exhaustive judge cannot answer, stage 2 keeps samples an aux-image judge
-answers correctly (deliberately corrupted images fail here). A dataset
-record (schema 4) holds `id`, `schema_version`, `question_tokens`, `grid`,
-`cot` and `answer_tokens`; it reads only if the layouts can build it and
-both curation stages would keep it.
+A dataset record (schema 5) is its task: `id`, `schema_version`,
+`question_tokens` and `grid`. The question tokens are the only store of the
+task: `lookup_question` and `count_question` write them, and
+`parse_question` reads the family, region, cell, target and steps back.
+`make_sample` builds the CoT and answer from the question and grid, through
+the family's builder, which wraps each observation in the observation
+delimiter tokens. Curation: stage 1 keeps samples a pooled-view exhaustive
+judge cannot answer, stage 2 keeps samples an aux-image judge answers
+correctly (deliberately corrupted images fail here). A record writes only
+if its sample is the one `make_sample` builds, and reads only if the task
+is buildable and stage 1 would keep it; stage 2 holds by construction.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ GRID_SIZE = 4  # rows and columns of every generated grid
 CROP_SIZE = 2  # side of a lookup task's crop, one pooling block
 COUNT_REMOVALS = 2  # row/column removal steps of a count task
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 Grid = list  # list of rows, each a list of symbol strings
 
@@ -55,24 +57,17 @@ class DatasetError(ValueError):
 class TextSeg:
     tokens: list
 
-    def to_dict(self):
-        return {"type": "text", "tokens": list(self.tokens)}
-
 
 @dataclass
 class ImageSeg:
     grid: Grid
     bbox: tuple | None = None  # (r0, c0, r1, c1) inclusive, absolute coords
 
-    def to_dict(self):
-        return {"type": "image", "grid": [list(r) for r in self.grid],
-                "bbox": list(self.bbox) if self.bbox is not None else None}
 
-
-def _check_keys(where, keys, d):
+def _check_keys(keys, d):
     odd = sorted(set(keys) ^ set(d))
     if odd:
-        raise DatasetError(f"{where}{'missing' if odd[0] in keys else 'unknown'} key {odd[0]!r}")
+        raise DatasetError(f"{'missing' if odd[0] in keys else 'unknown'} key {odd[0]!r}")
 
 
 def _array(name, value) -> list:
@@ -83,24 +78,6 @@ def _array(name, value) -> list:
 
 def _grid(name, value) -> Grid:
     return [_array(f"{name}[{i}]", row) for i, row in enumerate(_array(name, value))]
-
-
-_SEG_KEYS = {"text": ("type", "tokens"), "image": ("type", "grid", "bbox")}
-
-
-def _seg_from_dict(name, d):
-    if not isinstance(d, dict):
-        raise DatasetError(f"{name}: a JSON {type(d).__name__}, not an object")
-    if d.get("type") not in ("text", "image"):
-        raise DatasetError(f"{name}: type {d.get('type')!r} is not 'text' or 'image'")
-    _check_keys(f"{name}: ", _SEG_KEYS[d["type"]], d)
-    if d["type"] == "text":
-        return TextSeg(_array(f"{name}.tokens", d["tokens"]))
-    bbox = d["bbox"]
-    if not (bbox is None or (isinstance(bbox, list) and len(bbox) == 4
-                             and all(type(v) is int for v in bbox))):
-        raise DatasetError(f"{name}: bbox {bbox!r} is not null or four integers")
-    return ImageSeg(_grid(f"{name}.grid", d["grid"]), None if bbox is None else tuple(bbox))
 
 
 @dataclass
@@ -135,7 +112,7 @@ class ToySample:
         return out
 
 
-RECORD_KEYS = ("id", "schema_version", "question_tokens", "grid", "cot", "answer_tokens")
+RECORD_KEYS = ("id", "schema_version", "question_tokens", "grid")
 
 
 @dataclass
@@ -144,87 +121,63 @@ class DatasetRecord:
     sample: ToySample
 
     def to_dict(self):
+        """The record's four fields; ValueError naming the id when the sample
+        is not the one `make_sample` builds from its question and grid (a
+        corrupted or edited CoT), which the record could not hold."""
         s = self.sample
+        try:
+            built = make_sample(s.question_tokens, s.question_grid)
+        except ValueError:
+            built = None
+        if s != built:
+            raise ValueError(f"record {self.sample_id}: the sample is not the one its question "
+                             f"and grid build")
         return {"id": self.sample_id, "schema_version": SCHEMA_VERSION,
-                "question_tokens": list(s.question_tokens), "grid": [list(r) for r in s.question_grid],
-                "cot": [seg.to_dict() for seg in s.cot], "answer_tokens": list(s.answer_tokens)}
+                "question_tokens": list(s.question_tokens), "grid": [list(r) for r in s.question_grid]}
 
     @staticmethod
     def from_dict(d):
         if d.get("schema_version") != SCHEMA_VERSION:
             raise DatasetError(f"unsupported schema_version {d.get('schema_version')}")
-        _check_keys("", RECORD_KEYS, d)
+        _check_keys(RECORD_KEYS, d)
         if type(d["id"]) is not int:  # not a bool, nor a string the latent store reads as an int
             raise DatasetError(f"id {d['id']!r} is not an integer")
-        cot = _array("cot", d["cot"])
-        sample = ToySample(_array("question_tokens", d["question_tokens"]), _grid("grid", d["grid"]),
-                           [_seg_from_dict(f"cot[{i}]", s) for i, s in enumerate(cot)],
-                           _array("answer_tokens", d["answer_tokens"]))
-        _check_buildable(sample)
-        # last: a record reads only if curation would keep it
+        question, grid = _array("question_tokens", d["question_tokens"]), _grid("grid", d["grid"])
+        _check_task(question, grid)
+        try:
+            sample = make_sample(question, grid)
+        except ValueError as e:  # a count past single digits
+            raise DatasetError(f"grid: {e}") from e
+        # last: a record reads only if curation would keep it (stage 2 holds by construction)
         if not stage1_filter(sample):
             raise DatasetError("stage 1: the weak judge answers it from the pooled question image")
-        if not stage2_filter(sample):
-            raise DatasetError("stage 2: the strong judge does not answer it from the last CoT image")
         return DatasetRecord(d["id"], sample)
 
 
-def _check_buildable(sample: ToySample):
-    """Raise DatasetError, naming the field, on what the layout builders or
-    the trainers cannot use: a token outside the vocabulary, an answer with
-    no closed boxed span, a cell outside the grid symbols, a question grid
-    that does not pool into MAX_GRID, a question `parse_question` refuses or
-    that names a row or column outside the grid, an image that runs past
-    MAX_GRID, or a CoT with no image or no observed token."""
-    texts = [("question_tokens", sample.question_tokens),
-             ("answer_tokens", sample.answer_tokens)]
-    grids = [("grid", sample.question_grid)]
-    images, observed = [], False
-    for i, seg in enumerate(sample.cot):
-        if isinstance(seg, TextSeg):
-            texts.append((f"cot[{i}].tokens", seg.tokens))
-            inside = False  # delimiters pair within a segment, as layouts reads them
-            for tok in seg.tokens:
-                if tok in (vocab.OBS_START, vocab.OBS_END):
-                    inside = tok == vocab.OBS_START
-                else:
-                    observed = observed or inside
-        else:
-            grids.append((f"cot[{i}].grid", seg.grid))
-            images.append((f"cot[{i}]", seg))
-    for name, tokens in texts:
-        for tok in tokens:
-            if type(tok) is not str or tok not in vocab.TOKEN_TO_ID:
-                raise DatasetError(f"{name}: unknown token {tok!r}")
-    if sample.gold is None:
-        raise DatasetError("answer_tokens: no closed boxed span")
-    if not images:
-        raise DatasetError("cot: no image")
-    if not observed:
-        raise DatasetError("cot: no token between observation delimiters")
-    for name, grid in grids:
-        for row in grid:
-            for cell in row:
-                if cell not in vocab.CELL_SYMBOLS:
-                    raise DatasetError(f"{name}: {cell!r} is not a grid symbol")
+def _check_task(question_tokens, grid: Grid):
+    """Raise DatasetError, naming the field, on a task the builders cannot
+    build: a token outside the vocabulary, a cell outside the grid symbols,
+    a grid that does not pool into MAX_GRID, or a question `parse_question`
+    refuses or that names a row or column outside the grid."""
+    for tok in question_tokens:
+        if type(tok) is not str or tok not in vocab.TOKEN_TO_ID:
+            raise DatasetError(f"question_tokens: unknown token {tok!r}")
+    for row in grid:
+        for cell in row:
+            if cell not in vocab.CELL_SYMBOLS:
+                raise DatasetError(f"grid: {cell!r} is not a grid symbol")
     side = vocab.MAX_GRID
-    widths = sorted({len(row) for row in sample.question_grid})
+    widths = sorted({len(row) for row in grid})
     if len(widths) != 1:
         raise DatasetError(f"grid: rows of widths {widths} do not form a rectangle")
-    R, C = len(sample.question_grid), widths[0]
+    R, C = len(grid), widths[0]
     if not (0 < R <= side and 0 < C <= side and R % POOL == C % POOL == 0):
         raise DatasetError(f"grid: {R}x{C} is not a grid of sides a multiple of {POOL}, "
                            f"at most {side}")
-    q = sample.question
+    q = parse_question(question_tokens)
     for kind, arg in [("row", q.region[2]), ("col", q.region[3])] if q.region else q.steps:
         if kind != "sym" and arg >= (R if kind == "row" else C):
             raise DatasetError(f"question_tokens: {kind} {arg} lies outside the {R}x{C} grid")
-    for name, seg in images:
-        r0, c0 = seg.bbox[:2] if seg.bbox is not None else (0, 0)
-        rows, cols = len(seg.grid), max(map(len, seg.grid), default=0)
-        if not (0 <= r0 and 0 <= c0 and r0 + rows <= side and c0 + cols <= side):
-            raise DatasetError(f"{name}: a {rows}x{cols} image at ({r0!r}, {c0!r}) does "
-                               f"not fit in the {side}x{side} grid")
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +303,14 @@ def make_count_sample(grid: Grid, steps, target: str) -> ToySample:
     )
 
 
+def make_sample(question_tokens, grid: Grid) -> ToySample:
+    """The sample `question_tokens` asks of `grid`, CoT and answer included."""
+    q = parse_question(question_tokens)
+    if q.family == "lookup":
+        return make_lookup_sample(grid, q.region, q.cell)
+    return make_count_sample(grid, q.steps, q.target)
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -469,17 +430,11 @@ def weak_judge_answer(sample: ToySample):
 
 
 def strong_judge_answer(sample: ToySample):
-    """Aux-image judge: reads the last CoT image, nothing else; a lookup
-    crop must show the question's region."""
-    images = [seg for seg in sample.cot if isinstance(seg, ImageSeg)]
-    if not images:
-        return None
-    shown = images[-1]
+    """Aux-image judge: reads the last CoT image, nothing else."""
+    shown = [seg for seg in sample.cot if isinstance(seg, ImageSeg)][-1]
     q = sample.question
     if q.family == "count":
         return str(count_symbol(shown.grid, q.target))
-    if shown.bbox != q.region:
-        return None
     i, j = q.cell[0] - q.region[0], q.cell[1] - q.region[1]
     if not (0 <= i < len(shown.grid) and 0 <= j < len(shown.grid[i])):
         return None
@@ -498,10 +453,6 @@ def stage1_filter(sample: ToySample) -> bool:
 def stage2_filter(sample: ToySample) -> bool:
     """Keep iff the strong judge answers correctly from the aux images."""
     return _solves(strong_judge_answer(sample), sample)
-
-
-def strip_observation_tags(tokens: list) -> list:
-    return [t for t in tokens if t not in (vocab.OBS_START, vocab.OBS_END)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from latentcot.tasks import (CurationConfig, DatasetRecord, ImageSeg, TextSeg,
                              generate_count_task, generate_lookup_task,
                              generate_raw, make_count_sample,
                              make_lookup_sample, read_dataset,
-                             stage1_filter, stage2_filter, strip_observation_tags,
+                             stage1_filter, stage2_filter,
                              strong_judge_answer, weak_candidates,
                              weak_judge_answer, write_dataset)
 
@@ -270,6 +270,7 @@ def test_dataset_round_trip(tmp_path):
     write_dataset(records, path)
     back = read_dataset(path)
     assert [r.to_dict() for r in back] == [r.to_dict() for r in records]
+    assert [(r.sample_id, r.sample) for r in back] == [(r.sample_id, r.sample) for r in records]
     for rec, orig in zip(back, records):  # the judges read only what the file holds
         assert stage1_filter(rec.sample) and stage2_filter(rec.sample)
         assert rec.sample.gold == orig.sample.gold
@@ -297,7 +298,7 @@ def test_non_utf8_byte_names_the_file_and_line(tmp_path):
     records, _ = build_corpus(CurationConfig(sample_count=40, seed=15))
     path = tmp_path / "odd.jsonl"
     lines = [json.dumps(r.to_dict(), sort_keys=True).encode() for r in records[:3]]
-    lines[1] = lines[1].replace(b'"answer_tokens"', b'"answer_\xfftokens"')
+    lines[1] = lines[1].replace(b'"question_tokens"', b'"question_\xfftokens"')
     path.write_bytes(b"\n".join(lines) + b"\n")
     where = re.escape(f"{path}: malformed record at line 2: ")
     with pytest.raises(tasks.DatasetError, match=f"^{where}'utf-8' codec can't decode byte 0xff"):
@@ -308,12 +309,12 @@ def test_non_utf8_byte_names_the_file_and_line(tmp_path):
     (lambda d: {**d, "schema_version": 1}, "unsupported schema_version 1"),
     (lambda d: {**d, "schema_version": 2}, "unsupported schema_version 2"),
     (lambda d: {**d, "schema_version": 3}, "unsupported schema_version 3"),
-    (lambda d: {**d, "cot": 5}, "cot: a JSON int, not an array"),
+    (lambda d: {**d, "schema_version": 4}, "unsupported schema_version 4"),
     (lambda d: [d], "a JSON list, not an object"),
     (lambda d: {**d, "id": 0}, "duplicate id 0, first at line 1"),
     (lambda d: {**d, "id": "0"}, "id '0' is not an integer"),
     (lambda d: {**d, "id": True}, "id True is not an integer"),
-    (lambda d: {k: v for k, v in d.items() if k != "cot"}, "missing key 'cot'"),
+    (lambda d: {k: v for k, v in d.items() if k != "grid"}, "missing key 'grid'"),
     (lambda d: {**d, "corupted": False}, "unknown key 'corupted'"),
     (lambda d: {**d, "question_tokens": [{"count": "lookup"}.get(t, t) for t in d["question_tokens"]]},
      "question_tokens: '<bos> lookup h after remove col 3 remove row 1' is not a question"),
@@ -321,9 +322,16 @@ def test_non_utf8_byte_names_the_file_and_line(tmp_path):
     (lambda d: {**d, "family": "lookup"}, "unknown key 'family'"),
     (lambda d: {**d, "question_tokens": [*d["question_tokens"][:6], "9", *d["question_tokens"][7:]]},
      "question_tokens: col 9 lies outside the 4x4 grid"),
-], ids=["schema-version", "schema-version-2", "schema-version-3", "cot-not-a-list", "array-line",
-        "duplicate-id", "string-id", "bool-id", "missing-key", "unknown-key", "unknown-family",
-        "string-corrupted", "stored-family", "line-outside-the-grid"])
+    # a stored CoT, here a ragged crop whose observation the image does not show
+    (lambda d: {**d, "cot": [{"type": "image", "grid": [["a", "a", "b"], ["g", "c"]],
+                              "bbox": [2, 2, 3, 3]},
+                             {"type": "text", "tokens": ["crop", "shows", vocab.OBS_START,
+                                                         "h", "a", "g", "c", vocab.OBS_END]}]},
+     "unknown key 'cot'"),
+], ids=["schema-version", "schema-version-2", "schema-version-3", "schema-version-4",
+        "array-line", "duplicate-id", "string-id", "bool-id", "missing-key", "unknown-key",
+        "unknown-family", "string-corrupted", "stored-family", "line-outside-the-grid",
+        "stored-cot"])
 def test_malformed_record_names_the_file_and_line(tmp_path, edit, why):
     records, _ = build_corpus(CurationConfig(sample_count=40, seed=15))
     path = tmp_path / "odd.jsonl"
@@ -334,51 +342,25 @@ def test_malformed_record_names_the_file_and_line(tmp_path, edit, why):
         read_dataset(path)
 
 
-def _first_image(d):
-    return next(seg for seg in d["cot"] if seg["type"] == "image")
-
-
 @pytest.mark.parametrize("edit, why", [
     (lambda d: d["question_tokens"].append("bogus"), "question_tokens: unknown token 'bogus'"),
     (lambda d: d["grid"][0].__setitem__(0, "z"), "grid: 'z' is not a grid symbol"),
     (lambda d: d.update(grid=[row[:3] for row in d["grid"][:3]]),
      "grid: 3x3 is not a grid of sides a multiple of 2, at most 8"),
-    (lambda d: _first_image(d).update(bbox=[7, 7, 8, 8]),
-     r"cot\[\d\]: a \dx\d image at \(7, 7\) does not fit in the 8x8 grid"),
-    (lambda d: _first_image(d).update(bbox=[1]),
-     r"cot\[\d\]: bbox \[1\] is not null or four integers"),
-    (lambda d: _first_image(d).update(bbox=5), r"cot\[\d\]: bbox 5 is not null or four integers"),
-    (lambda d: d["answer_tokens"].remove(vocab.BOX_CLOSE), "answer_tokens: no closed boxed span"),
-    (lambda d: d.update(cot=[seg for seg in d["cot"] if seg["type"] == "text"]), "cot: no image"),
-    (lambda d: [seg.update(tokens=strip_observation_tags(seg["tokens"]))
-                for seg in d["cot"] if seg["type"] == "text"],
-     "cot: no token between observation delimiters"),
     (lambda d: d["question_tokens"].__setitem__(1, ["lookup"]),
      r"question_tokens: unknown token \['lookup'\]"),
     (lambda d: d["grid"].__setitem__(0, "dehg"), r"grid\[0\]: a JSON str, not an array"),
-    (lambda d: d["cot"].__setitem__(0, "inspect"), r"cot\[0\]: a JSON str, not an object"),
-    (lambda d: d["cot"][0].update(tokens="inspect"), r"cot\[0\].tokens: a JSON str, not an array"),
-    (lambda d: _first_image(d).update(grid=["dc", "cc"]),
-     r"cot\[1\].grid\[0\]: a JSON str, not an array"),
-    (lambda d: d["cot"][0].update(type="txt"), r"cot\[0\]: type 'txt' is not 'text' or 'image'"),
-    (lambda d: _first_image(d).update(type="picture"),
-     r"cot\[1\]: type 'picture' is not 'text' or 'image'"),
-    (lambda d: _first_image(d).update(scale=1), r"cot\[1\]: unknown key 'scale'"),
     (lambda d: d["question_tokens"].__setitem__(8, "1"),
      "question_tokens: '<bos> lookup region 2 2 3 3 cell 1 2' is not a question"),
     (lambda d: d["question_tokens"].__setitem__(slice(3, 9), ["4", "2", "5", "3", "cell", "5"]),
      "question_tokens: row 5 lies outside the 4x4 grid"),
+    (lambda d: d.update(question_tokens=tasks.count_question("a", [("row", 0)]),
+                        grid=[["a"] * 4 for _ in range(4)]),
+     "grid: count 12 exceeds single-digit answers"),
     (lambda d: d["grid"][2].__setitem__(2, "c"),
      "stage 1: the weak judge answers it from the pooled question image"),
-    (lambda d: d["question_tokens"].__setitem__(8, "2"),
-     "stage 2: the strong judge does not answer it from the last CoT image"),
-    (lambda d: _first_image(d).update(bbox=[0, 2, 1, 3]),
-     "stage 2: the strong judge does not answer it from the last CoT image"),
-], ids=["unknown-token", "unknown-symbol", "unpoolable-grid", "image-past-the-grid",
-        "short-bbox", "int-bbox", "unboxed-answer", "no-image", "no-observation", "list-token",
-        "string-grid-row", "string-segment", "string-segment-tokens", "string-image-row",
-        "txt-segment", "picture-segment", "extra-segment-key", "cell-off-the-region",
-        "region-past-the-grid", "pooled-solvable", "moved-cell", "crop-off-the-region"])
+], ids=["unknown-token", "unknown-symbol", "unpoolable-grid", "list-token", "string-grid-row",
+        "cell-off-the-region", "region-past-the-grid", "count-past-one-digit", "pooled-solvable"])
 def test_unbuildable_record_names_the_file_line_and_field(tmp_path, edit, why):
     """A record the layout builders or trainers cannot use fails at read
     time, not at training time, naming the file, the line and the field."""
@@ -390,6 +372,24 @@ def test_unbuildable_record_names_the_file_line_and_field(tmp_path, edit, why):
     where = re.escape(f"{path}: malformed record at line 2: ")
     with pytest.raises(tasks.DatasetError, match=f"^{where}{why}$"):
         read_dataset(path)
+
+
+def test_a_record_writes_only_the_sample_its_task_builds():
+    """A record stores only the question and grid, so `to_dict` refuses,
+    naming the id, a sample whose CoT or answer they do not build: a
+    corrupted last image, an edited crop, an observation the crop does not
+    show."""
+    rng = np.random.default_rng(4)
+    lookup, count = generate_lookup_task(rng), generate_count_task(rng)
+    crop, observation = copy.deepcopy(lookup), copy.deepcopy(lookup)
+    crop.cot[1].grid[0][0] = next(x for x in vocab.SYMBOLS if x != crop.cot[1].grid[0][0])
+    observation.cot[2].tokens[3] = next(x for x in vocab.SYMBOLS
+                                        if x != observation.cot[2].tokens[3])
+    for bad in (corrupt_sample(lookup, rng), corrupt_sample(count, rng), crop, observation):
+        with pytest.raises(ValueError, match="^record 7: the sample is not the one its question "
+                                             "and grid build$"):
+            DatasetRecord(7, bad).to_dict()
+    assert DatasetRecord(7, lookup).to_dict()["question_tokens"] == lookup.question_tokens
 
 
 def test_record_schema_version_checked():
