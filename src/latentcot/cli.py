@@ -7,6 +7,9 @@ Run directory layout:
     <run>/checkpoints/      stage-labeled checkpoints + latent_store.npz
     <run>/logs/*.csv        per-stage training logs
     <run>/reports/          metrics.csv and sweep.svg
+
+`train-sft`/`train-rl` take one `--field-name` flag per `StageConfig`/`RlConfig`
+field; a flag overrides the command's default, which overrides the field's.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .layouts import build_prompt
 from .model import (Checkpoint, ModelConfig, decode_with_latents, init_params,
                     load_checkpoint, save_checkpoint)
 from .rl import Algo, RlConfig, compute_reward, train_rl
-from .sft import (LossWeights, StageConfig, TargetLatentStore, train_stage1,
-                  train_stage2, train_stage3)
+from .sft import (StageConfig, TargetLatentStore, train_stage1, train_stage2,
+                  train_stage3)
 from .tasks import CurationConfig, build_corpus, read_dataset, write_dataset
 
 METRICS_FIELDS = ["run_id", "stage", "k_test", "accuracy", "lookup_accuracy",
@@ -38,6 +41,10 @@ METRICS_FIELDS = ["run_id", "stage", "k_test", "accuracy", "lookup_accuracy",
 DEFAULT_SWEEP = [0, 4, 8, 10, 12, 16]
 
 DIAG_SAMPLES = 48  # eval records the stage-1 observation diagnostic reads
+
+# train-sft's stage-1 model-size flags and the ModelConfig fields they set
+MODEL_SIZE_FLAGS = {"--layers": "layer_count", "--hidden-dim": "hidden_dim",
+                    "--heads": "head_count", "--max-positions": "max_positions"}
 
 
 # ---------------------------------------------------------------------------
@@ -85,46 +92,25 @@ def read_manifest(run_dir) -> list:
     return sections
 
 
-def load_config_file(path) -> dict:
-    """Flat key=value UTF-8 text config; '#' starts a comment line. A key may
-    appear once."""
-    out = {}
-    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
-        try:
-            line = line.decode().strip()
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: line {lineno} is not UTF-8 text") from None
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {lineno} is not key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in out:
-            raise ValueError(f"{path}: line {lineno} repeats config key {key!r}")
-        out[key] = value.strip()
-    return out
-
-
 _PARSERS = {"int": int, "float": float, "int | None": int}
 
 
-def build_config(cls, path=None, defaults=None, **flags):
+def add_config_flags(parser, cls):
+    """One `--field-name` flag per field of the dataclass `cls`, parsed to the
+    field's type and unset (None) by default."""
+    for f in dataclasses.fields(cls):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=_PARSERS[f.type],
+                            help=f"{cls.__name__}.{f.name}")
+
+
+def build_config(cls, flags: dict, defaults=None):
     """Construct the dataclass `cls` once from, in rising precedence, its
-    field defaults, `defaults`, the key=value file at `path` and the `flags`
-    that are not None, so its __post_init__ checks every value. A file key
-    that names no field, or a value that does not parse as the field's type,
-    raises naming the file and the key."""
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    field defaults, the command's `defaults` and the entries of `flags` (the
+    parsed arguments) that name a field and are not None, so its
+    __post_init__ checks every value."""
     values = dict(defaults or {})
-    for key, raw in (load_config_file(path) if path else {}).items():
-        if key not in types:
-            raise ValueError(f"{path}: unknown config key {key!r}")
-        try:
-            values[key] = _PARSERS[types[key]](raw)
-        except ValueError:
-            raise ValueError(f"{path}: {key}: {raw!r} is not a valid {types[key]}") from None
-    values.update((k, v) for k, v in flags.items() if v is not None)
+    values.update((f.name, flags[f.name]) for f in dataclasses.fields(cls)
+                  if flags.get(f.name) is not None)
     return cls(**values)
 
 
@@ -283,20 +269,18 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_sft(args) -> int:
-    stage_cfg = build_config(StageConfig, args.config,
-                             {"epochs": 3 if args.stage == 1 else 1},
-                             learning_rate=args.learning_rate, epochs=args.epochs,
-                             max_steps=args.max_steps, k_train=args.k_train,
-                             grad_accum=args.grad_accum)
-    weights = LossWeights(alpha=args.alpha, beta_stage3=args.beta)
+    stage_cfg = build_config(StageConfig, vars(args), {"epochs": 3} if args.stage == 1 else None)
+    sizes = [flag for flag, field in MODEL_SIZE_FLAGS.items() if vars(args)[field] is not None]
+    if sizes and args.stage != 1:
+        raise ValueError(f"{', '.join(sizes)}: stage {args.stage} takes its model size "
+                         "from warmup.ckpt")
     manifest = {**vars(stage_cfg), "seed": args.seed}
     run_dir = ensure_run_dir(args.run_dir)
     records = read_dataset(run_dir / "data" / "train.jsonl")
     ck_dir = run_dir / "checkpoints"
     inputs = {"train.jsonl": run_dir / "data" / "train.jsonl"}
     if args.stage == 1:
-        mconfig = ModelConfig(layer_count=args.layers, hidden_dim=args.hidden_dim,
-                              head_count=args.heads, max_positions=args.max_positions)
+        mconfig = build_config(ModelConfig, vars(args))
         base = init_params(mconfig, np.random.default_rng(args.seed))
         diag = None
         eval_path = run_dir / "data" / "eval.jsonl"
@@ -317,9 +301,7 @@ def cmd_train_sft(args) -> int:
     elif args.stage == 2:
         warmup = load_checkpoint(ck_dir / "warmup.ckpt")
         inputs["warmup.ckpt"] = ck_dir / "warmup.ckpt"
-        result = train_stage2(warmup.params, records, warmup.config, stage_cfg,
-                              weights, args.seed)
-        manifest["alpha"] = args.alpha
+        result = train_stage2(warmup.params, records, warmup.config, stage_cfg, args.seed)
         save_checkpoint(Checkpoint(warmup.config, "stage2", len(result.log), args.seed,
                                    result.params), ck_dir / "stage2.ckpt")
         result.store.save(ck_dir / "latent_store.npz")
@@ -331,9 +313,7 @@ def cmd_train_sft(args) -> int:
         store = TargetLatentStore.load(ck_dir / "latent_store.npz")
         inputs["warmup.ckpt"] = ck_dir / "warmup.ckpt"
         inputs["latent_store.npz"] = ck_dir / "latent_store.npz"
-        result = train_stage3(warmup.params, records, store, warmup.config, stage_cfg,
-                              weights, args.seed)
-        manifest["beta"] = args.beta
+        result = train_stage3(warmup.params, records, store, warmup.config, stage_cfg, args.seed)
         save_checkpoint(Checkpoint(warmup.config, "sft", len(result.log), args.seed,
                                    result.params), ck_dir / "sft.ckpt")
         write_csv(run_dir / "logs" / "stage3.csv", result.log,
@@ -344,8 +324,7 @@ def cmd_train_sft(args) -> int:
 
 
 def cmd_train_rl(args) -> int:
-    rl_cfg = build_config(RlConfig, args.config, learning_rate=args.learning_rate,
-                          k_train_rl=args.k_train_rl, group_size=args.group_size)
+    rl_cfg = build_config(RlConfig, vars(args))
     run_dir = ensure_run_dir(args.run_dir)
     records = read_dataset(run_dir / "data" / "rl.jsonl")
     ck_dir = run_dir / "checkpoints"
@@ -448,30 +427,18 @@ def main(argv=None) -> int:
     p.add_argument("--run-dir", required=True)
     p.add_argument("--stage", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None, help="flat key=value stage config file")
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--k-train", type=int, default=None)
-    p.add_argument("--grad-accum", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--layers", type=int, default=3)
-    p.add_argument("--hidden-dim", type=int, default=64)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--max-positions", type=int, default=160)
+    add_config_flags(p, StageConfig)
+    for flag, field in MODEL_SIZE_FLAGS.items():
+        p.add_argument(flag, dest=field, type=int, help=f"stage 1 only: ModelConfig.{field}")
     p.set_defaults(func=cmd_train_sft)
 
     p = sub.add_parser("train-rl", help="policy optimization from the SFT checkpoint")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--algo", choices=("grpo", "vlpo"), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None, help="flat key=value RL config file")
     p.add_argument("--init", default="sft.ckpt")
     p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--k-train-rl", type=int, default=None)
-    p.add_argument("--group-size", type=int, default=None)
+    add_config_flags(p, RlConfig)
     p.set_defaults(func=cmd_train_rl)
 
     p = sub.add_parser("eval", help="greedy evaluation at a fixed latent size")

@@ -19,7 +19,7 @@ from . import vocab
 from .model import (LatentStep, ModelConfig, SegmentRole, SequenceLayout,
                     TextStep, init_params, latent_segment, text_segment)
 from .rl import Algo, RlConfig, compute_advantages, policy_objective, rollout_group
-from .sft import (LossWeights, _latent_stage_loss, _student_pass, _teacher_pass,
+from .sft import (StageConfig, _latent_stage_loss, _student_pass, _teacher_pass,
                   align_latent_loss, align_obs_loss, emit_target_latents,
                   latent_only_surrogate, ntp_loss, stage1_sample_loss,
                   stage2_sample_losses, stage3_sample_losses)
@@ -189,15 +189,13 @@ def run_gradcheck(seed: int = 0) -> list:
     rng = np.random.default_rng(seed + 3)
     coords = _sample_coords(params, rng)
     store = emit_target_latents(params, _records_for(sample), config, k)
-    weights = LossWeights()
+    weight = StageConfig().align_weight
     results = [
         check_ntp(config, params, sample, coords),
         check_align_obs(config, params, teacher_params, sample, k, coords),
         check_align_latent(config, params, store.get(0), sample, k, coords),
-        check_stage_total("stage2", config, params, teacher_params, None, sample, k,
-                          weights.alpha, coords),
-        check_stage_total("stage3", config, params, teacher_params, store, sample, k,
-                          weights.beta_stage3, coords),
+        check_stage_total("stage2", config, params, teacher_params, None, sample, k, weight, coords),
+        check_stage_total("stage3", config, params, teacher_params, store, sample, k, weight, coords),
         check_policy(Algo.GRPO, config, params, old_params, sample, coords, seed + 4),
         check_policy(Algo.VLPO, config, params, old_params, sample, coords, seed + 5),
     ]

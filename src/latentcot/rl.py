@@ -26,6 +26,10 @@ from .model import forward  # noqa: F401  (perfbench's tracer test rebinds rl.fo
 from .sft import StageConfig, TrainResult, _train
 
 
+# ratio means of a group that scores no step of a kind (a real ratio is exp(.) > 0)
+EMPTY_RATIO_MEANS = {"text_ratio_mean": 0.0, "latent_ratio_mean": 0.0}
+
+
 @dataclass
 class RlConfig:
     group_size: int = 8
@@ -231,7 +235,7 @@ def policy_objective(group: RolloutGroup, current: dict, config: RlConfig, algo:
     weighted vector per step kind: a step of a rollout with n contributing
     steps in a group of G weighs 1 / (n G). Returns (loss, stats), or
     (None, stats) when no step contributes."""
-    stats = {"text_ratio_mean": 0.0, "latent_ratio_mean": 0.0}
+    stats = dict(EMPTY_RATIO_MEANS)
     scored = score_group(current, group, config, mconfig)
     G = len(group.rollouts)
     advantage = np.array([roll.advantage for roll in group.rollouts])
@@ -288,7 +292,7 @@ def train_rl(sft_params: dict, records, config: RlConfig, algo: Algo,
     before they are updated, so they are the old policy and no copy is
     needed; the epoch order and the rollouts draw from one generator. A
     group that is not retained, or leaves no contributing step, is logged
-    and makes no update."""
+    with `EMPTY_RATIO_MEANS` and makes no update."""
     params = copy_params(sft_params)
     rng = np.random.default_rng(seed)
 
@@ -297,15 +301,14 @@ def train_rl(sft_params: dict, records, config: RlConfig, algo: Algo,
         retained = filter_by_accuracy([group], config.accuracy_threshold)
         row = {"sample_id": rec.sample_id, "mean_reward": group.mean_reward(),
                "accuracy": group.accuracy, "retained": len(retained),
-               "text_ratio_mean": 1.0, "latent_ratio_mean": 1.0, "latent_grad_norm": 0.0}
+               **EMPTY_RATIO_MEANS, "latent_grad_norm": 0.0}
         if not retained:
             return None, row
         loss, stats = policy_objective(group, params, config, algo, mconfig)
+        row.update((key, stats[key]) for key in EMPTY_RATIO_MEANS)
         if loss is not None:
             row["latent_grad_norm"] = latent_gradient_norm(
                 stats["latent_part"], params, stats["latents"])
-            row["text_ratio_mean"] = stats["text_ratio_mean"]
-            row["latent_ratio_mean"] = stats["latent_ratio_mean"]
         return loss, row
 
     return _train(params, records, StageConfig(config.learning_rate, epochs), rng, "rl",

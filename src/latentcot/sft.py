@@ -35,30 +35,21 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass
-class LossWeights:
-    alpha: float = 2.0        # stage-2 observation-alignment weight
-    beta_stage3: float = 2.0  # stage-3 latent-alignment weight
-
-    def __post_init__(self):
-        for name in ("alpha", "beta_stage3"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
-
-
-@dataclass
 class StageConfig:
     learning_rate: float = 1e-5
     epochs: int = 1
     max_steps: int | None = None
     grad_accum: int = 1
     k_train: int = 8
+    align_weight: float = 2.0  # alpha in stage 2 (observations), beta in stage 3 (latents)
 
     def __post_init__(self):
         for ok, rule in ((self.learning_rate > 0, "learning_rate must be > 0"),
                          (self.epochs >= 1, "epochs must be >= 1"),
                          (self.grad_accum >= 1, "grad_accum must be >= 1"),
                          (self.max_steps is None or self.max_steps >= 1, "max_steps must be None or >= 1"),
-                         (self.k_train >= 0, "k_train must be >= 0")):
+                         (self.k_train >= 0, "k_train must be >= 0"),
+                         (0.0 <= self.align_weight < np.inf, "align_weight must be finite and >= 0")):
             if not ok:
                 raise ValueError(rule)
 
@@ -424,7 +415,7 @@ def stage2_sample_losses(sample, teacher_params, student_params, config: ModelCo
 
 
 def train_stage2(warmup_params: dict, records, config: ModelConfig, stage: StageConfig,
-                 weights: LossWeights, seed: int) -> TrainResult:
+                 seed: int) -> TrainResult:
     """Teacher-student latent training; emits the target latent store."""
     if stage.k_train < 1:
         raise ValueError("stage 2 requires k_train >= 1")
@@ -433,7 +424,7 @@ def train_stage2(warmup_params: dict, records, config: ModelConfig, stage: Stage
     def sample_loss(rec):
         return _latent_stage_loss(stage2_sample_losses(
             rec.sample, warmup_params, student, config, stage.k_train),
-            weights.alpha, "align_obs")
+            stage.align_weight, "align_obs")
 
     result = _train(student, records, stage, seed, "stage2", sample_loss)
     result.store = emit_target_latents(student, records, config, stage.k_train)
@@ -465,8 +456,7 @@ def stage3_sample_losses(sample, sample_id, store: TargetLatentStore, params,
 
 
 def train_stage3(warmup_params: dict, records, store: TargetLatentStore,
-                 config: ModelConfig, stage: StageConfig, weights: LossWeights,
-                 seed: int) -> TrainResult:
+                 config: ModelConfig, stage: StageConfig, seed: int) -> TrainResult:
     """Latent generation without aux images, aligned to the stage-2 targets.
 
     The model restarts from the warm-up weights, not from stage 2."""
@@ -481,6 +471,6 @@ def train_stage3(warmup_params: dict, records, store: TargetLatentStore,
     def sample_loss(rec):
         return _latent_stage_loss(stage3_sample_losses(
             rec.sample, rec.sample_id, store, params, config, stage.k_train),
-            weights.beta_stage3, "align_latent")
+            stage.align_weight, "align_latent")
 
     return _train(params, records, stage, seed, "stage3", sample_loss)

@@ -37,7 +37,7 @@ from latentcot.rl import (Algo, RlConfig,
                           filter_by_accuracy, latent_gradient_norm,
                           policy_objective, rollout_group, train_rl,
                           vlpo_latent_ratio)
-from latentcot.sft import (LossWeights, StageConfig, measure_obs_accuracy,
+from latentcot.sft import (StageConfig, measure_obs_accuracy,
                            stage2_sample_losses, train_stage1, train_stage2,
                            train_stage3)
 from latentcot.tasks import (CurationConfig, build_corpus, curate,

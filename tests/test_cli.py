@@ -1,15 +1,15 @@
 import csv
-import re
+import dataclasses
 
 import numpy as np
 import pytest
 
 from latentcot import vocab
-from latentcot.cli import (append_metrics, build_config, emit_report, evaluate,
-                           load_config_file, main, read_csv, read_manifest,
-                           render_sweep_svg, write_csv)
+from latentcot.cli import (append_metrics, build_config, emit_report, evaluate, main,
+                           read_csv, read_manifest, render_sweep_svg, write_csv)
 from latentcot.model import (Checkpoint, ModelConfig, init_params, load_checkpoint,
                              save_checkpoint)
+from latentcot.rl import RlConfig
 from latentcot.sft import StageConfig
 from latentcot.tasks import read_dataset
 
@@ -59,10 +59,9 @@ def test_full_pipeline_artifacts(tmp_path):
     assert commands[:4] == ["gen-data", "train-sft-stage1", "train-sft-stage2",
                             "train-sft-stage3"]
     assert any(k.startswith("input.") for k in sections[1])
-    # each latent stage records the alignment weight it trained with
-    assert sections[2]["alpha"] == "2.0" and "beta" not in sections[2]
-    assert sections[3]["beta"] == "2.0" and "alpha" not in sections[3]
-    assert "alpha" not in sections[1] and "beta" not in sections[1]
+    # each stage records the alignment weight of its StageConfig
+    assert [s["align_weight"] for s in sections[1:4]] == ["2.0"] * 3
+    assert not any(k in s for k in ("alpha", "beta") for s in sections)
 
 
 def test_rl_command_and_latent_norm_log(tmp_path):
@@ -184,26 +183,44 @@ def test_gradcheck_command(capsys):
     assert out.count("[pass]") == 7
 
 
-def test_config_file_names_the_line_of_a_non_utf8_byte(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_bytes(b"# stage settings\r\nepochs=2\r\nlearning_rate=0.\xff2\r\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: line 3 is not UTF-8 text$"):
-        load_config_file(bad)
+def test_flags_override_command_defaults_which_override_field_defaults():
+    # field defaults < command defaults < flags that are not None; an
+    # argument that names no field is not the dataclass's
+    flags = {"learning_rate": 0.5, "epochs": 2, "max_steps": None, "seed": 7}
+    built = build_config(StageConfig, flags, {"epochs": 3, "k_train": 2})
+    assert built == StageConfig(learning_rate=0.5, epochs=2, k_train=2)
 
 
-def test_config_file_round_trip(tmp_path):
-    cfg = tmp_path / "stage.cfg"
-    cfg.write_text("# stage settings\nlearning_rate=0.002\nepochs=2\nmax_steps=4\n")
-    parsed = load_config_file(cfg)
-    assert parsed == {"learning_rate": "0.002", "epochs": "2", "max_steps": "4"}
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("learning_rate\n")
-    with pytest.raises(ValueError, match="line 1"):
-        load_config_file(bad)
-    # field defaults < command defaults < file < flags that are not None
-    built = build_config(StageConfig, cfg, {"epochs": 3, "k_train": 2},
-                         learning_rate=0.5, max_steps=None)
-    assert built == StageConfig(learning_rate=0.5, epochs=2, max_steps=4, k_train=2)
+def _other_valid_value(field):
+    """A value of a StageConfig or RlConfig field that differs from its default
+    and that its dataclass accepts; group and latent sizes stay small."""
+    small = {"group_size": 2, "k_train_rl": 2, "k_train": 2}
+    if field.name in small:
+        return small[field.name]
+    if field.default is None:
+        return 1
+    return field.default + 1 if field.type == "int" else field.default / 2
+
+
+@pytest.mark.parametrize("cls, argv", [
+    (StageConfig, ["train-sft", "--stage", "1", *TINY_MODEL]),
+    (RlConfig, ["train-rl", "--algo", "grpo"]),
+], ids=["train-sft", "train-rl"])
+def test_each_config_field_has_a_flag_that_reaches_the_manifest(tmp_path, cls, argv):
+    """Every field of the command's config dataclass has one --field-name
+    flag, and the value given to it is the one the manifest section records."""
+    run = tmp_path / "run"
+    gen_tiny(run)
+    config = ModelConfig(layer_count=2, hidden_dim=16, head_count=2)
+    save_checkpoint(Checkpoint(config, "sft", 0, 0, init_params(config, np.random.default_rng(0))),
+                    run / "checkpoints" / "sft.ckpt")
+    values = {f.name: _other_valid_value(f) for f in dataclasses.fields(cls)}
+    flags = [arg for name, value in values.items()
+             for arg in (f"--{name.replace('_', '-')}", str(value))]
+    assert main([argv[0], "--run-dir", str(run), *argv[1:], *flags]) == 0
+    section = read_manifest(run)[-1]
+    assert {name: section.get(name) for name in values} == {
+        name: str(value) for name, value in values.items()}
 
 
 SFT_STAGE1 = ["train-sft", "--stage", "1", "--max-steps", "2", *TINY_MODEL]
@@ -215,50 +232,44 @@ def _run_files(run):
     return {p: p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("argv, config_text, named", [
-    (SFT_STAGE1 + ["--max-steps", "-1"], None, ["max_steps"]),
-    (SFT_STAGE1 + ["--epochs", "0"], None, ["epochs"]),
-    (SFT_STAGE1 + ["--grad-accum", "0"], None, ["grad_accum"]),
-    (RL_GRPO + ["--group-size", "1"], None, ["group_size"]),
-    (RL_GRPO, "sigma=0", ["sigma"]),
-    (RL_GRPO, "clip_eps=5", ["clip_eps"]),
-    (SFT_STAGE1, "learnig_rate=0.1", ["bad.cfg", "learnig_rate"]),
-    (SFT_STAGE1, "epochs=two", ["bad.cfg", "epochs"]),
-    (RL_GRPO, "group_size=2.5", ["bad.cfg", "group_size"]),
-    (RL_GRPO + ["--learning-rate", "-1"], None, ["learning_rate"]),
-    (RL_GRPO + ["--k-train-rl", "-3"], None, ["k_train_rl"]),
-    (RL_GRPO, "sigma=nan", ["sigma"]),
-    (RL_GRPO, "temperature=-0.5", ["temperature"]),
-    (SFT_STAGE2 + ["--alpha", "nan"], None, ["alpha"]),
-    (["gen-data", "--train-count", "0"], None, ["sample_count"]),
-    (["gen-data", "--corrupt-fraction", "3"], None, ["corrupt_fraction"]),
-    (SFT_STAGE1 + ["--heads", "0"], None, ["head_count"]),
-    (SFT_STAGE1 + ["--hidden-dim", "0"], None, ["hidden_dim"]),
-    (SFT_STAGE1 + ["--layers", "0"], None, ["layer_count"]),
-    (SFT_STAGE1 + ["--max-positions", "0"], None, ["max_positions"]),
-    (RL_GRPO + ["--epochs", "0"], None, ["epochs"]),
-    (RL_GRPO + ["--epochs", "-2"], None, ["epochs"]),
-    (["eval", "--k-test", "0", "--limit", "0"], None, ["limit"]),
-    (["eval", "--k-test", "0", "--limit", "-1"], None, ["limit"]),
-    (["sweep", "--k-tests", "0", "--limit", "0"], None, ["limit"]),
-    (RL_GRPO, "kl_coeff=0.1", ["bad.cfg", "kl_coeff"]),
-    (RL_GRPO, "temperature=0", ["temperature"]),
-    (RL_GRPO, "sigma=5\nsigma=6", ["bad.cfg", "sigma"]),
+@pytest.mark.parametrize("argv, named", [
+    (SFT_STAGE1 + ["--max-steps", "-1"], ["max_steps"]),
+    (SFT_STAGE1 + ["--epochs", "0"], ["epochs"]),
+    (SFT_STAGE1 + ["--grad-accum", "0"], ["grad_accum"]),
+    (RL_GRPO + ["--group-size", "1"], ["group_size"]),
+    (RL_GRPO + ["--sigma", "0"], ["sigma"]),
+    (RL_GRPO + ["--clip-eps", "5"], ["clip_eps"]),
+    (RL_GRPO + ["--learning-rate", "-1"], ["learning_rate"]),
+    (RL_GRPO + ["--k-train-rl", "-3"], ["k_train_rl"]),
+    (RL_GRPO + ["--sigma", "nan"], ["sigma"]),
+    (RL_GRPO + ["--temperature", "-0.5"], ["temperature"]),
+    (SFT_STAGE2 + ["--align-weight", "nan"], ["align_weight"]),
+    (["gen-data", "--train-count", "0"], ["sample_count"]),
+    (["gen-data", "--corrupt-fraction", "3"], ["corrupt_fraction"]),
+    (SFT_STAGE1 + ["--heads", "0"], ["head_count"]),
+    (SFT_STAGE1 + ["--hidden-dim", "0"], ["hidden_dim"]),
+    (SFT_STAGE1 + ["--layers", "0"], ["layer_count"]),
+    (SFT_STAGE1 + ["--max-positions", "0"], ["max_positions"]),
+    (SFT_STAGE2 + ["--layers", "7", "--hidden-dim", "999"],
+     ["--layers", "--hidden-dim", "warmup.ckpt"]),
+    (RL_GRPO + ["--epochs", "0"], ["epochs"]),
+    (RL_GRPO + ["--epochs", "-2"], ["epochs"]),
+    (["eval", "--k-test", "0", "--limit", "0"], ["limit"]),
+    (["eval", "--k-test", "0", "--limit", "-1"], ["limit"]),
+    (["sweep", "--k-tests", "0", "--limit", "0"], ["limit"]),
+    (RL_GRPO + ["--temperature", "0"], ["temperature"]),
 ], ids=["max-steps-flag", "epochs-flag", "grad-accum-flag", "group-size-flag",
-        "sigma-file", "clip-eps-file", "unknown-key-file", "bad-int-file", "bad-rl-int-file",
-        "rl-learning-rate-flag", "k-train-rl-flag", "sigma-nan-file", "temperature-file",
-        "alpha-nan-flag", "train-count-flag", "corrupt-fraction-flag", "heads-flag",
-        "hidden-dim-flag", "layers-flag", "max-positions-flag", "rl-epochs-zero-flag",
+        "sigma-flag", "clip-eps-flag", "rl-learning-rate-flag", "k-train-rl-flag",
+        "sigma-nan-flag", "temperature-flag", "alpha-nan-flag", "train-count-flag",
+        "corrupt-fraction-flag", "heads-flag", "hidden-dim-flag", "layers-flag",
+        "max-positions-flag", "stage2-model-size-flags", "rl-epochs-zero-flag",
         "rl-epochs-negative-flag", "eval-limit-zero-flag", "eval-limit-negative-flag",
-        "sweep-limit-zero-flag", "kl-coeff-file", "temperature-zero-file",
-        "repeated-key-file"])
-def test_bad_config_values_fail_before_any_checkpoint(tmp_path, capsys, argv,
-                                                      config_text, named):
-    """A value from a flag or a --config file that its dataclass or command
-    rejects, or a file entry that names no field or does not parse, exits 1
-    with an error naming the field (and the file), and the run dir is left
-    as it was: no checkpoint, data file, report or manifest entry is
-    written."""
+        "sweep-limit-zero-flag", "temperature-zero-flag"])
+def test_bad_config_values_fail_before_any_checkpoint(tmp_path, capsys, argv, named):
+    """A flag value that its dataclass or command rejects, or a model-size
+    flag given to stage 2 or 3, exits 1 with an error naming the field or
+    flag, and the run dir is left as it was: no checkpoint, data file,
+    report or manifest entry is written."""
     run = tmp_path / "run"
     gen_tiny(run)
     config = ModelConfig(layer_count=2, hidden_dim=16, head_count=2)
@@ -266,15 +277,20 @@ def test_bad_config_values_fail_before_any_checkpoint(tmp_path, capsys, argv,
     for name in ("warmup", "sft"):
         save_checkpoint(Checkpoint(config, name, 0, 0, params),
                         run / "checkpoints" / f"{name}.ckpt")
-    if config_text is not None:
-        (tmp_path / "bad.cfg").write_text(config_text + "\n")
-        argv = argv + ["--config", str(tmp_path / "bad.cfg")]
     before = _run_files(run)
     capsys.readouterr()
     assert main([argv[0], "--run-dir", str(run), *argv[1:]]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and all(word in err for word in named), err
     assert _run_files(run) == before
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta", "--config"])
+def test_removed_train_sft_flags_exit_with_usage_error(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["train-sft", "--run-dir", str(tmp_path), "--stage", "2", flag, "5"])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv, split, named", [

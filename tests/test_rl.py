@@ -597,7 +597,7 @@ def _forced_and_latent_group():
 def test_a_retained_group_with_no_contributing_step_takes_no_step(monkeypatch):
     """GRPO over a retained group of forced and latent steps only: the
     objective returns no loss, and train_rl logs the group's row with the
-    skipped-group ratios and runs no AdamW step."""
+    empty ratio means (0.0) and runs no AdamW step."""
     params = init_params(CFG, np.random.default_rng(22))
     config = RlConfig(group_size=2, k_train_rl=2, learning_rate=1e-2)
     group = _forced_and_latent_group()
@@ -617,7 +617,7 @@ def test_a_retained_group_with_no_contributing_step_takes_no_step(monkeypatch):
     assert sorted(row["sample_id"] for row in result.log) == [rec.sample_id for rec in records]
     assert result.log == [
         {"step": i, "sample_id": row["sample_id"], "mean_reward": group.mean_reward(),
-         "accuracy": 0.5, "retained": 1, "text_ratio_mean": 1.0, "latent_ratio_mean": 1.0,
+         "accuracy": 0.5, "retained": 1, "text_ratio_mean": 0.0, "latent_ratio_mean": 0.0,
          "latent_grad_norm": 0.0} for i, row in enumerate(result.log)]
 
 

@@ -16,7 +16,7 @@ from latentcot.model import (MaskMode, ModelConfig, SegmentRole,
                              bind_use_sites, copy_params, fill_latents,
                              forward, image_segment, init_params,
                              latent_segment, params_allclose, text_segment)
-from latentcot.sft import (AdamW, LatentStoreError, LossWeights, StageConfig,
+from latentcot.sft import (AdamW, LatentStoreError, StageConfig,
                            TargetLatentStore,
                            TrainingDiverged, align_latent_loss, align_obs_loss,
                            emit_target_latents, latent_only_surrogate,
@@ -495,18 +495,13 @@ def test_stage2_ntp_invariant_to_aux_with_forced_latents():
 def test_stage_config_reference_defaults():
     cfg = StageConfig()
     assert cfg.learning_rate == 1e-5 and sft.WEIGHT_DECAY == 0.01
-    assert cfg.k_train == 8
-    weights = LossWeights()
-    assert weights.alpha == 2.0 and weights.beta_stage3 == 2.0
-    with pytest.raises(ValueError):
-        LossWeights(alpha=-1.0)
+    assert cfg.k_train == 8 and cfg.align_weight == 2.0
 
 
 @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
-@pytest.mark.parametrize("field", ["alpha", "beta_stage3"])
-def test_loss_weights_reject_negative_and_non_finite_values(field, value):
-    with pytest.raises(ValueError, match=f"^{field} "):
-        LossWeights(**{field: value})
+def test_align_weight_rejects_negative_and_non_finite_values(value):
+    with pytest.raises(ValueError, match="^align_weight "):
+        StageConfig(align_weight=value)
 
 
 def test_adamw_decoupled_decay():
@@ -567,8 +562,8 @@ def test_divergence_aborts(name):
     store = emit_target_latents(base, records, CFG, stage.k_train)
     base["tok_emb"].data[0, 0] = np.nan
     run = {"stage1": lambda: train_stage1(base, records, CFG, stage, seed=0),
-           "stage2": lambda: train_stage2(base, records, CFG, stage, LossWeights(), seed=0),
-           "stage3": lambda: train_stage3(base, records, store, CFG, stage, LossWeights(),
+           "stage2": lambda: train_stage2(base, records, CFG, stage, seed=0),
+           "stage3": lambda: train_stage3(base, records, store, CFG, stage,
                                           seed=0)}[name]
     with pytest.raises(TrainingDiverged, match=f"^{name}: loss became non-finite at step 0$"):
         run()
@@ -677,7 +672,7 @@ def test_stage2_teacher_frozen_and_store_consistent():
     warmup = init_params(CFG, np.random.default_rng(34))
     before = copy_params(warmup)
     stage = StageConfig(learning_rate=1e-3, epochs=1, max_steps=6, k_train=2)
-    result = train_stage2(warmup, records, CFG, stage, LossWeights(), seed=2)
+    result = train_stage2(warmup, records, CFG, stage, seed=2)
     assert params_allclose(warmup, before)
     assert not params_allclose(result.params, warmup)
     # store entries equal a fresh forward pass, bit-exact
@@ -706,15 +701,15 @@ def test_stage3_requires_store_entries():
     store = TargetLatentStore()
     stage = StageConfig(epochs=1, max_steps=2, k_train=2)
     with pytest.raises(KeyError, match="missing sample ids"):
-        train_stage3(warmup, records, store, CFG, stage, LossWeights(), seed=0)
+        train_stage3(warmup, records, store, CFG, stage, seed=0)
 
 
 def test_stage3_trains_and_reinitializes_from_warmup():
     records = tiny_records(n=5)
     warmup = init_params(CFG, np.random.default_rng(37))
     stage = StageConfig(learning_rate=1e-3, epochs=1, max_steps=5, k_train=2)
-    s2 = train_stage2(warmup, records, CFG, stage, LossWeights(), seed=3)
-    s3 = train_stage3(warmup, records, s2.store, CFG, stage, LossWeights(), seed=4)
+    s2 = train_stage2(warmup, records, CFG, stage, seed=3)
+    s3 = train_stage3(warmup, records, s2.store, CFG, stage, seed=4)
     assert not params_allclose(s3.params, warmup)
     align_values = [row["align_latent"] for row in s3.log]
     assert all(np.isfinite(v) for v in align_values)
@@ -788,4 +783,4 @@ def test_stage3_checks_store_entries_before_step_0(bad_entry):
     entry = store.get(victim)
     store.put(victim, entry[:, 1:] if bad_entry == "shape" else entry * np.nan)
     with pytest.raises(LatentStoreError, match=f"sample {victim}:"):
-        train_stage3(warmup, records, store, CFG, stage, LossWeights(), seed=0)
+        train_stage3(warmup, records, store, CFG, stage, seed=0)
